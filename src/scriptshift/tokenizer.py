@@ -1,10 +1,13 @@
 """Deterministic subword tokenizer built on greedy pair merging.
 
 Training learns highest-frequency symbol-pair merges over whitespace words,
-each word prefixed with a reserved boundary-marker symbol. Encoding replays
-the merge list in training order, so a serialized model reproduces the same
-segmentation anywhere. Characters outside the alphabet are collapsed, one
-maximal run at a time, into a single unknown token.
+each word prefixed with a reserved boundary-marker symbol. After each merge
+only the pair counts around the merge sites are updated. Encoding is defined
+as replaying the merge list in training order, each merge applied left to
+right over the word; the encoder reaches the same result by rank-driven
+merging, so a serialized model reproduces the same segmentation anywhere.
+Characters outside the alphabet are collapsed, one maximal run at a time,
+into a single unknown token.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -48,6 +52,8 @@ class SubwordModel:
 
     Ids are assigned unknown first (0), boundary marker second (1), alphabet
     characters by codepoint from 2, then merge products in merge order.
+    Merge order is application order: merge k applies after merges 0..k-1.
+    Every merge's operands and product must have an id.
     """
 
     alphabet: frozenset[str]
@@ -76,6 +82,10 @@ class SubwordModel:
             if left not in vocab or right not in vocab:
                 raise ModelFormatError(
                     f"merge ({left!r}, {right!r}) references unknown tokens")
+            if left + right not in vocab:
+                raise ModelFormatError(
+                    f"merge ({left!r}, {right!r}) product {left + right!r} "
+                    f"missing from vocab")
 
     @property
     def vocab_size(self) -> int:
@@ -181,20 +191,88 @@ def _mergeable_pairs(syms: Sequence) -> Iterator[tuple[str, str]]:
 
 
 def _apply_merge(syms: list, pair: tuple[str, str], merged: str) -> list:
-    """Replace every occurrence of pair, scanning left to right."""
+    """Replace every occurrence of pair, scanning left to right. Unknown
+    sentinels never compare equal to a token string, so they never merge."""
+    left, right = pair
     out: list = []
     i = 0
     n = len(syms)
-    while i < n:
-        if (i + 1 < n and syms[i] == pair[0] and syms[i + 1] == pair[1]
-                and syms[i] is not UNK_SENTINEL
-                and syms[i + 1] is not UNK_SENTINEL):
+    while True:
+        try:
+            j = syms.index(left, i)
+        except ValueError:
+            break
+        out.extend(syms[i:j])
+        if j + 1 < n and syms[j + 1] == right:
             out.append(merged)
-            i += 2
+            i = j + 2
         else:
-            out.append(syms[i])
-            i += 1
+            out.append(left)
+            i = j + 1
+    out.extend(syms[i:])
     return out
+
+
+def _merge_sites(word_syms: list, index: int, freq: int,
+                 pair: tuple[str, str], merged: str, pair_counts: Counter,
+                 pair_words: dict, changed: set) -> None:
+    """Merge every occurrence of pair in word_syms[index], left to right,
+    and update the pair counts at each merge site. Every pair whose count
+    moves is added to changed; a word that no longer contains pair is left
+    as it is.
+
+    At a site the pair itself loses one occurrence. Its left neighbour pair
+    (previous symbol, left operand) becomes (previous output symbol,
+    merged); when the previous site is adjacent that output symbol is the
+    merged token too. Its right neighbour pair (right operand, next symbol)
+    becomes (merged, next symbol), unless the next symbol starts another
+    site, whose left-neighbour step then accounts for the boundary.
+    Unknown sentinels never form a counted pair.
+    """
+    syms = word_syms[index]
+    left, right = pair
+    n = len(syms)
+    out: list = []
+    i = 0
+    while True:
+        try:
+            j = syms.index(left, i)
+        except ValueError:
+            break
+        if j + 1 >= n:
+            break
+        if syms[j + 1] != right:
+            out.extend(syms[i:j + 1])
+            i = j + 1
+            continue
+        out.extend(syms[i:j])
+        pair_counts[pair] -= freq
+        if j > 0:
+            before = syms[j - 1]
+            if before is not UNK_SENTINEL:
+                old = (before, left)
+                new = (out[-1], merged)
+                pair_counts[old] -= freq
+                pair_counts[new] += freq
+                pair_words.setdefault(new, set()).add(index)
+                changed.add(old)
+                changed.add(new)
+        if j + 2 < n:
+            after = syms[j + 2]
+            if after is not UNK_SENTINEL and not (
+                    after == left and j + 3 < n and syms[j + 3] == right):
+                old = (right, after)
+                new = (merged, after)
+                pair_counts[old] -= freq
+                pair_counts[new] += freq
+                pair_words.setdefault(new, set()).add(index)
+                changed.add(old)
+                changed.add(new)
+        out.append(merged)
+        i = j + 2
+    if i:
+        out.extend(syms[i:])
+        word_syms[index] = out
 
 
 def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
@@ -205,8 +283,12 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     Greedy loop: the most frequent adjacent symbol pair is merged, ties
     broken by the lexicographically smaller concatenation and then pair.
     Merging stops when the vocabulary reaches vocab_size or no pair occurs
-    at least twice. Candidate selection uses a heap with lazy invalidation;
-    entries are revalidated against current counts when popped.
+    at least twice. Candidate selection uses a heap keyed by (-count,
+    concatenation, pair) with lazy invalidation; entries are revalidated
+    against current counts when popped. A merge rewrites only the words
+    listed for its pair (a superset of the words that contain it), and at
+    each merge site it moves counts from the site's old neighbour pairs to
+    its new ones, so pair counts stay exact without recounting a word.
     """
     if min_char_freq < 1:
         raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
@@ -234,16 +316,15 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     for char in sorted(alphabet):
         vocab[char] = len(vocab)
 
-    words: dict[str, list] = {
-        word: [freq, list(_word_symbols(word, alphabet, marker))]
-        for word, freq in counts.items()
-    }
+    freqs = list(counts.values())
+    word_syms = [list(_word_symbols(word, alphabet, marker))
+                 for word in counts]
     pair_counts: Counter = Counter()
-    pair_words: dict[tuple[str, str], set[str]] = {}
-    for word, (freq, syms) in words.items():
+    pair_words: dict[tuple[str, str], set[int]] = {}
+    for index, syms in enumerate(word_syms):
         for pair in _mergeable_pairs(syms):
-            pair_counts[pair] += freq
-            pair_words.setdefault(pair, set()).add(word)
+            pair_counts[pair] += freqs[index]
+            pair_words.setdefault(pair, set()).add(index)
 
     heap: list = []
     for pair, count in pair_counts.items():
@@ -260,33 +341,19 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         if merged not in vocab:
             vocab[merged] = len(vocab)
 
-        touched = pair_words.pop(pair, set())
-        for word in touched:
-            freq, syms = words[word]
-            old_pairs = Counter(_mergeable_pairs(syms))
-            new_syms = _apply_merge(syms, pair, merged)
-            new_pairs = Counter(_mergeable_pairs(new_syms))
-            words[word][1] = new_syms
-            delta = Counter(new_pairs)
-            delta.subtract(old_pairs)
-            for changed, d in delta.items():
-                if d == 0:
-                    continue
-                pair_counts[changed] += d * freq
-                if pair_counts[changed] <= 0:
-                    del pair_counts[changed]
-                    pair_words.get(changed, set()).discard(word)
-                else:
-                    new_count = pair_counts[changed]
-                    if new_count >= 2:
-                        heapq.heappush(
-                            heap, (-new_count, changed[0] + changed[1],
-                                   changed))
-            for changed in new_pairs:
-                pair_words.setdefault(changed, set()).add(word)
-            for changed in old_pairs:
-                if changed not in new_pairs:
-                    pair_words.get(changed, set()).discard(word)
+        changed = {pair}
+        for index in pair_words.pop(pair, ()):
+            _merge_sites(word_syms, index, freqs[index], pair, merged,
+                         pair_counts, pair_words, changed)
+        for changed_pair in changed:
+            new_count = pair_counts[changed_pair]
+            if new_count <= 0:
+                del pair_counts[changed_pair]
+                pair_words.pop(changed_pair, None)
+            elif new_count >= 2:
+                heapq.heappush(heap, (-new_count,
+                                      changed_pair[0] + changed_pair[1],
+                                      changed_pair))
 
     return SubwordModel(
         alphabet=alphabet,
@@ -310,7 +377,16 @@ def train(corpus: Iterable[str], vocab_size: int,
 
 
 class Encoder:
-    """Replays a model's merges over words, caching per-word segmentations.
+    """Segments words with a model's merges, caching per-word segmentations.
+
+    The result is the one the model's merge list gives when replayed in
+    order over the word, each merge applied left to right. Rank-driven
+    merging reaches it without visiting every merge: each step takes the
+    adjacent pair with the smallest rank greater than the last rank applied
+    and merges every occurrence of it, left to right. Merges of lower rank
+    already had their turn in the replay, so a pair whose ranks are all at
+    or below the last one stays unmerged; this keeps models with merges out
+    of causal order, or with a pair listed twice, equal to the replay.
 
     Reuse one encoder across a whole corpus pass; the cache makes repeated
     words cost a dictionary lookup.
@@ -319,6 +395,22 @@ class Encoder:
     def __init__(self, model: SubwordModel):
         self.model = model
         self._cache: dict[str, tuple] = {}
+        ranks: dict[tuple[str, str], list[int]] = {}
+        for rank, pair in enumerate(model.merges):
+            ranks.setdefault(pair, []).append(rank)
+        self._ranks = ranks
+        self._first_rank = {pair: found[0] for pair, found in ranks.items()}
+
+    def _next_rank(self, syms: list, last: int) -> int:
+        """Smallest rank above last among the adjacent pairs of syms, or
+        len(merges) when there is none."""
+        best = len(self.model.merges)
+        for pair in zip(syms, syms[1:]):
+            for rank in self._ranks.get(pair, ()):
+                if rank > last:
+                    best = min(best, rank)
+                    break
+        return best
 
     def segment_word(self, word: str) -> tuple:
         """Emitted symbol sequence for one word: token strings and unknown
@@ -329,15 +421,23 @@ class Encoder:
         if cached is not None:
             return cached
         model = self.model
+        merges = model.merges
+        first_rank = self._first_rank
         syms = list(_word_symbols(word, model.alphabet,
                                   model.boundary_marker))
-        present = set(syms)
-        for pair in model.merges:
-            if pair[0] in present and pair[1] in present:
-                merged_syms = _apply_merge(syms, pair, pair[0] + pair[1])
-                if len(merged_syms) != len(syms):
-                    syms = merged_syms
-                    present.add(pair[0] + pair[1])
+        last = -1
+        while len(syms) > 1:
+            # Each pair's lowest rank; if that is above the last rank
+            # applied, it is also the smallest rank above it.
+            rank = min(map(first_rank.get, zip(syms, syms[1:]),
+                           repeat(len(merges))))
+            if rank <= last:
+                rank = self._next_rank(syms, last)
+            if rank == len(merges):
+                break
+            pair = merges[rank]
+            syms = _apply_merge(syms, pair, pair[0] + pair[1])
+            last = rank
         if (len(syms) > 1 and syms[0] == model.boundary_marker
                 and syms[1] is UNK_SENTINEL):
             syms = syms[1:]
@@ -408,9 +508,12 @@ def token_set(model: SubwordModel, corpus: Iterable[str], lang: str,
     """Unique surface tokens (markers stripped, unknowns excluded) the model
     produces over a corpus of text lines."""
     encoder = encoder_for(model)
-    surface: set[str] = set()
+    words: set[str] = set()
     for line in corpus:
-        for sym in encoder.iter_symbols(line):
+        words.update(line.split())
+    surface: set[str] = set()
+    for word in words:
+        for sym in encoder.segment_word(word):
             if sym is UNK_SENTINEL:
                 continue
             stripped = model.strip_marker(sym)

@@ -207,6 +207,18 @@ class TestTokenizerCommands:
         assert code == EXIT_DATA
         assert "model" in err.lower()
 
+    def test_encode_model_missing_merge_product(self, monkeypatch, capsys,
+                                                tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "alphabet": ["a", "b"], "merges": [["a", "b"]],
+            "vocab": {"<unk>": 0, "\u2581": 1, "a": 2, "b": 3},
+            "vocab_size_target": 5}), encoding="utf-8")
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["encode", "--model", str(bad)], stdin="ab\n")
+        assert code == EXIT_DATA
+        assert "missing from vocab" in err
+
     def test_token_set_output(self, monkeypatch, capsys, trained_model):
         code, out, _ = run_cli(
             monkeypatch, capsys,

@@ -109,6 +109,42 @@ def random_corpus(rng, alphabet="abcd", lines=6, words_per_line=5):
     return out
 
 
+def hand_model(alphabet, merges):
+    """A model with the given merges in the given order; the id table holds
+    the alphabet and then each merge product the first time it appears."""
+    vocab = {tok.UNK_TOKEN: 0, MARKER: 1}
+    for char in sorted(alphabet):
+        vocab[char] = len(vocab)
+    for left, right in merges:
+        vocab.setdefault(left + right, len(vocab))
+    return tok.SubwordModel(alphabet=frozenset(alphabet),
+                            merges=tuple(merges), vocab=vocab,
+                            vocab_size_target=len(vocab))
+
+
+RARE_CHARS = "".join(chr(0x100 + i) for i in range(200))
+
+
+def repetitive_corpus(rng, alphabet, rare_rate=0.0, lines=6,
+                      words_per_line=5):
+    """Words made by repeating a short unit, which gives many overlapping
+    merge sites; with rare_rate, characters that occur once are inserted
+    so that min_char_freq 2 leaves unknown runs inside words."""
+    rare = iter(RARE_CHARS)
+    out = []
+    for _ in range(lines):
+        words = []
+        for _ in range(rng.randint(1, words_per_line)):
+            unit = "".join(rng.choice(alphabet)
+                           for _ in range(rng.randint(1, 3)))
+            chars = list(unit * rng.randint(2, 8))
+            chars = [char + next(rare) if rng.random() < rare_rate else char
+                     for char in chars]
+            words.append("".join(chars))
+        out.append(" ".join(words))
+    return out
+
+
 # --- training -----------------------------------------------------------------
 
 
@@ -184,6 +220,30 @@ class TestTraining:
             assert model.merges == ref_merges
             assert model.vocab == ref_vocab
 
+    @pytest.mark.parametrize("alphabet,rare_rate,min_char_freq", [
+        ("ab", 0.0, 1),
+        ("a", 0.0, 1),
+        ("abc", 0.0, 1),
+        ("ab", 0.15, 2),
+        ("abc", 0.15, 2),
+    ])
+    def test_matches_reference_on_overlapping_sites(self, alphabet,
+                                                    rare_rate,
+                                                    min_char_freq):
+        for seed in range(25):
+            rng = random.Random(3000 + seed)
+            corpus = repetitive_corpus(rng, alphabet, rare_rate)
+            vocab_size = len(alphabet) + 3 + rng.randint(0, 30)
+            model = tok.train(corpus, vocab_size, min_char_freq)
+            ref_alpha, ref_merges, ref_vocab = ref_train(
+                corpus, vocab_size, min_char_freq)
+            assert model.alphabet == ref_alpha, f"seed {seed}"
+            assert model.merges == ref_merges, f"seed {seed}"
+            assert model.vocab == ref_vocab, f"seed {seed}"
+            if rare_rate:
+                assert any(tok.UNK_ID in tok.encode(model, line)
+                           for line in corpus), f"seed {seed}"
+
 
 # --- encoding -----------------------------------------------------------------
 
@@ -249,6 +309,58 @@ class TestEncoding:
             assert tok.encode(model, sample) == ref_encode(model, sample), \
                 f"seed {seed}"
 
+    def test_out_of_order_merges_follow_replay(self):
+        # Replay: ("ab", "c") finds no "ab" yet, then ("a", "b") merges.
+        # Lowest-rank-first merging would go on to merge ("ab", "c").
+        model = hand_model("abc", [("ab", "c"), ("a", "b")])
+        assert tok.Encoder(model).tokens("abc") == [MARKER, "ab", "c"]
+        assert tok.Encoder(model).encode("abc") == \
+            ref_encode_word(model, "abc")
+
+    @pytest.mark.parametrize("merges,words", [
+        # out of causal order
+        ([("ab", "c"), ("a", "b")], ["abc", "abcabc", "cab"]),
+        # ("abc", "d") listed twice; only the second entry comes after the
+        # merge that makes "abc" out of ("a", "bc")
+        ([("x", "a"), ("b", "c"), ("abc", "d"), ("a", "bc"), ("abc", "d")],
+         ["abcd", "xabcd", "abcdabcd", "bcd"]),
+        ([("a", "b"), ("a", "b")], ["ab", "abab", "aab"]),
+        # long runs
+        ([("a", "a"), ("aa", "aa"), (MARKER, "aaaa"), ("aa", "a")],
+         ["a", "aa", "aaa", "aaaaaaa", "aaaaaaaaaaa"]),
+        ([("a", "b"), ("b", "a"), ("ab", "ab"), (MARKER, "abab"),
+          ("ba", "ba"), ("abab", "a")],
+         ["abababa", "bababab", "ababababab", "aba"]),
+        # unknown characters between known ones
+        ([(MARKER, "a"), ("a", "b"), ("b", "a")],
+         ["a안b", "안ab", "ab안", "ba안ab안", "안", "a안안b"]),
+    ])
+    def test_hand_built_models_match_replay(self, merges, words):
+        alphabet = {c for pair in merges for part in pair for c in part
+                    if c != MARKER} | set("ab")
+        model = hand_model(alphabet, merges)
+        encoder = tok.Encoder(model)
+        for word in words:
+            assert encoder.encode(word) == ref_encode_word(model, word), word
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_trained_models_match_replay_on_unseen_words(self, data):
+        alphabet = data.draw(st.text(alphabet="abcdef", min_size=1,
+                                     max_size=6), label="alphabet")
+        word = st.text(alphabet=alphabet, min_size=1, max_size=12)
+        corpus = data.draw(st.lists(word, min_size=1, max_size=30),
+                           label="corpus")
+        vocab_size = data.draw(st.integers(9, 60), label="vocab_size")
+        min_char_freq = data.draw(st.integers(1, 2), label="min_char_freq")
+        model = tok.train([" ".join(corpus)], vocab_size, min_char_freq)
+        unseen = data.draw(st.lists(
+            st.text(alphabet=alphabet + "g안", min_size=1, max_size=16),
+            min_size=1, max_size=10), label="unseen")
+        encoder = tok.Encoder(model)
+        for word in unseen:
+            assert encoder.encode(word) == ref_encode_word(model, word)
+
     def test_encoder_cache_consistent(self, abc_model):
         fresh = tok.Encoder(abc_model).encode("abc abc 안")
         cached = tok.encoder_for(abc_model).encode("abc abc 안")
@@ -294,6 +406,22 @@ class TestTokenSet:
     def test_empty_corpus_gives_empty_set(self, abc_model):
         ts = tok.token_set(abc_model, [], "eng", InputType.ORTHO)
         assert ts.tokens == frozenset()
+
+    def test_matches_stripped_encode_tokens(self):
+        for seed in range(20):
+            rng = random.Random(4000 + seed)
+            model = tok.train(random_corpus(rng, alphabet="abcd"),
+                              vocab_size=10 + rng.randint(0, 10))
+            lines = random_corpus(rng, alphabet="abcde안", lines=4)
+            lines += lines[:2] + [""]
+            expected = set()
+            for line in lines:
+                for token in tok.encode_tokens(model, line):
+                    stripped = model.strip_marker(token)
+                    if token != tok.UNK_TOKEN and stripped:
+                        expected.add(stripped)
+            ts = tok.token_set(model, lines, "eng", InputType.ORTHO)
+            assert ts.tokens == expected, f"seed {seed}"
 
     def test_by_length_partitions_tokens(self):
         ts = tok.TokenSet("eng", InputType.ORTHO,
@@ -351,6 +479,13 @@ class TestSerialization:
                    "vocab": {"<unk>": 0, MARKER: 1, "a": 5},
                    "vocab_size_target": 5}
         with pytest.raises(tok.ModelFormatError):
+            tok.SubwordModel.from_json_dict(payload)
+
+    def test_merge_product_missing_from_vocab_rejected(self):
+        payload = {"alphabet": ["a", "b"], "merges": [["a", "b"]],
+                   "vocab": {"<unk>": 0, MARKER: 1, "a": 2, "b": 3},
+                   "vocab_size_target": 5}
+        with pytest.raises(tok.ModelFormatError, match="product"):
             tok.SubwordModel.from_json_dict(payload)
 
     def test_merge_referencing_unknown_token_rejected(self):
