@@ -7,10 +7,9 @@ how well they cover unseen ones, and which selection of training languages
 makes the effects visible.
 """
 
-from .corpus import (AnnotatedRecord, CorpusManifest, Document,
-                     EmptyCorpusError, RecordConversionError, count_words,
-                     convert_annotated, oversampling_weights,
-                     repetition_counts, sample_to_budget)
+from .corpus import (CorpusManifest, Document, EmptyCorpusError,
+                     count_words, oversampling_weights, repetition_counts,
+                     sample_to_budget)
 from .input_types import InputType
 from .langselect import (FeatureVectors, Regime, SelectionSpec,
                          SimilarityMatrix, aggregate_similarity,

@@ -30,7 +30,6 @@ EXIT_WRITE = 4
 
 DATA_ERRORS = (
     corpus_mod.EmptyCorpusError,
-    corpus_mod.RecordConversionError,
     tokenizer.ModelFormatError,
     translit.RuleTableError,
     translit.UnmatchedCharacterError,
@@ -224,21 +223,14 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
     input_type = InputType.parse(args.input_type)
     with open(args.input, "r", encoding="utf-8") as handle:
-        corpus = [line.rstrip("\n") for line in handle]
-    report = metrics.quality_report(model, corpus, args.lang, input_type)
+        report = metrics.quality_report(
+            model, (line.rstrip("\n") for line in handle), args.lang,
+            input_type)
     if args.format == "json":
         _emit(args, write_report(report.to_json_dict(), "json"))
     else:
         rows = [["lang", "input_type", "metric", "length", "value"]]
-        rows.append([args.lang, input_type.value, "unk_ratio", "",
-                     float(report.unk_ratio)])
-        rows.append([args.lang, input_type.value, "fertility", "",
-                     float(report.fertility)])
-        rows.append([args.lang, input_type.value, "vocab_coverage", "",
-                     float(report.vocab_coverage)])
-        for length, ratio in sorted(report.coverage_by_length.items()):
-            rows.append([args.lang, input_type.value, "coverage_by_length",
-                         length, float(ratio)])
+        rows.extend(report.to_csv_rows())
         _emit(args, write_report(rows, "csv"))
     return EXIT_OK
 

@@ -1,8 +1,8 @@
-"""Corpus containers, budgeted sampling, and annotated-data conversion.
+"""Corpus containers, budgeted sampling, and corpus file I/O.
 
-Corpora are plain-text files with one document per line. Annotated data
-(for sequence-labeling tasks) is token<TAB>label lines with blank lines
-separating records; labels are never transformed, only tokens are.
+Corpora are plain-text files with one document per line. Sampling selects a
+seeded, word-budgeted subset of one language's documents and records what it
+took in a manifest; oversampling weights level the seen languages' sizes.
 """
 
 from __future__ import annotations
@@ -13,24 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .input_types import InputType
 
 
 class EmptyCorpusError(ValueError):
     """Raised when an operation needs at least one document or word."""
-
-
-class RecordConversionError(ValueError):
-    """Raised when transforming one token of an annotated record fails."""
-
-    def __init__(self, token_index: int, token: str, cause: Exception):
-        super().__init__(f"token {token_index} ({token!r}) failed to "
-                         f"convert: {cause}")
-        self.token_index = token_index
-        self.token = token
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -81,19 +70,6 @@ class CorpusManifest:
             sampling_seed=int(payload["sampling_seed"]),
             under_budget=bool(payload["under_budget"]),
         )
-
-
-@dataclass(frozen=True)
-class AnnotatedRecord:
-    tokens: tuple[str, ...]
-    labels: tuple[str, ...]
-    lang: str
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.labels):
-            raise ValueError(
-                f"record has {len(self.tokens)} tokens but "
-                f"{len(self.labels)} labels")
 
 
 def count_words(doc: Document | str) -> int:
@@ -170,18 +146,6 @@ def repetition_counts(manifests: Sequence[CorpusManifest],
     return {lang: math.ceil(weight) for lang, weight in weights.items()}
 
 
-def convert_annotated(record: AnnotatedRecord,
-                      transform: Callable[[str], str]) -> AnnotatedRecord:
-    """Apply a text transform to each token, leaving labels untouched."""
-    converted = []
-    for index, token in enumerate(record.tokens):
-        try:
-            converted.append(transform(token))
-        except Exception as exc:
-            raise RecordConversionError(index, token, exc) from exc
-    return AnnotatedRecord(tuple(converted), record.labels, record.lang)
-
-
 # --- File I/O ---------------------------------------------------------------
 
 
@@ -214,45 +178,3 @@ def write_manifest(path: str | Path, manifest: CorpusManifest) -> None:
         json.dump(manifest.to_json_dict(), handle, ensure_ascii=False,
                   indent=2)
         handle.write("\n")
-
-
-def read_annotated(path: str | Path, lang: str) -> list[AnnotatedRecord]:
-    """Read token<TAB>label lines; blank lines separate records."""
-    records: list[AnnotatedRecord] = []
-    tokens: list[str] = []
-    labels: list[str] = []
-
-    def flush() -> None:
-        if tokens:
-            records.append(AnnotatedRecord(tuple(tokens), tuple(labels),
-                                           lang))
-            tokens.clear()
-            labels.clear()
-
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected token<TAB>label, "
-                    f"got {line!r}")
-            tokens.append(parts[0])
-            labels.append(parts[1])
-    flush()
-    return records
-
-
-def write_annotated(path: str | Path,
-                    records: Iterable[AnnotatedRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        first = True
-        for record in records:
-            if not first:
-                handle.write("\n")
-            for token, label in zip(record.tokens, record.labels):
-                handle.write(f"{token}\t{label}\n")
-            first = False

@@ -2,19 +2,21 @@
 
 All ratios are computed as exact fractions; reports render them as decimals
 only when serialized. Overlap compares an unseen target language's token set
-against the token sets of the languages a tokenizer was trained on.
+against the token sets of the languages a tokenizer was trained on. The
+quality metrics (unknown-token ratio, fertility, vocabulary coverage) are
+projections of one tally per corpus that segments each distinct word once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .input_types import InputType
-from .tokenizer import (Encoder, SubwordModel, TokenSet, UNK_SENTINEL,
-                        encoder_for)
+from .tokenizer import SubwordModel, TokenSet, UNK_SENTINEL, encoder_for
 
 
 class OverlapVariant(str, Enum):
@@ -84,6 +86,17 @@ class TokenizerQualityReport:
             "token_count": self.token_count,
             "word_count": self.word_count,
         }
+
+    def to_csv_rows(self) -> list[list]:
+        """Tidy rows: lang, input_type, metric, length, value. Scalar
+        metrics leave the length column empty."""
+        key = [self.lang, self.input_type.value]
+        rows = [key + ["unk_ratio", "", float(self.unk_ratio)],
+                key + ["fertility", "", float(self.fertility)],
+                key + ["vocab_coverage", "", float(self.vocab_coverage)]]
+        rows += [key + ["coverage_by_length", length, float(ratio)]
+                 for length, ratio in sorted(self.coverage_by_length.items())]
+        return rows
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "TokenizerQualityReport":
@@ -197,36 +210,49 @@ def overlap_report(target: TokenSet, sources: Sequence[TokenSet],
 # --- Tokenizer quality ------------------------------------------------------
 
 
-def _corpus_symbols(model: SubwordModel, corpus: Iterable[str],
-                    encoder: Encoder | None = None):
-    encoder = encoder or encoder_for(model)
-    for line in corpus:
-        for word in line.split():
-            yield from encoder.segment_word(word)
+def _tally(model: SubwordModel, corpus: Iterable[str],
+           ) -> tuple[int, int, int, set[str]]:
+    """Whitespace words, produced tokens, unknown tokens, and the distinct
+    non-unknown tokens of a corpus. Each distinct word is segmented once and
+    its counts are weighted by how often it occurs."""
+    counts = Counter(word for line in corpus for word in line.split())
+    encoder = encoder_for(model)
+    tokens = 0
+    unk = 0
+    produced: set[str] = set()
+    for word, count in counts.items():
+        symbols = encoder.segment_word(word)
+        tokens += count * len(symbols)
+        for sym in symbols:
+            if sym is UNK_SENTINEL:
+                unk += count
+            else:
+                produced.add(sym)
+    return counts.total(), tokens, unk, produced
+
+
+def _coverage(model: SubwordModel, produced: set[str],
+              ) -> tuple[Fraction, dict[int, Fraction]]:
+    """Produced tokens over vocab_size_target, overall and split by the
+    token's length with the marker stripped."""
+    counts = Counter(len(model.strip_marker(token)) for token in produced)
+    denom = model.vocab_size_target
+    return (Fraction(len(produced), denom),
+            {length: Fraction(count, denom)
+             for length, count in sorted(counts.items())})
 
 
 def unk_ratio(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
     """Fraction of produced tokens that are the unknown token."""
-    total = 0
-    unk = 0
-    for sym in _corpus_symbols(model, corpus):
-        total += 1
-        if sym is UNK_SENTINEL:
-            unk += 1
-    if total == 0:
+    _, tokens, unk, _ = _tally(model, corpus)
+    if tokens == 0:
         raise ValueError("corpus produced no tokens")
-    return Fraction(unk, total)
+    return Fraction(unk, tokens)
 
 
 def fertility(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
     """Tokens produced per whitespace word; at least 1 by construction."""
-    encoder = encoder_for(model)
-    words = 0
-    tokens = 0
-    for line in corpus:
-        for word in line.split():
-            words += 1
-            tokens += len(encoder.segment_word(word))
+    words, tokens, _, _ = _tally(model, corpus)
     if words == 0:
         raise ValueError("corpus has no words")
     return Fraction(tokens, words)
@@ -239,53 +265,23 @@ def vocab_coverage(model: SubwordModel, corpus: Iterable[str],
     Returns the overall ratio (distinct non-unknown tokens emitted over
     vocab_size_target) and its exact partition by surface token length,
     where the length of a token is measured with the marker stripped."""
-    produced: set[str] = set()
-    for sym in _corpus_symbols(model, corpus):
-        if sym is not UNK_SENTINEL:
-            produced.add(sym)
-    counts: dict[int, int] = {}
-    for token in produced:
-        length = len(model.strip_marker(token))
-        counts[length] = counts.get(length, 0) + 1
-    denom = model.vocab_size_target
-    by_length = {length: Fraction(count, denom)
-                 for length, count in sorted(counts.items())}
-    overall = Fraction(len(produced), denom)
-    return overall, by_length
+    return _coverage(model, _tally(model, corpus)[3])
 
 
-def quality_report(model: SubwordModel, corpus: Sequence[str], lang: str,
+def quality_report(model: SubwordModel, corpus: Iterable[str], lang: str,
                    input_type: InputType) -> TokenizerQualityReport:
-    """Run all quality metrics over one corpus in a single pass per metric."""
-    encoder = encoder_for(model)
-    words = 0
-    tokens = 0
-    unk = 0
-    produced: set[str] = set()
-    for line in corpus:
-        for word in line.split():
-            words += 1
-            for sym in encoder.segment_word(word):
-                tokens += 1
-                if sym is UNK_SENTINEL:
-                    unk += 1
-                else:
-                    produced.add(sym)
+    """All quality metrics of one corpus from a single read of it."""
+    words, tokens, unk, produced = _tally(model, corpus)
     if words == 0:
         raise ValueError(f"corpus for {lang!r} has no words")
-    counts: dict[int, int] = {}
-    for token in produced:
-        length = len(model.strip_marker(token))
-        counts[length] = counts.get(length, 0) + 1
-    denom = model.vocab_size_target
+    coverage, by_length = _coverage(model, produced)
     return TokenizerQualityReport(
         lang=lang,
         input_type=input_type,
         unk_ratio=Fraction(unk, tokens),
         fertility=Fraction(tokens, words),
-        vocab_coverage=Fraction(len(produced), denom),
-        coverage_by_length={length: Fraction(count, denom)
-                            for length, count in sorted(counts.items())},
+        vocab_coverage=coverage,
+        coverage_by_length=by_length,
         token_count=tokens,
         word_count=words,
     )

@@ -194,6 +194,11 @@ class AnalysisReport:
         if set(self.overlap) != set(self.unseen_langs):
             raise ValueError("overlap reports must cover exactly the unseen "
                              "languages")
+        for lang, quality in self.quality.items():
+            if (quality.lang, quality.input_type) != (lang, self.input_type):
+                raise ValueError(f"quality report under {lang!r} is for "
+                                 f"{quality.lang!r} in "
+                                 f"{quality.input_type.value}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -245,16 +250,7 @@ class AnalysisReport:
         rows: list[list] = []
         itype = self.input_type.value
         for lang in sorted(self.quality):
-            report = self.quality[lang]
-            rows.append([lang, itype, "unk_ratio", "",
-                         float(report.unk_ratio)])
-            rows.append([lang, itype, "fertility", "",
-                         float(report.fertility)])
-            rows.append([lang, itype, "vocab_coverage", "",
-                         float(report.vocab_coverage)])
-            for length, ratio in sorted(report.coverage_by_length.items()):
-                rows.append([lang, itype, "coverage_by_length", length,
-                             float(ratio)])
+            rows.extend(self.quality[lang].to_csv_rows())
         for lang in sorted(self.overlap):
             report = self.overlap[lang]
             rows.append([lang, itype, "overlap_ratio", "",

@@ -320,6 +320,28 @@ class TestQualityCommand:
         metrics = {line.split(",")[2] for line in lines[1:]}
         assert {"unk_ratio", "fertility", "vocab_coverage"} <= metrics
 
+    def test_csv_report_bytes(self, monkeypatch, capsys, trained_model,
+                              tmp_path):
+        # six words over several lines, a blank and a whitespace-only line;
+        # "zz" is one unknown run and "b"/"ba" leave the bare marker
+        corpus = tmp_path / "eval.txt"
+        corpus.write_text("abab ab zz\n\n   \nb abab ba\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            monkeypatch, capsys,
+            ["quality", "--model", str(trained_model),
+             "--input", str(corpus), "--lang", "eng", "--input-type", "Rom",
+             "--format", "csv"])
+        assert code == EXIT_OK
+        assert out == (
+            "lang,input_type,metric,length,value\n"
+            "eng,Rom,unk_ratio,,0.1111111111111111\n"
+            "eng,Rom,fertility,,1.5\n"
+            "eng,Rom,vocab_coverage,,0.625\n"
+            "eng,Rom,coverage_by_length,0,0.125\n"
+            "eng,Rom,coverage_by_length,1,0.25\n"
+            "eng,Rom,coverage_by_length,2,0.125\n"
+            "eng,Rom,coverage_by_length,4,0.125\n")
+
     def test_missing_corpus_file(self, monkeypatch, capsys, trained_model):
         code, _, _ = run_cli(
             monkeypatch, capsys,

@@ -1,4 +1,4 @@
-"""Corpus sampling, oversampling weights, and annotated-data conversion."""
+"""Corpus sampling, oversampling weights, and corpus file I/O."""
 
 from fractions import Fraction
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scriptshift import corpus as cp
-from scriptshift import translit as tr
 from scriptshift.input_types import InputType
 
 
@@ -160,56 +159,6 @@ class TestOversamplingWeights:
                 [manifest_of("aaa", 5), manifest_of("aaa", 5)], budget=10)
         with pytest.raises(ValueError):
             cp.oversampling_weights([manifest_of("aaa", 5)], budget=0)
-
-
-class TestAnnotated:
-    def test_labels_never_change(self):
-        record = cp.AnnotatedRecord(("apple", "pie"), ("B-FOOD", "I-FOOD"),
-                                    "eng")
-        key = tr.CipherKey("eng", 4)
-        converted = cp.convert_annotated(
-            record, lambda token: tr.caesar_encipher(key, token))
-        assert converted.tokens == ("ettpi", "tmi")
-        assert converted.labels == record.labels
-        assert converted.lang == "eng"
-
-    def test_alignment_preserved(self):
-        record = cp.AnnotatedRecord(("a", "b", "c"), ("1", "2", "3"), "eng")
-        converted = cp.convert_annotated(record, lambda token: token * 2)
-        assert len(converted.tokens) == len(converted.labels) == 3
-
-    def test_error_carries_token_index(self):
-        record = cp.AnnotatedRecord(("ok", "ok", "boom"), ("x", "y", "z"),
-                                    "eng")
-
-        def explode(token):
-            if token == "boom":
-                raise ValueError("bad token")
-            return token
-
-        with pytest.raises(cp.RecordConversionError) as info:
-            cp.convert_annotated(record, explode)
-        assert info.value.token_index == 2
-        assert info.value.token == "boom"
-
-    def test_token_label_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cp.AnnotatedRecord(("a",), ("x", "y"), "eng")
-
-    def test_read_write_round_trip(self, tmp_path):
-        records = [
-            cp.AnnotatedRecord(("New", "York"), ("B-LOC", "I-LOC"), "eng"),
-            cp.AnnotatedRecord(("ok",), ("O",), "eng"),
-        ]
-        path = tmp_path / "data.tsv"
-        cp.write_annotated(path, records)
-        assert cp.read_annotated(path, "eng") == records
-
-    def test_read_rejects_malformed_line(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("token with no label\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            cp.read_annotated(path, "eng")
 
 
 class TestDocumentIO:

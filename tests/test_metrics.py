@@ -15,6 +15,49 @@ from scriptshift.metrics import (OverlapReport, OverlapVariant,
 from support import make_token_set, the_cat_model
 
 
+def ref_quality(model, corpus):
+    """Oracle: the per-running-word loop, segmenting every occurrence of
+    every word. Returns the report fields; ratios over zero are None."""
+    encoder = tok.encoder_for(model)
+    words = tokens = unk = 0
+    produced = set()
+    for line in corpus:
+        for word in line.split():
+            words += 1
+            for sym in encoder.segment_word(word):
+                tokens += 1
+                if sym is tok.UNK_SENTINEL:
+                    unk += 1
+                else:
+                    produced.add(sym)
+    denom = model.vocab_size_target
+    by_length = {}
+    for token in produced:
+        length = len(model.strip_marker(token))
+        by_length[length] = by_length.get(length, 0) + Fraction(1, denom)
+    return {
+        "unk_ratio": Fraction(unk, tokens) if tokens else None,
+        "fertility": Fraction(tokens, words) if words else None,
+        "vocab_coverage": Fraction(len(produced), denom),
+        "coverage_by_length": dict(sorted(by_length.items())),
+        "token_count": tokens,
+        "word_count": words,
+    }
+
+
+@st.composite
+def quality_corpora(draw):
+    """Lines drawn from a small lexicon, so words repeat; 'z' and '한' are
+    outside the model alphabet and make unknown runs. Blank and
+    whitespace-only lines are mixed in."""
+    lexicon = draw(st.lists(st.text(alphabet="abcz한", min_size=1,
+                                    max_size=6), min_size=1, max_size=6))
+    line = st.one_of(
+        st.lists(st.sampled_from(lexicon), max_size=8).map(" ".join),
+        st.sampled_from(["", "   ", "\t \t"]))
+    return draw(st.lists(line, max_size=6))
+
+
 def brute_overlap(target, sources):
     scored = sorted(
         ((Fraction(len(s.tokens & target.tokens), len(target.tokens)), s.lang)
@@ -184,6 +227,15 @@ def abc_model():
     return tok.train(["abc abc"], vocab_size=8)
 
 
+# no lines, and lines that hold only whitespace
+EMPTY_CORPORA = [[], ["", "   ", "\t"]]
+
+
+@pytest.fixture(scope="module")
+def quality_model():
+    return tok.train(["abc abc ab bc ca cab"], vocab_size=11)
+
+
 class TestQualityMetrics:
     def test_unk_ratio_counts_unknown_runs(self, abc_model):
         assert metrics.unk_ratio(abc_model, ["abc 안"]) == Fraction(1, 2)
@@ -191,8 +243,9 @@ class TestQualityMetrics:
         assert metrics.unk_ratio(abc_model, ["안 녕"]) == Fraction(1)
 
     def test_unk_ratio_empty_corpus_rejected(self, abc_model):
-        with pytest.raises(ValueError):
-            metrics.unk_ratio(abc_model, [])
+        for corpus in EMPTY_CORPORA:
+            with pytest.raises(ValueError, match="no tokens"):
+                metrics.unk_ratio(abc_model, corpus)
 
     def test_fertility_fixture(self):
         model = the_cat_model()
@@ -211,8 +264,9 @@ class TestQualityMetrics:
             assert metrics.fertility(model, [" ".join(words)]) >= 1
 
     def test_fertility_empty_corpus_rejected(self, abc_model):
-        with pytest.raises(ValueError):
-            metrics.fertility(abc_model, ["   "])
+        for corpus in EMPTY_CORPORA:
+            with pytest.raises(ValueError, match="no words"):
+                metrics.fertility(abc_model, corpus)
 
     def test_vocab_coverage_fixture(self, abc_model):
         overall, by_length = metrics.vocab_coverage(abc_model, ["abc 안"])
@@ -238,7 +292,9 @@ class TestQualityMetrics:
             assert sum(by_length.values(), Fraction(0)) == overall
 
     def test_vocab_coverage_empty_corpus_is_zero(self, abc_model):
-        assert metrics.vocab_coverage(abc_model, []) == (Fraction(0), {})
+        for corpus in EMPTY_CORPORA:
+            assert metrics.vocab_coverage(abc_model, corpus) == \
+                (Fraction(0), {})
 
     def test_quality_report_matches_individual_metrics(self, abc_model):
         corpus = ["abc 안 ab", "abc abc"]
@@ -260,8 +316,10 @@ class TestQualityMetrics:
         assert report.unk_ratio == Fraction(1, 2)
 
     def test_quality_report_empty_corpus_rejected(self, abc_model):
-        with pytest.raises(ValueError, match="eng"):
-            metrics.quality_report(abc_model, [], "eng", InputType.ORTHO)
+        for corpus in EMPTY_CORPORA:
+            with pytest.raises(ValueError, match="'eng' has no words"):
+                metrics.quality_report(abc_model, corpus, "eng",
+                                       InputType.ORTHO)
 
     def test_quality_report_json_round_trip(self, abc_model):
         report = metrics.quality_report(abc_model, ["abc ab"], "kor",
@@ -283,6 +341,24 @@ class TestQualityMetrics:
         assert 0 <= report.vocab_coverage <= 1
         assert sum(report.coverage_by_length.values(), Fraction(0)) == \
             report.vocab_coverage
+
+    @given(quality_corpora())
+    @settings(max_examples=150)
+    def test_quality_matches_per_word_loop(self, quality_model, corpus):
+        ref = ref_quality(quality_model, corpus)
+        assert metrics.vocab_coverage(quality_model, corpus) == \
+            (ref["vocab_coverage"], ref["coverage_by_length"])
+        if ref["word_count"] == 0:
+            # the empty-corpus errors are pinned in the tests above
+            with pytest.raises(ValueError, match="eng"):
+                metrics.quality_report(quality_model, corpus, "eng",
+                                       InputType.ORTHO)
+            return
+        assert metrics.unk_ratio(quality_model, corpus) == ref["unk_ratio"]
+        assert metrics.fertility(quality_model, corpus) == ref["fertility"]
+        report = metrics.quality_report(quality_model, iter(corpus), "eng",
+                                        InputType.ORTHO)
+        assert {field: getattr(report, field) for field in ref} == ref
 
 
 class TestTokenLengthHistogram:

@@ -279,6 +279,15 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="unseen"):
             AnalysisReport.from_json_dict(payload)
 
+    def test_quality_entries_must_match_key_and_input_type(self, corpora):
+        payload = run_experiment(make_config(InputType.ROM),
+                                 corpora).to_json_dict()
+        for field, value in (("lang", "spa"), ("input_type", "Ortho")):
+            bad = json.loads(json.dumps(payload))
+            bad["quality"]["eng"][field] = value
+            with pytest.raises(ValueError, match="quality report under"):
+                AnalysisReport.from_json_dict(bad)
+
     def test_csv_rows_shape(self, corpora):
         report = run_experiment(make_config(InputType.ROM), corpora)
         rows = report.to_csv_rows()
@@ -291,6 +300,33 @@ class TestReportSerialization:
         assert ("kor", "overlap_ratio") in metrics
         assert ("eng", "overlap_ratio") not in metrics
         assert all(row[1] == "Rom" for row in rows)
+
+    def test_csv_rows_exact(self, corpora):
+        report = run_experiment(make_config(InputType.ROM), corpora)
+        expected = []
+        for lang in ("eng", "kor", "spa"):
+            quality = report.quality[lang]
+            expected += [
+                [lang, "Rom", "unk_ratio", "", float(quality.unk_ratio)],
+                [lang, "Rom", "fertility", "", float(quality.fertility)],
+                [lang, "Rom", "vocab_coverage", "",
+                 float(quality.vocab_coverage)]]
+            expected += [[lang, "Rom", "coverage_by_length", length,
+                          float(ratio)] for length, ratio
+                         in sorted(quality.coverage_by_length.items())]
+        overlap = report.overlap["kor"]
+        expected.append(["kor", "Rom", "overlap_ratio", "",
+                         float(overlap.overall_ratio)])
+        expected += [["kor", "Rom", "overlap_by_length", length,
+                      float(ratio)] for length, ratio
+                     in sorted(overlap.by_length.items())]
+        assert report.to_csv_rows() == expected
+
+    def test_csv_rows_start_with_each_quality_report_in_order(self, corpora):
+        report = run_experiment(make_config(InputType.ROM), corpora)
+        quality_rows = [row for lang in sorted(report.quality)
+                        for row in report.quality[lang].to_csv_rows()]
+        assert report.to_csv_rows()[:len(quality_rows)] == quality_rows
 
 
 @pytest.fixture(scope="module")
