@@ -3,14 +3,16 @@
 A run takes per-language document collections, samples seen languages to a
 word budget, renders every corpus in the configured input type, trains one
 tokenizer on the oversampling-weighted seen corpora, and reports quality and
-overlap metrics. Runs are deterministic functions of the config and corpora;
-artifacts are cached under a content digest so stages can be reused exactly.
+overlap metrics. Runs are deterministic functions of the config, corpora and
+rule tables; artifacts are cached under a digest of all three so stages can
+be reused exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +26,9 @@ from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
 from .tokenizer import (SubwordModel, TokenSet, dumps_model, loads_model,
                         token_set, train_from_word_counts)
-from .translit import (CipherKey, TableRegistry, assign_shift_keys,
-                       caesar_encipher, default_registry)
+from .translit import (CipherKey, RuleMode, TableRegistry,
+                       assign_shift_keys, caesar_encipher, default_registry,
+                       format_rule_table)
 
 DEFAULT_SEED = 101
 DEFAULT_VOCAB_SIZE = 30_000
@@ -284,6 +287,33 @@ def _corpus_digest(corpora: Mapping[str, Sequence[Document]]) -> str:
     return digest.hexdigest()
 
 
+_TABLE_MODES = {InputType.IPA: RuleMode.G2P,
+                InputType.ROM: RuleMode.ROMANIZE,
+                InputType.CIPHER: RuleMode.ROMANIZE}
+
+
+def _transform_digest(config: ExperimentConfig,
+                      registry: TableRegistry) -> str:
+    """Digest of every rule table the input type reads: language, mode,
+    passthrough policy and rules. A table that cannot be loaded records a
+    fixed marker; the transliterate stage raises its error again."""
+    digest = hashlib.sha256()
+    mode = _TABLE_MODES.get(config.input_type)
+    if mode is None:
+        return digest.hexdigest()
+    for lang in sorted(config.langs):
+        try:
+            table = registry.table(mode, lang)
+        except (LookupError, ValueError, OSError):
+            rendered = "\x00unavailable\n"
+        else:
+            rendered = (f"{table.passthrough.value}\n"
+                        + format_rule_table(table))
+        digest.update(f"{lang}\x00{mode.value}\x00{rendered}\x01"
+                      .encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _make_transform(config: ExperimentConfig, registry: TableRegistry,
                     keys: Mapping[str, CipherKey] | None,
                     lang: str) -> Callable[[str], str]:
@@ -324,11 +354,19 @@ class _StageStore:
         return path.read_text(encoding="utf-8") if path.is_file() else None
 
     def save_text(self, name: str, content: str) -> None:
+        """Write through a temporary file in the same directory, then
+        rename it into place, so the artifact is whole or absent."""
         if self.root is None:
             return
         path = self.root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8")
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            temp.write_text(content, encoding="utf-8")
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
 
 def run_experiment(config: ExperimentConfig,
@@ -338,10 +376,10 @@ def run_experiment(config: ExperimentConfig,
                    ) -> AnalysisReport:
     """Run the full pipeline for one input type over one language set.
 
-    The run is a deterministic function of config and corpora. When
-    artifacts_dir is given, every stage output lands under a directory named
-    by the combined config and corpus digest, and an existing artifact with
-    the same digest is loaded instead of recomputed.
+    The run is a deterministic function of config, corpora and rule tables.
+    When artifacts_dir is given, every stage output lands under a directory
+    named by the combined config, corpus and rule-table digest, and an
+    existing artifact with the same digest is loaded instead of recomputed.
     """
     missing = [lang for lang in config.langs if lang not in corpora]
     if missing:
@@ -353,11 +391,13 @@ def run_experiment(config: ExperimentConfig,
         else:
             registry = default_registry()
 
-    run_digest = hashlib.sha256(
-        (config.digest() + _corpus_digest(corpora)).encode("ascii")
-    ).hexdigest()
-    store = _StageStore(Path(artifacts_dir) / run_digest
-                        if artifacts_dir is not None else None)
+    store = _StageStore(None)
+    if artifacts_dir is not None:
+        run_digest = hashlib.sha256(
+            (config.digest() + _corpus_digest(corpora)
+             + _transform_digest(config, registry)).encode("ascii")
+        ).hexdigest()
+        store = _StageStore(Path(artifacts_dir) / run_digest)
 
     keys = _cipher_keys(config)
     manifests: dict[str, CorpusManifest] = {}

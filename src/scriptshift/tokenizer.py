@@ -375,6 +375,9 @@ def train(corpus: Iterable[str], vocab_size: int,
 
 # --- Encoding ---------------------------------------------------------------
 
+# Words an encoder's segmentation cache holds before it is cleared.
+_CACHE_LIMIT = 1 << 16
+
 
 class Encoder:
     """Segments words with a model's merges, caching per-word segmentations.
@@ -389,7 +392,8 @@ class Encoder:
     of causal order, or with a pair listed twice, equal to the replay.
 
     Reuse one encoder across a whole corpus pass; the cache makes repeated
-    words cost a dictionary lookup.
+    words cost a dictionary lookup. It is cleared when it reaches
+    65,536 words, so its memory stays bounded on any corpus.
     """
 
     def __init__(self, model: SubwordModel):
@@ -442,6 +446,8 @@ class Encoder:
                 and syms[1] is UNK_SENTINEL):
             syms = syms[1:]
         result = tuple(syms)
+        if len(self._cache) >= _CACHE_LIMIT:
+            self._cache.clear()
         self._cache[word] = result
         return result
 

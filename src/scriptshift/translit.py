@@ -4,12 +4,20 @@ Grapheme-to-phoneme conversion and romanization both run on ordered,
 context-sensitive rewrite rules loaded from TSV tables. The per-language
 substitution cipher shifts Latin letters by a fixed offset, preserving
 within-language structure while destroying cross-language string overlap.
+
+Rewriting is word-local when no rule's source or contexts contain
+whitespace: such a rule can neither match nor look across a whitespace
+run, so the text is rewritten one whitespace-separated piece at a time and
+each distinct piece is rewritten once per table, through a memo that is
+cleared when it reaches 65,536 entries. Hangul syllables decompose
+through a str.translate table filled in as code points are first seen.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -20,6 +28,14 @@ ENV_TABLE_ROOT = "SCRIPTSHIFT_TABLES"
 
 LATIN_LOWER = "abcdefghijklmnopqrstuvwxyz"
 LATIN_UPPER = LATIN_LOWER.upper()
+
+# Entries a per-table rewrite memo holds before it is cleared, so that its
+# memory stays bounded however many distinct words a corpus has.
+_MEMO_LIMIT = 1 << 16
+
+# The same whitespace test as str.isspace() and str.split(); the capturing
+# group keeps the whitespace runs as pieces of their own.
+_WHITESPACE_RUN = re.compile(r"(\s+)")
 
 
 class RuleMode(str, Enum):
@@ -116,6 +132,18 @@ class RuleTable:
             index.setdefault(rule.source[0], []).append(rule)
         return {char: tuple(rules) for char, rules in index.items()}
 
+    @functools.cached_property
+    def _word_local(self) -> bool:
+        """True when no rule's source or contexts contain whitespace."""
+        return not any(char.isspace() for rule in self.rules
+                       for part in (rule.source, rule.left_context,
+                                    rule.right_context)
+                       for char in part)
+
+    @functools.cached_property
+    def _memo(self) -> dict[str, str]:
+        return {}
+
 
 def apply_rules(table: RuleTable, text: str) -> str:
     """Rewrite text in a single left-to-right pass.
@@ -124,7 +152,41 @@ def apply_rules(table: RuleTable, text: str) -> str:
     emitted, and scanning resumes after the consumed source. Contexts are
     matched against the original input, so rule outputs never feed back into
     later matches. Unmatched characters follow the table's passthrough policy.
+
+    When no rule's source or contexts contain whitespace, the text is split
+    into words and whitespace runs and each piece is scanned on its own.
+    This equals the whole-text scan: a whitespace-free source can neither
+    start on nor span whitespace, and a whitespace-free context that would
+    reach past a piece's edge fails in both scans, against the whitespace
+    beyond the edge in one and against the cut-short piece in the other.
+    Each distinct piece is scanned once per table and its output memoized.
+    Under Passthrough.ERROR a failing piece makes the whole text be scanned
+    again, so the error carries the position in the whole text. Tables
+    with whitespace in a rule are always scanned whole. A table with no
+    rules under Passthrough.KEEP returns the text as is.
     """
+    if not table.rules and table.passthrough is Passthrough.KEEP:
+        return text
+    if not table._word_local:
+        return _scan(table, text)
+    memo = table._memo
+    out: list[str] = []
+    try:
+        for piece in _WHITESPACE_RUN.split(text):
+            rewritten = memo.get(piece)
+            if rewritten is None:
+                rewritten = _scan(table, piece)
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                memo[piece] = rewritten
+            out.append(rewritten)
+    except UnmatchedCharacterError:
+        return _scan(table, text)
+    return "".join(out)
+
+
+def _scan(table: RuleTable, text: str) -> str:
+    """The left-to-right rewrite of apply_rules over the whole of text."""
     out: list[str] = []
     pos = 0
     n = len(text)
@@ -236,20 +298,34 @@ def compose_hangul(lead: int, vowel: int, tail: int) -> str:
                + tail)
 
 
+class _JamoTable(dict):
+    """str.translate table from a code point to its conjoining jamo, or to
+    itself for anything but a precomposed syllable. Each entry is computed
+    the first time its code point is looked up, so the table holds only the
+    characters seen, not the whole syllable block."""
+
+    def __missing__(self, code: int) -> str | int:
+        char = chr(code)
+        if not is_hangul_syllable(char):
+            self[code] = code
+            return code
+        lead, vowel, tail = decompose_hangul(char)
+        jamo = chr(LEAD_BASE + lead) + chr(VOWEL_BASE + vowel)
+        if tail:
+            jamo += chr(TAIL_BASE + tail)
+        self[code] = jamo
+        return jamo
+
+
+_JAMO = _JamoTable()
+
+
 def decompose_syllables(text: str) -> str:
     """Replace every precomposed Hangul syllable with its conjoining jamo
-    characters; all other characters pass through unchanged."""
-    out = []
-    for char in text:
-        if is_hangul_syllable(char):
-            lead, vowel, tail = decompose_hangul(char)
-            out.append(chr(LEAD_BASE + lead))
-            out.append(chr(VOWEL_BASE + vowel))
-            if tail:
-                out.append(chr(TAIL_BASE + tail))
-        else:
-            out.append(char)
-    return "".join(out)
+    characters; all other characters pass through unchanged. One
+    str.translate call does the work, through a table shared by all calls
+    that grows by one entry per distinct character ever seen."""
+    return text.translate(_JAMO)
 
 
 # --- Caesar cipher over the Latin alphabet ---------------------------------

@@ -342,6 +342,22 @@ class TestQualityMetrics:
         assert sum(report.coverage_by_length.values(), Fraction(0)) == \
             report.vocab_coverage
 
+    def test_encoder_cache_limit_does_not_change_results(self,
+                                                         quality_model,
+                                                         monkeypatch):
+        corpus = ["abc ab bc ca cab abc", "cab z한 ab abc bc", "", "bc bc"]
+
+        def measure(model):
+            return (tok.token_set(model, corpus, "eng", InputType.ORTHO),
+                    metrics.quality_report(model, corpus, "eng",
+                                           InputType.ORTHO))
+
+        unbounded = measure(quality_model)
+        monkeypatch.setattr(tok, "_CACHE_LIMIT", 2)
+        fresh = tok.loads_model(tok.dumps_model(quality_model))
+        assert measure(fresh) == unbounded
+        assert len(tok.encoder_for(fresh)._cache) <= 2
+
     @given(quality_corpora())
     @settings(max_examples=150)
     def test_quality_matches_per_word_loop(self, quality_model, corpus):

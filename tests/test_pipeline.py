@@ -15,6 +15,7 @@ from scriptshift.pipeline import (AnalysisReport, ComparisonTable,
                                   LanguageSpec, PipelineStageError,
                                   compare_input_types, dumps_report,
                                   load_config, load_report, run_experiment)
+from scriptshift.translit import TableRegistry, packaged_table_root
 
 from support import hangul_lines, latin_lines
 
@@ -205,14 +206,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="spa"):
             run_experiment(make_config(InputType.ORTHO), partial)
 
-    def test_missing_table_reports_stage_and_lang(self, corpora):
+    def test_missing_table_reports_stage_and_lang(self, corpora, tmp_path):
         config = make_config(
             InputType.IPA,
             languages=(LanguageSpec("spa", True), LanguageSpec("kor", False)))
-        with pytest.raises(PipelineStageError) as excinfo:
-            run_experiment(config, corpora)
-        assert excinfo.value.stage == "transliterate"
-        assert excinfo.value.lang == "kor"
+        # With an artifacts dir the table digest meets the missing table
+        # first; the error still comes from the transliterate stage.
+        for artifacts_dir in (None, tmp_path):
+            with pytest.raises(PipelineStageError) as excinfo:
+                run_experiment(config, corpora, artifacts_dir=artifacts_dir)
+            assert excinfo.value.stage == "transliterate"
+            assert excinfo.value.lang == "kor"
 
     def test_empty_unseen_corpus_fails_in_sample_stage(self, corpora):
         augmented = dict(corpora)
@@ -255,6 +259,37 @@ class TestArtifacts:
         second = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(second) == dumps_report(first)
         assert (root / "report.json").read_bytes() == report_bytes
+
+    def test_custom_tables_do_not_leak_into_packaged_run(self, corpora,
+                                                         tmp_path):
+        tables = tmp_path / "tables"
+        (tables / "rom").mkdir(parents=True)
+        (tables / "rom" / "eng.tsv").write_text("e\t3\t\t\t1\n",
+                                                encoding="utf-8")
+        custom_registry = TableRegistry([tables, packaged_table_root()])
+        config = make_config(InputType.ROM)
+        artifacts = tmp_path / "artifacts"
+        custom = run_experiment(config, corpora, registry=custom_registry,
+                                artifacts_dir=artifacts)
+        packaged = run_experiment(config, corpora, artifacts_dir=artifacts)
+        fresh = run_experiment(config, corpora)
+        assert custom.model_digest != fresh.model_digest
+        assert dumps_report(packaged) == dumps_report(fresh)
+        assert len(list(artifacts.iterdir())) == 2
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path):
+        store = pl._StageStore(tmp_path)
+        # A lone surrogate cannot be encoded, so the write fails after the
+        # file it writes to has been opened.
+        with pytest.raises(UnicodeEncodeError):
+            store.save_text("prepared/eng.txt", "abc\ud800")
+        assert list((tmp_path / "prepared").iterdir()) == []
+        store.save_text("model.json", "whole\n")
+        with pytest.raises(UnicodeEncodeError):
+            store.save_text("model.json", "abc\ud800")
+        assert store.load_text("model.json") == "whole\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["model.json", "prepared"]
 
     def test_different_configs_use_distinct_digests(self, corpora, tmp_path):
         run_experiment(make_config(InputType.ROM), corpora,

@@ -82,6 +82,88 @@ def table_of(rules, lang="und", mode=tr.RuleMode.G2P,
     return tr.RuleTable(lang, mode, tuple(rules), passthrough)
 
 
+def ref_apply_rules(table, text):
+    """Oracle: one left-to-right scan of the whole text, trying every rule
+    in the table's order at every position."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        fired = next((rule for rule in table.rules
+                      if rule.matches(text, pos)), None)
+        if fired is not None:
+            out.append(fired.target)
+            pos += len(fired.source)
+            continue
+        if table.passthrough is tr.Passthrough.KEEP:
+            out.append(text[pos])
+        elif table.passthrough is tr.Passthrough.ERROR:
+            raise tr.UnmatchedCharacterError(text[pos], pos)
+        pos += 1
+    return "".join(out)
+
+
+def outcome(rewrite, table, text):
+    """The rewritten text, or the unmatched character and its position."""
+    try:
+        return rewrite(table, text)
+    except tr.UnmatchedCharacterError as exc:
+        return ("unmatched", exc.char, exc.position)
+
+
+def ref_decompose_syllables(text):
+    """Oracle: decompose_hangul on every character, one at a time."""
+    out = []
+    for char in text:
+        if not tr.is_hangul_syllable(char):
+            out.append(char)
+            continue
+        lead, vowel, tail = tr.decompose_hangul(char)
+        out.append(chr(tr.LEAD_BASE + lead) + chr(tr.VOWEL_BASE + vowel))
+        if tail:
+            out.append(chr(tr.TAIL_BASE + tail))
+    return "".join(out)
+
+
+WHITESPACE = " \t\n\u3000"
+
+
+@st.composite
+def rule_tables(draw):
+    """Tables over a small alphabet with multi-character sources and left
+    and right contexts. Whether sources, left contexts and right contexts
+    may hold whitespace is drawn for each independently. About half the
+    tables have a plain rule for each of "abc", so that under
+    Passthrough.ERROR the first unmatched character is often far into
+    the text."""
+    with_space = draw(st.sets(st.sampled_from(["source", "left", "right"])))
+
+    def part(name, **sizes):
+        alphabet = "abc" + (WHITESPACE if name in with_space else "")
+        return st.text(alphabet, **sizes)
+
+    specs = draw(st.lists(
+        st.tuples(part("source", min_size=1, max_size=3),
+                  st.text("xyAB", max_size=3),
+                  part("left", max_size=2),
+                  part("right", max_size=2)),
+        max_size=8, unique_by=lambda spec: (spec[0], spec[2], spec[3])))
+    if draw(st.booleans()):
+        keys = {(spec[0], spec[2], spec[3]) for spec in specs}
+        specs += [(char, char.upper(), "", "") for char in "abc"
+                  if (char, "", "") not in keys]
+    rules = [tr.RewriteRule(source, target, left, right, priority)
+             for priority, (source, target, left, right) in enumerate(specs)]
+    return table_of(rules, passthrough=draw(st.sampled_from(tr.Passthrough)))
+
+
+# Words repeat, "d" and "é" are never in a rule, and whitespace comes in
+# mixed runs, at the ends too.
+rule_texts = st.lists(
+    st.one_of(st.sampled_from(["a", "ab", "ba", "abc", "cab", "d", "aé"]),
+              st.text(WHITESPACE, min_size=1, max_size=3)),
+    max_size=12).map("".join)
+
+
 class TestApplyRules:
     @given(st.text())
     def test_empty_table_keep_is_identity(self, text):
@@ -147,10 +229,11 @@ class TestApplyRules:
     def test_passthrough_error_carries_position_and_char(self):
         table = table_of([tr.RewriteRule("a", "A", priority=1)],
                          passthrough=tr.Passthrough.ERROR)
-        with pytest.raises(tr.UnmatchedCharacterError) as info:
-            tr.apply_rules(table, "ab")
-        assert info.value.char == "b"
-        assert info.value.position == 1
+        for text, char, position in (("ab", "b", 1), ("aa a\tb", " ", 2)):
+            with pytest.raises(tr.UnmatchedCharacterError) as info:
+                tr.apply_rules(table, text)
+            assert info.value.char == char
+            assert info.value.position == position
 
     def test_duplicate_priority_rejected(self):
         with pytest.raises(tr.RuleTableError):
@@ -165,6 +248,34 @@ class TestApplyRules:
     def test_empty_source_rejected(self):
         with pytest.raises(tr.RuleTableError):
             tr.RewriteRule("", "x", priority=1)
+
+    @given(rule_tables(), rule_texts, rule_texts)
+    @settings(max_examples=400)
+    def test_matches_whole_text_scan(self, table, first, second):
+        # The second text is rewritten with the memo the first one filled.
+        for text in (first, second, first):
+            assert outcome(tr.apply_rules, table, text) == \
+                outcome(ref_apply_rules, table, text)
+
+    @pytest.mark.parametrize("rule, text, expected", [
+        (tr.RewriteRule("a", "X", right_context=" "), "ba a\tb", "bX a\tb"),
+        (tr.RewriteRule("b", "Y", left_context="a\t"), "b a\tb", "b a\tY"),
+        (tr.RewriteRule("a\u3000b", "Z"), "a\u3000b ab", "Z ab"),
+    ], ids=["right_context", "left_context", "source"])
+    def test_whitespace_in_rule_fires_across_word_boundary(self, rule, text,
+                                                           expected):
+        table = table_of([rule])
+        assert not table._word_local
+        assert tr.apply_rules(table, text) == expected
+
+    def test_memo_limit_does_not_change_output(self, monkeypatch):
+        monkeypatch.setattr(tr, "_MEMO_LIMIT", 2)
+        table = tr.load_rule_table(tr.packaged_table_root() / "rom" /
+                                   "kor.tsv", "kor", tr.RuleMode.ROMANIZE)
+        text = tr.decompose_syllables("안녕 하세요 안녕\t캐나다 안녕  하세요")
+        for _ in range(2):
+            assert tr.apply_rules(table, text) == ref_apply_rules(table, text)
+            assert len(table._memo) <= 2
 
 
 class TestTableParsing:
@@ -229,6 +340,21 @@ class TestHangul:
         assert tr.decompose_syllables("안") == "안"
         assert tr.decompose_syllables("a안b") == "a안b"
         assert tr.decompose_syllables("plain") == "plain"
+
+    def test_decompose_syllables_matches_per_character_oracle(self):
+        block = "".join(chr(code) for code in
+                        range(tr.HANGUL_BASE - 1,
+                              tr.HANGUL_BASE + tr.HANGUL_COUNT + 1))
+        assert block[0] == chr(0xABFF) and block[-1] == chr(0xD7A4)
+        assert tr.decompose_syllables(block) == ref_decompose_syllables(block)
+        for char in block:
+            assert tr.decompose_syllables(char) == \
+                ref_decompose_syllables(char)
+
+    @given(st.text())
+    def test_decompose_syllables_mixed_text_matches_oracle(self, text):
+        text = "안a " + text + "\u3000각"
+        assert tr.decompose_syllables(text) == ref_decompose_syllables(text)
 
 
 class TestRegistry:
