@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import hashlib
 import io
 import json
 import random
@@ -283,6 +284,19 @@ class TestOverlapCommand:
             "target_lang,variant,best_source,metric,length,value"
         assert any("overall_ratio" in line for line in lines[1:])
 
+    def test_csv_bytes(self, monkeypatch, capsys, token_set_files):
+        code, out, _ = run_cli(
+            monkeypatch, capsys,
+            ["overlap", "--target", str(token_set_files["tgt"]),
+             "--sources", f"{token_set_files['fra']},"
+                          f"{token_set_files['spa']}",
+             "--format", "csv"])
+        assert code == EXIT_OK
+        assert out == (
+            "target_lang,variant,best_source,metric,length,value\n"
+            "tgt,max,fra,overall_ratio,,0.5\n"
+            "tgt,max,fra,by_length,4,0.5\n")
+
     def test_empty_sources_rejected(self, monkeypatch, capsys,
                                     token_set_files):
         code, _, err = run_cli(
@@ -539,6 +553,72 @@ class TestStatsCommand:
         assert not strict["significant"]
         assert loose["significant"]
 
+    def test_report_bytes(self, monkeypatch, capsys, tmp_path):
+        # a set column, a length column, a type with one label (no t-test)
+        # and a constant series (no correlation)
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "set,lang,input_type,score\n"
+            "s1,aaa,Ortho,0.5\ns1,bbb,Ortho,0.7\ns1,ccc,Ortho,0.9\n"
+            "s2,aaa,Ortho,0.4\ns1,aaa,Rom,0.6\ns1,bbb,Rom,0.9\n"
+            "s1,ccc,Rom,1.0\ns2,aaa,Rom,0.3\ns1,aaa,Cipher,0.2\n",
+            encoding="utf-8")
+        metric_values = tmp_path / "metrics.csv"
+        metric_values.write_text(
+            "set,lang,input_type,metric,length,value\n"
+            "s1,aaa,Ortho,unk_ratio,,0.50\ns1,bbb,Ortho,unk_ratio,,0.30\n"
+            "s1,ccc,Ortho,unk_ratio,,0.10\ns2,aaa,Ortho,unk_ratio,,0.45\n"
+            "s1,aaa,Rom,unk_ratio,,0.40\n"
+            "s1,aaa,Ortho,coverage_by_length,2,0.1\n"
+            "s1,bbb,Ortho,coverage_by_length,2,0.3\n"
+            "s1,ccc,Ortho,coverage_by_length,2,0.2\n"
+            "s1,aaa,Cipher,coverage_by_length,2,0.7\n"
+            "s1,aaa,Rom,fertility,,2.0\ns1,bbb,Rom,fertility,,2.0\n"
+            "s1,ccc,Rom,fertility,,2.0\n",
+            encoding="utf-8")
+        argv = ["stats", "--scores", str(scores),
+                "--metrics", str(metric_values)]
+        code, out, _ = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_OK
+        t_test = {"input_type_a": "Ortho", "input_type_b": "Rom", "n": 4,
+                  "p_value": 0.31893179191277554, "significant": False,
+                  "t": -1.192079121358539}
+        correlations = [
+            ("coverage_by_length", "2", "pearson", -0.7109578726783619,
+             0.28904212732163764, 4, False),
+            ("coverage_by_length", "2", "spearman", -0.3999999999999999,
+             0.6000000000000002, 4, False),
+            ("unk_ratio", "", "pearson", -0.9452941770058044,
+             0.015233089110024517, 5, True),
+            ("unk_ratio", "", "spearman", -0.8999999999999998,
+             0.03738607346849875, 5, True),
+        ]
+        assert out == json.dumps({
+            "alpha": 0.05,
+            "correlations": [
+                {"metric": metric, "length": length, "method": method,
+                 "r": r, "p_value": p, "n": n, "significant": sig}
+                for metric, length, method, r, p, n, sig in correlations],
+            "t_tests": [t_test],
+        }, sort_keys=True, indent=2) + "\n"
+
+        code, out, _ = run_cli(monkeypatch, capsys,
+                               argv + ["--format", "csv"])
+        assert code == EXIT_OK
+        assert out == (
+            "record,input_type_a,input_type_b,metric,length,method,"
+            "statistic,p_value,n,significant\n"
+            "t_test,Ortho,Rom,,,paired_t,-1.192079121358539,"
+            "0.31893179191277554,4,False\n"
+            "correlation,,,coverage_by_length,2,pearson,-0.7109578726783619,"
+            "0.28904212732163764,4,False\n"
+            "correlation,,,coverage_by_length,2,spearman,-0.3999999999999999,"
+            "0.6000000000000002,4,False\n"
+            "correlation,,,unk_ratio,,pearson,-0.9452941770058044,"
+            "0.015233089110024517,5,True\n"
+            "correlation,,,unk_ratio,,spearman,-0.8999999999999998,"
+            "0.03738607346849875,5,True\n")
+
     def test_missing_columns(self, monkeypatch, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("lang,score\naaa,1\n", encoding="utf-8")
@@ -595,6 +675,32 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "lang,input_type,metric,length,value"
 
+    def test_report_bytes(self, monkeypatch, capsys, run_inputs):
+        config, corpus_dir = run_inputs
+        argv = ["run", "--config", str(config), "--corpus-dir",
+                str(corpus_dir)]
+        code, out, _ = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "16c2632e0b30a691102d516a1769733a68ba83c2270ab821ec8557518beff17e"
+        code, out, _ = run_cli(monkeypatch, capsys,
+                               argv + ["--format", "csv"])
+        assert code == EXIT_OK
+        assert out == (
+            "lang,input_type,metric,length,value\n"
+            "eng,Ortho,unk_ratio,,0.0\n"
+            "eng,Ortho,fertility,,4.9411764705882355\n"
+            "eng,Ortho,vocab_coverage,,0.92\n"
+            "eng,Ortho,coverage_by_length,0,0.02\n"
+            "eng,Ortho,coverage_by_length,1,0.6\n"
+            "eng,Ortho,coverage_by_length,2,0.26\n"
+            "eng,Ortho,coverage_by_length,3,0.02\n"
+            "eng,Ortho,coverage_by_length,6,0.02\n"
+            "kor,Ortho,unk_ratio,,1.0\n"
+            "kor,Ortho,fertility,,1.0\n"
+            "kor,Ortho,vocab_coverage,,0.0\n"
+            "kor,Ortho,overlap_ratio,,0.0\n")
+
     def test_seed_override_changes_digest(self, monkeypatch, capsys,
                                           run_inputs):
         config, corpus_dir = run_inputs
@@ -640,25 +746,26 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
 
 
-class TestCompareCommand:
-    @pytest.fixture()
-    def report_files(self, monkeypatch, capsys, run_inputs, tmp_path):
-        config, corpus_dir = run_inputs
-        paths = []
-        for itype in ("Ortho", "Rom"):
-            payload = json.loads(config.read_text(encoding="utf-8"))
-            payload["input_type"] = itype
-            cfg_path = tmp_path / f"config-{itype}.json"
-            cfg_path.write_text(json.dumps(payload), encoding="utf-8")
-            report_path = tmp_path / f"report-{itype}.json"
-            code, _, err = run_cli(
-                monkeypatch, capsys,
-                ["run", "--config", str(cfg_path), "--corpus-dir",
-                 str(corpus_dir), "--output", str(report_path)])
-            assert code == EXIT_OK, err
-            paths.append(report_path)
-        return paths
+@pytest.fixture()
+def report_files(monkeypatch, capsys, run_inputs, tmp_path):
+    config, corpus_dir = run_inputs
+    paths = []
+    for itype in ("Ortho", "Rom"):
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload["input_type"] = itype
+        cfg_path = tmp_path / f"config-{itype}.json"
+        cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+        report_path = tmp_path / f"report-{itype}.json"
+        code, _, err = run_cli(
+            monkeypatch, capsys,
+            ["run", "--config", str(cfg_path), "--corpus-dir",
+             str(corpus_dir), "--output", str(report_path)])
+        assert code == EXIT_OK, err
+        paths.append(report_path)
+    return paths
 
+
+class TestCompareCommand:
     def test_json_table(self, monkeypatch, capsys, report_files):
         code, out, _ = run_cli(
             monkeypatch, capsys,
@@ -677,12 +784,101 @@ class TestCompareCommand:
         assert out.splitlines()[0] == ("lang,metric,value_Ortho,value_Rom,"
                                        "delta_Ortho,delta_Rom")
 
+    def test_report_bytes(self, monkeypatch, capsys, report_files):
+        argv = ["compare", "--reports"] + [str(p) for p in report_files]
+        code, out, _ = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            "316485d19dabe65bba6ab47a74b382041441ffcd9b04515931efd69a185f9a33"
+        code, out, _ = run_cli(monkeypatch, capsys,
+                               argv + ["--format", "csv"])
+        assert code == EXIT_OK
+        assert out == (
+            "lang,metric,value_Ortho,value_Rom,delta_Ortho,delta_Rom\n"
+            "eng,unk_ratio,0.0,0.0,0.0,0.0\n"
+            "eng,fertility,4.9411764705882355,4.9411764705882355,0.0,0.0\n"
+            "eng,vocab_coverage,0.92,0.92,0.0,0.0\n"
+            "eng,overlap_ratio,,,,\n"
+            "kor,unk_ratio,1.0,0.0,0.0,-1.0\n"
+            "kor,fertility,1.0,8.625,0.0,7.625\n"
+            "kor,vocab_coverage,0.0,0.54,0.0,0.54\n"
+            "kor,overlap_ratio,0.0,1.0,0.0,1.0\n")
+
     def test_single_report_rejected(self, monkeypatch, capsys,
                                     report_files):
         code, _, _ = run_cli(
             monkeypatch, capsys,
             ["compare", "--reports", str(report_files[0])])
         assert code == EXIT_DATA
+
+
+def _output_command(name, request):
+    """argv and stdin for one subcommand that takes --output."""
+    fixture = request.getfixturevalue
+    if name == "translit":
+        return ["translit", "--mode", "cipher", "--shift", "1"], "apple\n"
+    if name == "train-tokenizer":
+        corpus = fixture("tmp_path") / "train.txt"
+        corpus.write_text("abab ab\n", encoding="utf-8")
+        return ["train-tokenizer", "--input", str(corpus),
+                "--vocab-size", "8"], ""
+    if name in ("encode", "token-set"):
+        argv = [name, "--model", str(fixture("trained_model"))]
+        return argv + (["--lang", "eng"] if name == "token-set" else []), \
+            "abab ab zz\n"
+    if name == "quality":
+        corpus = fixture("tmp_path") / "eval.txt"
+        corpus.write_text("abab ab zz\n", encoding="utf-8")
+        return ["quality", "--model", str(fixture("trained_model")),
+                "--input", str(corpus), "--lang", "eng",
+                "--format", "csv"], ""
+    if name == "overlap":
+        files = fixture("token_set_files")
+        return ["overlap", "--target", str(files["tgt"]),
+                "--sources", str(files["fra"])], ""
+    if name == "select-langs":
+        features, scripts = fixture("selection_files")
+        return ["select-langs", "--features", str(features),
+                "--scripts", str(scripts), "--regime", "sim-div",
+                "--set-size", "2"], ""
+    if name == "stats":
+        scores, metric_values = fixture("stats_files")
+        return ["stats", "--scores", str(scores),
+                "--metrics", str(metric_values), "--format", "csv"], ""
+    if name == "run":
+        config, corpus_dir = fixture("run_inputs")
+        return ["run", "--config", str(config),
+                "--corpus-dir", str(corpus_dir)], ""
+    assert name == "compare"
+    return ["compare", "--reports"] + \
+        [str(p) for p in fixture("report_files")], ""
+
+
+@pytest.mark.parametrize("name", [
+    "translit", "train-tokenizer", "encode", "token-set", "overlap",
+    "quality", "select-langs", "stats", "run", "compare"])
+class TestOutputPath:
+    def test_file_gets_stdout_bytes(self, monkeypatch, capsys, request,
+                                    tmp_path, name):
+        argv, stdin = _output_command(name, request)
+        code, out, err = run_cli(monkeypatch, capsys, argv, stdin)
+        assert code == EXIT_OK, err
+        dst = tmp_path / "out.txt"
+        code, to_stdout, err = run_cli(monkeypatch, capsys,
+                                       argv + ["--output", str(dst)], stdin)
+        assert code == EXIT_OK, err
+        assert to_stdout == ""
+        assert dst.read_bytes() == out.encode("utf-8")
+
+    def test_unwritable_path_exits_4(self, monkeypatch, capsys, request,
+                                     tmp_path, name):
+        argv, stdin = _output_command(name, request)
+        dst = tmp_path / "missing-dir" / "out.txt"
+        code, _, err = run_cli(monkeypatch, capsys,
+                               argv + ["--output", str(dst)], stdin)
+        assert code == EXIT_WRITE
+        assert err.startswith("error: cannot write ")
+        assert str(dst) in err
 
 
 class TestParseErrors:
