@@ -7,12 +7,11 @@ under --output-dir, and prints the table.
 """
 
 import argparse
-import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
+from scriptshift.cli import write_report
 from scriptshift.corpus import read_documents
 from scriptshift.input_types import InputType
 from scriptshift.pipeline import (compare_input_types, dumps_report,
@@ -68,13 +67,9 @@ def main(argv=None):
 
     table = compare_input_types(reports)
     (out / "comparison.json").write_text(
-        json.dumps(table.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    with open(out / "comparison.csv", "w", encoding="utf-8",
-              newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for row in table.to_csv_rows():
-            writer.writerow(["" if cell is None else cell for cell in row])
+        write_report(table.to_json_dict(), "json"), encoding="utf-8")
+    (out / "comparison.csv").write_text(
+        write_report(table.to_csv_rows(), "csv"), encoding="utf-8")
     print(f"wrote {out / 'comparison.json'} and {out / 'comparison.csv'}\n")
     print_table(table)
     return 0

@@ -54,15 +54,9 @@ class OutputWriteError(Exception):
         self.path = path
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    output = getattr(args, "output", None)
-    if output:
-        try:
-            Path(output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise OutputWriteError(str(output), exc) from exc
-    else:
-        sys.stdout.write(text)
+# Header of the tidy metric rows that `quality` and `run` write;
+# `stats --metrics` reads the same columns.
+_METRIC_COLUMNS = ["lang", "input_type", "metric", "length", "value"]
 
 
 def write_report(payload, fmt: str) -> str:
@@ -99,6 +93,17 @@ def _open_out(path: str | None):
                 yield handle
         except OSError as exc:
             raise OutputWriteError(path, exc) from exc
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    with _open_out(args.output) as handle:
+        handle.write(text)
+
+
+def _emit_report(args: argparse.Namespace, payload, rows) -> None:
+    """Write the JSON payload or the CSV rows, as --format picks."""
+    _emit(args, write_report(rows if args.format == "csv" else payload,
+                             args.format))
 
 
 def _registry(args: argparse.Namespace) -> translit.TableRegistry:
@@ -204,18 +209,14 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
         raise UsageError("--sources needs at least one file")
     variant = metrics.OverlapVariant(args.variant)
     report = metrics.overlap_report(target, sources, variant)
-    if args.format == "json":
-        _emit(args, write_report(report.to_json_dict(), "json"))
-    else:
-        rows = [["target_lang", "variant", "best_source", "metric", "length",
-                 "value"]]
+    rows = [["target_lang", "variant", "best_source", "metric", "length",
+             "value"],
+            [report.target_lang, variant.value, report.best_source,
+             "overall_ratio", "", float(report.overall_ratio)]]
+    for length, ratio in sorted(report.by_length.items()):
         rows.append([report.target_lang, variant.value, report.best_source,
-                     "overall_ratio", "", float(report.overall_ratio)])
-        for length, ratio in sorted(report.by_length.items()):
-            rows.append([report.target_lang, variant.value,
-                         report.best_source, "by_length", length,
-                         float(ratio)])
-        _emit(args, write_report(rows, "csv"))
+                     "by_length", length, float(ratio)])
+    _emit_report(args, report.to_json_dict(), rows)
     return EXIT_OK
 
 
@@ -226,12 +227,8 @@ def _cmd_quality(args: argparse.Namespace) -> int:
         report = metrics.quality_report(
             model, (line.rstrip("\n") for line in handle), args.lang,
             input_type)
-    if args.format == "json":
-        _emit(args, write_report(report.to_json_dict(), "json"))
-    else:
-        rows = [["lang", "input_type", "metric", "length", "value"]]
-        rows.extend(report.to_csv_rows())
-        _emit(args, write_report(rows, "csv"))
+    _emit_report(args, report.to_json_dict(),
+                 [_METRIC_COLUMNS, *report.to_csv_rows()])
     return EXIT_OK
 
 
@@ -279,55 +276,36 @@ def _cmd_select_langs(args: argparse.Namespace) -> int:
 # --- statistics ---------------------------------------------------------------
 
 
-def _read_scores(path: str) -> dict[tuple[str, str], dict[str, float]]:
-    """Scores keyed by input_type, then by (set, lang) label."""
-    scores: dict[str, dict[tuple[str, str], float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"lang", "input_type", "score"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        has_set = "set" in reader.fieldnames
-        for row in reader:
-            itype = InputType.parse(row["input_type"]).value
-            label = (row["set"].strip() if has_set else "", row["lang"].strip())
-            per_type = scores.setdefault(itype, {})
-            if label in per_type:
-                raise ValueError(f"{path}: duplicate score for {label} "
-                                 f"under {itype}")
-            per_type[label] = float(row["score"])
-    return scores
-
-
-def _read_metric_series(path: str):
-    """Metric values keyed by (metric, length), then (set, lang, input_type)."""
-    series: dict[tuple[str, str], dict[tuple[str, str, str], float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"lang", "input_type", "metric", "length", "value"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        has_set = "set" in reader.fieldnames
-        for row in reader:
-            itype = InputType.parse(row["input_type"]).value
-            key = (row["metric"].strip(), row["length"].strip())
-            label = (row["set"].strip() if has_set else "",
-                     row["lang"].strip(), itype)
-            series.setdefault(key, {})[label] = float(row["value"])
-    return series
+def _read_stats_csv(path: str, value_column: str,
+                    key_columns: tuple[str, ...] = ()) -> dict[tuple, float]:
+    """Map (set, lang, input_type, *key_columns) to the float in
+    value_column. The set column is optional and reads as "" when absent;
+    a key that repeats is an error."""
+    values: dict[tuple, float] = {}
+    required = ("lang", "input_type", *key_columns, value_column)
+    for row in corpus_mod.read_tidy_csv(path, required):
+        key = (row.get("set", "").strip(), row["lang"].strip(),
+               InputType.parse(row["input_type"]).value,
+               *(row[column].strip() for column in key_columns))
+        if key in values:
+            raise ValueError(f"{path}: duplicate row for {key}")
+        values[key] = float(row[value_column])
+    return values
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    scores = _read_scores(args.scores)
+    scores = _read_stats_csv(args.scores, "score")
     t_tests = []
-    for type_a, type_b in itertools.combinations(sorted(scores), 2):
-        common = sorted(set(scores[type_a]) & set(scores[type_b]))
+    input_types = sorted({itype for _, _, itype in scores})
+    for type_a, type_b in itertools.combinations(input_types, 2):
+        common = sorted((s, l) for s, l, itype in scores
+                        if itype == type_a and (s, l, type_b) in scores)
         if len(common) < 2:
             continue
         sample = stats.PairedSample(
             labels=tuple(f"{s}:{l}" if s else l for s, l in common),
-            a=tuple(scores[type_a][label] for label in common),
-            b=tuple(scores[type_b][label] for label in common),
+            a=tuple(scores[s, l, type_a] for s, l in common),
+            b=tuple(scores[s, l, type_b] for s, l in common),
         )
         result = stats.paired_t_test(sample)
         t_tests.append({
@@ -341,24 +319,22 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     correlations = []
     if args.metrics:
-        series = _read_metric_series(args.metrics)
-        flat_scores = {(s, l, itype): value
-                       for itype, per_type in scores.items()
-                       for (s, l), value in per_type.items()}
-        for (metric, length), values in sorted(series.items()):
-            common = sorted(set(values) & set(flat_scores))
+        values = _read_stats_csv(args.metrics, "value", ("metric", "length"))
+        for series in sorted({key[3:] for key in values}):
+            common = sorted(key[:3] for key in values
+                            if key[3:] == series and key[:3] in scores)
             if len(common) < 3:
                 continue
-            xs = [values[label] for label in common]
-            ys = [flat_scores[label] for label in common]
+            xs = [values[label + series] for label in common]
+            ys = [scores[label] for label in common]
             for method in (stats.pearson, stats.spearman):
                 try:
                     result = method(xs, ys)
                 except ValueError:
                     continue  # constant series has no correlation
                 correlations.append({
-                    "metric": metric,
-                    "length": length,
+                    "metric": series[0],
+                    "length": series[1],
                     "method": result.method,
                     "r": result.r,
                     "p_value": result.p_value,
@@ -366,25 +342,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     "significant": result.p_value < args.alpha,
                 })
 
-    if args.format == "json":
-        payload = {"alpha": args.alpha, "t_tests": t_tests,
-                   "correlations": correlations}
-        _emit(args, write_report(payload, "json"))
-    else:
-        rows = [["record", "input_type_a", "input_type_b", "metric",
-                 "length", "method", "statistic", "p_value", "n",
-                 "significant"]]
-        for entry in t_tests:
-            rows.append(["t_test", entry["input_type_a"],
-                         entry["input_type_b"], "", "", "paired_t",
-                         entry["t"], entry["p_value"], entry["n"],
-                         entry["significant"]])
-        for entry in correlations:
-            rows.append(["correlation", "", "", entry["metric"],
-                         entry["length"], entry["method"], entry["r"],
-                         entry["p_value"], entry["n"],
-                         entry["significant"]])
-        _emit(args, write_report(rows, "csv"))
+    payload = {"alpha": args.alpha, "t_tests": t_tests,
+               "correlations": correlations}
+    rows = [["record", "input_type_a", "input_type_b", "metric", "length",
+             "method", "statistic", "p_value", "n", "significant"]]
+    for entry in t_tests:
+        rows.append(["t_test", entry["input_type_a"], entry["input_type_b"],
+                     "", "", "paired_t", entry["t"], entry["p_value"],
+                     entry["n"], entry["significant"]])
+    for entry in correlations:
+        rows.append(["correlation", "", "", entry["metric"], entry["length"],
+                     entry["method"], entry["r"], entry["p_value"],
+                     entry["n"], entry["significant"]])
+    _emit_report(args, payload, rows)
     return EXIT_OK
 
 
@@ -416,22 +386,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     registry = _registry(args) if args.tables else None
     report = pipeline.run_experiment(config, corpora, registry=registry,
                                      artifacts_dir=args.artifacts_dir)
-    if args.format == "json":
-        _emit(args, pipeline.dumps_report(report))
-    else:
-        rows = [["lang", "input_type", "metric", "length", "value"]]
-        rows.extend(report.to_csv_rows())
-        _emit(args, write_report(rows, "csv"))
+    _emit_report(args, report.to_json_dict(),
+                 [_METRIC_COLUMNS, *report.to_csv_rows()])
     return EXIT_OK
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     reports = [pipeline.load_report(path) for path in args.reports]
     table = pipeline.compare_input_types(reports)
-    if args.format == "json":
-        _emit(args, write_report(table.to_json_dict(), "json"))
-    else:
-        _emit(args, write_report(table.to_csv_rows(), "csv"))
+    _emit_report(args, table.to_json_dict(), table.to_csv_rows())
     return EXIT_OK
 
 

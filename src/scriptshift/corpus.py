@@ -7,7 +7,7 @@ took in a manifest; oversampling weights level the seen languages' sizes.
 
 from __future__ import annotations
 
-import json
+import csv
 import math
 import random
 from dataclasses import dataclass
@@ -162,19 +162,24 @@ def read_documents(path: str | Path, lang: str) -> list[Document]:
     return docs
 
 
-def write_documents(path: str | Path, docs: Iterable[Document]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(doc.text + "\n")
+def read_tidy_csv(path: str | Path,
+                  required: Iterable[str]) -> list[dict[str, str]]:
+    """Rows of a CSV file with a header line, as dicts keyed by column.
 
-
-def read_manifest(path: str | Path) -> CorpusManifest:
-    with open(path, "r", encoding="utf-8") as handle:
-        return CorpusManifest.from_json_dict(json.load(handle))
-
-
-def write_manifest(path: str | Path, manifest: CorpusManifest) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_json_dict(), handle, ensure_ascii=False,
-                  indent=2)
-        handle.write("\n")
+    The header must name every required column and no row may have fewer
+    fields than the header; either fault raises ValueError naming the path,
+    and for a short row its line. Blank lines are skipped."""
+    required = sorted(required)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        columns = reader.fieldnames
+        if columns is None or not set(required) <= set(columns):
+            raise ValueError(f"{path}: expected columns {required}")
+        rows = []
+        for row in reader:
+            if None in row.values():
+                got = sum(value is not None for value in row.values())
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(columns)} fields, got {got}")
+            rows.append(row)
+    return rows

@@ -9,13 +9,14 @@ the number of distinct scripts in the set.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from .corpus import read_tidy_csv
 
 EXHAUSTIVE_SEARCH_LIMIT = 2_000_000
 
@@ -185,14 +186,6 @@ class SimilarityMatrix:
                        for (x, y), value in sorted(self.values.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "SimilarityMatrix":
-        values = {}
-        for key, value in payload["values"].items():
-            x, _, y = key.partition("|")
-            values[(x, y)] = float(value)
-        return cls(tuple(payload["langs"]), values)
-
 
 def set_objective(langs: Sequence[str], spec: SelectionSpec,
                   sims: SimilarityMatrix,
@@ -346,24 +339,18 @@ def load_feature_csv(path: str | Path) -> dict[str, FeatureVectors]:
     """Read feature vectors from CSV with columns lang, component, values
     (space-separated floats); one row per language and component."""
     collected: dict[str, dict[str, tuple[float, ...]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"lang", "component", "values"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            lang = row["lang"].strip()
-            component = row["component"].strip()
-            if component not in FEATURE_COMPONENTS:
-                raise ValueError(f"{path}: unknown component {component!r}")
-            vector = tuple(float(v) for v in row["values"].split())
-            if not vector:
-                raise ValueError(f"{path}: empty vector for {lang}")
-            per_lang = collected.setdefault(lang, {})
-            if component in per_lang:
-                raise ValueError(f"{path}: duplicate {component} row for "
-                                 f"{lang}")
-            per_lang[component] = vector
+    for row in read_tidy_csv(path, ("lang", "component", "values")):
+        lang = row["lang"].strip()
+        component = row["component"].strip()
+        if component not in FEATURE_COMPONENTS:
+            raise ValueError(f"{path}: unknown component {component!r}")
+        vector = tuple(float(v) for v in row["values"].split())
+        if not vector:
+            raise ValueError(f"{path}: empty vector for {lang}")
+        per_lang = collected.setdefault(lang, {})
+        if component in per_lang:
+            raise ValueError(f"{path}: duplicate {component} row for {lang}")
+        per_lang[component] = vector
     return {
         lang: FeatureVectors(lang=lang, **vectors)
         for lang, vectors in sorted(collected.items())
@@ -373,14 +360,9 @@ def load_feature_csv(path: str | Path) -> dict[str, FeatureVectors]:
 def load_script_map(path: str | Path) -> dict[str, str]:
     """Read a lang,script CSV into a mapping."""
     scripts: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"lang", "script"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            lang = row["lang"].strip()
-            if lang in scripts:
-                raise ValueError(f"{path}: duplicate language {lang}")
-            scripts[lang] = row["script"].strip()
+    for row in read_tidy_csv(path, ("lang", "script")):
+        lang = row["lang"].strip()
+        if lang in scripts:
+            raise ValueError(f"{path}: duplicate language {lang}")
+        scripts[lang] = row["script"].strip()
     return scripts

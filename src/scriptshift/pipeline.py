@@ -24,8 +24,8 @@ from .corpus import (CorpusManifest, Document, EmptyCorpusError,
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
-from .tokenizer import (SubwordModel, TokenSet, dumps_model, loads_model,
-                        token_set, train_from_word_counts)
+from .tokenizer import (dumps_model, loads_model, token_set,
+                        train_from_word_counts)
 from .translit import (CipherKey, RuleMode, TableRegistry,
                        assign_shift_keys, caesar_encipher, default_registry,
                        format_rule_table)
@@ -461,8 +461,6 @@ def run_experiment(config: ExperimentConfig,
                 f"tokensets/{lang}.json",
                 json.dumps(ts.to_json_dict(), ensure_ascii=True,
                            sort_keys=True, indent=2) + "\n")
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError("token-sets", None, exc) from exc
 

@@ -117,12 +117,7 @@ def t_cdf(t: float, df: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
+    tail = 0.5 * _two_sided_p(t, df)
     return 1.0 - tail if t > 0 else tail
 
 
@@ -216,10 +211,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Spearman rank correlation: Pearson over average ranks."""
-    result = _pearson_core(average_ranks(list(x)), average_ranks(list(y)),
-                           "spearman")
-    return CorrelationResult(method="spearman", r=result.r,
-                             p_value=result.p_value, n=result.n)
+    return _pearson_core(average_ranks(list(x)), average_ranks(list(y)),
+                         "spearman")
 
 
 def paired_t_test(sample: PairedSample) -> TTestResult:

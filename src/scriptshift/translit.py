@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 ENV_TABLE_ROOT = "SCRIPTSHIFT_TABLES"
 

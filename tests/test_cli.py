@@ -554,8 +554,8 @@ class TestStatsCommand:
         assert loose["significant"]
 
     def test_report_bytes(self, monkeypatch, capsys, tmp_path):
-        # a set column, a length column, a type with one label (no t-test)
-        # and a constant series (no correlation)
+        # a set column, a length column, a type with one label (no t-test),
+        # a constant series (no correlation) and a metric row with no score
         scores = tmp_path / "scores.csv"
         scores.write_text(
             "set,lang,input_type,score\n"
@@ -568,7 +568,7 @@ class TestStatsCommand:
             "set,lang,input_type,metric,length,value\n"
             "s1,aaa,Ortho,unk_ratio,,0.50\ns1,bbb,Ortho,unk_ratio,,0.30\n"
             "s1,ccc,Ortho,unk_ratio,,0.10\ns2,aaa,Ortho,unk_ratio,,0.45\n"
-            "s1,aaa,Rom,unk_ratio,,0.40\n"
+            "s1,aaa,Rom,unk_ratio,,0.40\ns3,aaa,Rom,unk_ratio,,0.90\n"
             "s1,aaa,Ortho,coverage_by_length,2,0.1\n"
             "s1,bbb,Ortho,coverage_by_length,2,0.3\n"
             "s1,ccc,Ortho,coverage_by_length,2,0.2\n"
@@ -810,6 +810,49 @@ class TestCompareCommand:
             monkeypatch, capsys,
             ["compare", "--reports", str(report_files[0])])
         assert code == EXIT_DATA
+
+
+class TestMalformedCsv:
+    """Short and duplicate rows in the tidy CSV inputs exit 3 with the file
+    (and, for a short row, the line) named on stderr."""
+
+    @pytest.mark.parametrize("kind", ["scores", "metrics", "features",
+                                      "scripts"])
+    def test_short_row_exits_3(self, monkeypatch, capsys, stats_files,
+                               selection_files, kind):
+        scores, metric_values = stats_files
+        features, scripts = selection_files
+        path = {"scores": scores, "metrics": metric_values,
+                "features": features, "scripts": scripts}[kind]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        if kind in ("scores", "metrics"):
+            argv = ["stats", "--scores", str(scores),
+                    "--metrics", str(metric_values)]
+        else:
+            argv = ["select-langs", "--features", str(features),
+                    "--scripts", str(scripts), "--regime", "sim-div",
+                    "--set-size", "2"]
+        code, _, err = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {path}:3: ")
+
+    @pytest.mark.parametrize("kind", ["scores", "metrics"])
+    def test_duplicate_row_exits_3(self, monkeypatch, capsys, stats_files,
+                                   kind):
+        scores, metric_values = stats_files
+        path = scores if kind == "scores" else metric_values
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # same key, another value: the last copy must not win silently
+        lines.append(lines[1].rsplit(",", 1)[0] + ",0.99\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        code, _, err = run_cli(
+            monkeypatch, capsys,
+            ["stats", "--scores", str(scores),
+             "--metrics", str(metric_values)])
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {path}: duplicate ")
 
 
 def _output_command(name, request):

@@ -168,22 +168,41 @@ class TestDocumentIO:
         docs = cp.read_documents(path, "eng")
         assert [d.text for d in docs] == ["one two", "three", "four"]
         assert len({d.doc_id for d in docs}) == 3
-        out = tmp_path / "out.txt"
-        cp.write_documents(out, docs)
-        assert [d.text for d in cp.read_documents(out, "eng")] == \
-            [d.text for d in docs]
 
     def test_document_rejects_newline(self):
         with pytest.raises(ValueError):
             cp.Document("d", "eng", "two\nlines")
 
-    def test_manifest_json_round_trip(self, tmp_path):
-        manifest = cp.CorpusManifest("kor", InputType.CIPHER, 7, 123, 42,
-                                     True)
-        path = tmp_path / "manifest.json"
-        cp.write_manifest(path, manifest)
-        assert cp.read_manifest(path) == manifest
-
     def test_manifest_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             cp.CorpusManifest("kor", InputType.ORTHO, -1, 0, 0, True)
+
+
+class TestTidyCsv:
+    def test_rows_by_column_skipping_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('lang,note,value\naaa,"two\nlines",1\n\nbbb,,2\n',
+                        encoding="utf-8")
+        assert cp.read_tidy_csv(path, ["value", "lang"]) == [
+            {"lang": "aaa", "note": "two\nlines", "value": "1"},
+            {"lang": "bbb", "note": "", "value": "2"}]
+
+    def test_missing_column_names_the_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("lang,value\naaa,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"t\.csv: expected columns "
+                                             r"\['lang', 'score'\]"):
+            cp.read_tidy_csv(path, ("score", "lang"))
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected columns"):
+            cp.read_tidy_csv(path, ("lang",))
+
+    def test_short_row_names_its_line(self, tmp_path):
+        # the quoted field spans two physical lines, so the short row is
+        # on line 5
+        path = tmp_path / "t.csv"
+        path.write_text('lang,note,value\naaa,"two\nlines",1\n\nbbb,x\n',
+                        encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"t\.csv:5: expected 3 fields, got 2"):
+            cp.read_tidy_csv(path, ("lang",))

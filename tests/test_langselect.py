@@ -175,14 +175,6 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="missing"):
             SimilarityMatrix(("aaa", "bbb", "ccc"), {("aaa", "bbb"): 1.0})
 
-    def test_json_round_trip(self):
-        matrix = SimilarityMatrix.build(["aaa", "bbb", "ccc"],
-                                        crafted_features(),
-                                        crafted_corpora())
-        restored = SimilarityMatrix.from_json_dict(matrix.to_json_dict())
-        assert restored.langs == matrix.langs
-        assert restored.values == matrix.values
-
 
 def stub_matrix():
     return SimilarityMatrix(
