@@ -289,7 +289,8 @@ def _read_stats_csv(path: str, value_column: str,
                *(row[column].strip() for column in key_columns))
         if key in values:
             raise ValueError(f"{path}: duplicate row for {key}")
-        values[key] = float(row[value_column])
+        values[key] = corpus_mod.number_cell(path, row.line,
+                                             row[value_column])
     return values
 
 

@@ -162,24 +162,47 @@ def read_documents(path: str | Path, lang: str) -> list[Document]:
     return docs
 
 
+class TidyRow(dict):
+    """One CSV row keyed by column; `line` is the physical line it ends on,
+    as the csv reader counts lines."""
+
+    def __init__(self, fields: Iterable[tuple[str, str]], line: int):
+        super().__init__(fields)
+        self.line = line
+
+
 def read_tidy_csv(path: str | Path,
-                  required: Iterable[str]) -> list[dict[str, str]]:
+                  required: Iterable[str]) -> list[TidyRow]:
     """Rows of a CSV file with a header line, as dicts keyed by column.
 
-    The header must name every required column and no row may have fewer
-    fields than the header; either fault raises ValueError naming the path,
-    and for a short row its line. Blank lines are skipped."""
+    The header must name every required column and every row must have as
+    many fields as the header; either fault raises ValueError naming the
+    path, and for a row its line. Blank lines are skipped."""
     required = sorted(required)
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        columns = reader.fieldnames
+        reader = csv.reader(handle)
+        columns = next(reader, None)
         if columns is None or not set(required) <= set(columns):
             raise ValueError(f"{path}: expected columns {required}")
         rows = []
-        for row in reader:
-            if None in row.values():
-                got = sum(value is not None for value in row.values())
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(columns):
                 raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"{len(columns)} fields, got {got}")
-            rows.append(row)
+                                 f"{len(columns)} fields, got {len(fields)}")
+            rows.append(TidyRow(zip(columns, fields), reader.line_num))
     return rows
+
+
+def number_cell(path: str | Path, line: int, text: str) -> float:
+    """The finite float in one CSV cell (or one space-separated item of
+    it); anything else raises ValueError naming the path and line."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line}: expected a finite number, "
+                         f"got {text!r}")
+    return value

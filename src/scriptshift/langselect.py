@@ -5,18 +5,30 @@ type-level lexical Jaccard. The set objective is mean pairwise similarity
 plus a signed script-diversity bonus; similar regimes maximize it and
 dissimilar regimes minimize it, with diverse regimes rewarding or penalizing
 the number of distinct scripts in the set.
+
+Subset search scores candidates exactly as `set_objective` does, without
+calling it. Every finite float is n / 2**e, so `select_subset` writes each
+pair value of the pool as an integer over one common power-of-two scale.
+A candidate's pair sum is then an exact integer, and dividing it by the
+scale with int true division rounds correctly once: the same float that
+`math.fsum` returns for those values (it differs only where `fsum` raises
+on an intermediate overflow, far outside any similarity score). The mean
+and the script term follow with `set_objective`'s float operations, and
+candidates are compared by that float, so a float tie goes to the
+lexicographically smallest set even where the exact sums differ.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import read_tidy_csv
+from .corpus import number_cell, read_tidy_csv
 
 EXHAUSTIVE_SEARCH_LIMIT = 2_000_000
 
@@ -80,6 +92,8 @@ class SelectionSpec:
     def __post_init__(self) -> None:
         if self.set_size < 2:
             raise ValueError(f"set_size must be >= 2, got {self.set_size}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
@@ -107,11 +121,14 @@ def word_types(corpus: Iterable[str]) -> frozenset[str]:
 def lexical_similarity(corpus_x: Iterable[str],
                        corpus_y: Iterable[str]) -> float:
     """Jaccard similarity of whitespace word types in two line corpora."""
-    types_x = word_types(corpus_x)
-    types_y = word_types(corpus_y)
+    return _jaccard(word_types(corpus_x), word_types(corpus_y))
+
+
+def _jaccard(types_x: frozenset[str], types_y: frozenset[str]) -> float:
     if not types_x or not types_y:
         raise ValueError("lexical similarity needs non-empty corpora")
-    return len(types_x & types_y) / len(types_x | types_y)
+    shared = len(types_x & types_y)
+    return shared / (len(types_x) + len(types_y) - shared)
 
 
 def aggregate_similarity(x: str, y: str,
@@ -127,6 +144,16 @@ def aggregate_similarity(x: str, y: str,
     """
     if x == y:
         return float(COMPONENT_COUNT)
+    types = {}
+    if corpora is not None and x in corpora and y in corpora:
+        types = {x: word_types(corpora[x]), y: word_types(corpora[y])}
+    return _pair_similarity(x, y, features, types)
+
+
+def _pair_similarity(x: str, y: str, features: Mapping[str, FeatureVectors],
+                     types: Mapping[str, frozenset[str]]) -> float:
+    """aggregate_similarity of two distinct languages, with the word types
+    of each language that has a corpus given in `types`."""
     for lang in (x, y):
         if lang not in features:
             raise MissingFeatureError(f"no feature vectors for {lang!r}")
@@ -137,8 +164,8 @@ def aggregate_similarity(x: str, y: str,
         if vec_x is None or vec_y is None:
             continue
         present.append(cosine_similarity(vec_x, vec_y))
-    if corpora is not None and x in corpora and y in corpora:
-        present.append(lexical_similarity(corpora[x], corpora[y]))
+    if x in types and y in types:
+        present.append(_jaccard(types[x], types[y]))
     if not present:
         raise MissingFeatureError(
             f"languages {x!r} and {y!r} share no similarity components")
@@ -147,7 +174,8 @@ def aggregate_similarity(x: str, y: str,
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric pairwise similarities over a fixed language list."""
+    """Symmetric pairwise similarities over a fixed language list; every
+    value must be a finite number."""
 
     langs: tuple[str, ...]
     values: Mapping[tuple[str, str], float]
@@ -158,15 +186,23 @@ class SimilarityMatrix:
         for x, y in itertools.combinations(self.langs, 2):
             if (x, y) not in self.values:
                 raise ValueError(f"similarity missing for pair ({x!r}, {y!r})")
+            if not math.isfinite(self.values[x, y]):
+                raise ValueError(f"similarity for pair ({x!r}, {y!r}) is not "
+                                 f"finite: {self.values[x, y]!r}")
 
     @classmethod
     def build(cls, langs: Iterable[str],
               features: Mapping[str, FeatureVectors],
               corpora: Mapping[str, Sequence[str]] | None = None,
               ) -> "SimilarityMatrix":
+        """aggregate_similarity for every pair, reading each corpus once."""
         ordered = tuple(sorted(set(langs)))
+        types = {}
+        if corpora is not None:
+            types = {lang: word_types(corpora[lang])
+                     for lang in ordered if lang in corpora}
         values = {
-            (x, y): aggregate_similarity(x, y, features, corpora)
+            (x, y): _pair_similarity(x, y, features, types)
             for x, y in itertools.combinations(ordered, 2)
         }
         return cls(ordered, values)
@@ -221,7 +257,9 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
     When the number of candidate sets is at most EXHAUSTIVE_SEARCH_LIMIT the
     search is exhaustive; larger pools fall back to a deterministic greedy
     build followed by best-improving single swaps. Objective ties always go
-    to the lexicographically smallest set.
+    to the lexicographically smallest set. Candidates are scored exactly as
+    set_objective scores them (see the module docstring), which gives the
+    objective returned for the winner.
     """
     script_map = spec.script_map if scripts is None else scripts
     ordered = sorted(set(pool))
@@ -237,99 +275,175 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
                 f"regime {spec.regime.value} requires a single-script pool, "
                 f"got scripts {sorted(pool_scripts)}")
 
-    def better(candidate: float, incumbent: float) -> bool:
-        if spec.regime.maximize:
-            return candidate > incumbent
-        return candidate < incumbent
-
-    def objective(langs: Sequence[str]) -> float:
-        return set_objective(langs, spec, sims, script_map)
-
+    weights, scale = _scaled_weights(ordered, sims)
+    ids: dict[str, int] = {}
+    script_ids = [0] * len(ordered)
+    if spec.regime.script_sign:
+        script_ids = [ids.setdefault(_script_for(script_map, lang), len(ids))
+                      for lang in ordered]
+    gain = _gain(spec, scale)
     if math.comb(len(ordered), spec.set_size) <= EXHAUSTIVE_SEARCH_LIMIT:
-        best_set = None
-        best_obj = None
-        for combo in itertools.combinations(ordered, spec.set_size):
-            obj = objective(combo)
-            if best_obj is None or better(obj, best_obj):
-                best_set, best_obj = combo, obj
-        return best_set, best_obj
+        best = _exhaustive(weights, script_ids, spec.set_size, gain)
+    else:
+        best = _greedy(weights, script_ids, spec.set_size, gain)
+    chosen = tuple(ordered[i] for i in best)
+    return chosen, set_objective(chosen, spec, sims, script_map)
 
-    return _greedy_with_swaps(ordered, spec, objective, better)
+
+def _scaled_weights(ordered: Sequence[str], sims: SimilarityMatrix,
+                    ) -> tuple[list[list[int]], int]:
+    """Pair values over the pool as integers: value == weights[i][j] / scale
+    exactly, with one power-of-two scale for all pairs and a zero diagonal."""
+    ratios = {(i, j): float(sims.get(ordered[i], ordered[j])).as_integer_ratio()
+              for i, j in itertools.combinations(range(len(ordered)), 2)}
+    scale = max((den for _, den in ratios.values()), default=1)
+    weights = [[0] * len(ordered) for _ in ordered]
+    for (i, j), (num, den) in ratios.items():
+        weights[i][j] = weights[j][i] = num * (scale // den)
+    return weights, scale
+
+
+def _gain(spec: SelectionSpec, scale: int):
+    """gain(pair_sum, size, distinct): set_objective of a set of `size`
+    languages with exact pair sum pair_sum / scale and `distinct` scripts,
+    negated when the regime minimizes, so that higher is always better."""
+    pair_counts = [math.comb(size, 2) for size in range(spec.set_size + 1)]
+    sign = spec.regime.script_sign
+    bonus = sign * spec.alpha
+    orient = 1.0 if spec.regime.maximize else -1.0
+
+    def gain(pair_sum: int, size: int, distinct: int) -> float:
+        mean = pair_sum / scale / pair_counts[size]
+        if sign:
+            mean = mean + bonus * distinct
+        return orient * mean
+    return gain
+
+
+def _exhaustive(weights, script_ids, k, gain):
+    """Lexicographic depth-first search over all k-subsets of indices. Each
+    depth carries the exact pair sum of the chosen prefix and every index's
+    row sum against it, so a leaf costs O(1); only a strictly higher gain
+    replaces the incumbent, so ties keep the lexicographically first set."""
+    n = len(weights)
+    chosen: list[int] = []
+    counts = [0] * n
+    best = best_set = None
+
+    def descend(start, rows, pair_sum, distinct):
+        nonlocal best, best_set
+        depth = len(chosen)
+        if depth == k - 1:
+            for j in range(start, n):
+                value = gain(pair_sum + rows[j], k,
+                             distinct + (counts[script_ids[j]] == 0))
+                if best is None or value > best:
+                    best, best_set = value, (*chosen, j)
+            return
+        for i in range(start, n - k + depth + 1):
+            script = script_ids[i]
+            new_script = counts[script] == 0
+            counts[script] += 1
+            chosen.append(i)
+            descend(i + 1, list(map(operator.add, rows, weights[i])),
+                    pair_sum + rows[i], distinct + new_script)
+            chosen.pop()
+            counts[script] -= 1
+
+    descend(0, [0] * n, 0, 0)
+    return best_set
 
 
 _PAIR_START_LIMIT = 2048
 
 
-def _seed_pairs(ordered, objective, better):
-    """Deterministic starting pairs for the greedy build.
+def _greedy(weights, script_ids, k, gain):
+    """Greedy build from deterministic starting pairs, then best-improving
+    single swaps; the best local optimum wins, ties to the smallest set.
 
     Small pools start once from every pair; larger pools start from each
-    language joined with its best partner, keeping the start count linear."""
-    if math.comb(len(ordered), 2) <= _PAIR_START_LIMIT:
-        return list(itertools.combinations(ordered, 2))
-    pairs = []
-    for lang in ordered:
-        best_partner = None
-        best_obj = None
-        for other in ordered:
-            if other == lang:
-                continue
-            obj = objective(tuple(sorted((lang, other))))
-            if best_obj is None or better(obj, best_obj):
-                best_partner, best_obj = other, obj
-        pairs.append(tuple(sorted((lang, best_partner))))
-    return sorted(set(pairs))
-
-
-def _climb(start, ordered, spec, objective, better):
-    """Greedy completion of one starting pair, then best-improving single
-    swaps until no swap improves the objective."""
-    current = list(start)
-    while len(current) < spec.set_size:
-        best_add = None
-        best_obj = None
-        for lang in ordered:
-            if lang in current:
-                continue
-            candidate = tuple(sorted(current + [lang]))
-            obj = objective(candidate)
-            if best_obj is None or better(obj, best_obj):
-                best_add, best_obj = lang, obj
-        current = sorted(current + [best_add])
-
-    current_obj = objective(current)
-    improved = True
-    while improved:
-        improved = False
-        best_move = None
-        best_obj = current_obj
-        for member in current:
-            for outsider in ordered:
-                if outsider in current:
+    index joined with its best partner, keeping the start count linear."""
+    n = len(weights)
+    if math.comb(n, 2) <= _PAIR_START_LIMIT:
+        starts = list(itertools.combinations(range(n), 2))
+    else:
+        found = set()
+        for i in range(n):
+            partner = None
+            best = None
+            for j in range(n):
+                if j == i:
                     continue
-                candidate = tuple(sorted([l for l in current if l != member]
-                                         + [outsider]))
-                obj = objective(candidate)
-                if better(obj, best_obj) or (
-                        obj == best_obj and best_move is not None
-                        and candidate < best_move):
-                    best_move, best_obj = candidate, obj
-        if best_move is not None and better(best_obj, current_obj):
-            current = list(best_move)
-            current_obj = best_obj
-            improved = True
-    return tuple(current), current_obj
-
-
-def _greedy_with_swaps(ordered, spec, objective, better):
+                value = gain(weights[i][j], 2,
+                             1 + (script_ids[i] != script_ids[j]))
+                if best is None or value > best:
+                    partner, best = j, value
+            found.add((min(i, partner), max(i, partner)))
+        starts = sorted(found)
     best_set = None
-    best_obj = None
-    for start in _seed_pairs(ordered, objective, better):
-        candidate, obj = _climb(start, ordered, spec, objective, better)
-        if best_obj is None or better(obj, best_obj) or (
-                obj == best_obj and candidate < best_set):
-            best_set, best_obj = candidate, obj
-    return best_set, best_obj
+    best = None
+    for start in starts:
+        members, value = _climb(list(start), weights, script_ids, k, gain)
+        if best is None or value > best or (value == best
+                                            and members < best_set):
+            best_set, best = members, value
+    return best_set
+
+
+def _climb(members, weights, script_ids, k, gain):
+    """Complete one starting pair greedily (first strictly best addition),
+    then take the best single swap, ties to the smallest resulting set,
+    until no swap strictly improves the gain."""
+    n = len(weights)
+    while True:
+        # exact state of the current members: each index's row sum against
+        # them, their pair sum and the members per script
+        rows = [sum(column) for column in zip(*(weights[m] for m in members))]
+        pair_sum = sum(rows[m] for m in members) // 2
+        counts = [0] * n
+        for m in members:
+            counts[script_ids[m]] += 1
+        distinct = sum(count > 0 for count in counts)
+        outsiders = [o for o in range(n) if o not in members]
+        if len(members) < k:
+            add = None
+            best = None
+            for o in outsiders:
+                value = gain(pair_sum + rows[o], len(members) + 1,
+                             distinct + (counts[script_ids[o]] == 0))
+                if best is None or value > best:
+                    add, best = o, value
+            members = sorted(members + [add])
+            continue
+        current = gain(pair_sum, k, distinct)
+        best = current
+        move = None
+        move_set = None
+        for m in members:
+            base = pair_sum - rows[m]
+            leaves = counts[script_ids[m]] == 1
+            for o in outsiders:
+                if script_ids[o] == script_ids[m]:
+                    scripts = distinct
+                else:
+                    scripts = (distinct - leaves
+                               + (counts[script_ids[o]] == 0))
+                value = gain(base + rows[o] - weights[o][m], k, scripts)
+                if value > best:
+                    move, move_set, best = (m, o), None, value
+                elif value == best and move is not None:
+                    if move_set is None:
+                        move_set = _swapped(members, *move)
+                    candidate = _swapped(members, m, o)
+                    if candidate < move_set:
+                        move, move_set = (m, o), candidate
+        if move is None:
+            return tuple(members), current
+        members = list(_swapped(members, *move))
+
+
+def _swapped(members, out, into):
+    return tuple(sorted([m for m in members if m != out] + [into]))
 
 
 # --- Feature and script files ------------------------------------------------
@@ -344,7 +458,8 @@ def load_feature_csv(path: str | Path) -> dict[str, FeatureVectors]:
         component = row["component"].strip()
         if component not in FEATURE_COMPONENTS:
             raise ValueError(f"{path}: unknown component {component!r}")
-        vector = tuple(float(v) for v in row["values"].split())
+        vector = tuple(number_cell(path, row.line, v)
+                       for v in row["values"].split())
         if not vector:
             raise ValueError(f"{path}: empty vector for {lang}")
         per_lang = collected.setdefault(lang, {})

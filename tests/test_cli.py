@@ -467,6 +467,53 @@ class TestSelectLangsCommand:
              "--script", "Latn"])
         assert code == EXIT_DATA  # default set size 8 exceeds the pool
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_3(self, monkeypatch, capsys,
+                                      selection_files, alpha):
+        # used to exit 0 and print "objective": NaN, which is not JSON
+        features, scripts = selection_files
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", "sim-div",
+             "--set-size", "2", "--alpha", alpha])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"error: alpha must be finite, got {float(alpha)}\n"
+
+    def test_nan_feature_cell_exits_3(self, monkeypatch, capsys,
+                                      selection_files):
+        features, scripts = selection_files
+        features.write_text(features.read_text(encoding="utf-8").replace(
+            "bbb,syntactic,2 1", "bbb,syntactic,2 nan"), encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", "sim-div",
+             "--set-size", "2"])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"error: {features}:3: expected a finite number, "
+                       f"got 'nan'\n")
+
+    def test_non_finite_similarity_exits_3(self, monkeypatch, capsys,
+                                           selection_files):
+        # finite cells whose products overflow give a NaN cosine
+        features, scripts = selection_files
+        text = features.read_text(encoding="utf-8")
+        for row in ("bbb,syntactic,2 1", "ccc,syntactic,1 2"):
+            text = text.replace(row, row[:14] + "1e300 1e300")
+        features.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", "sim-div",
+             "--set-size", "2"])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == ("error: similarity for pair ('bbb', 'ccc') is not "
+                       "finite: nan\n")
+
 
 @pytest.fixture()
 def stats_files(tmp_path):
@@ -813,8 +860,9 @@ class TestCompareCommand:
 
 
 class TestMalformedCsv:
-    """Short and duplicate rows in the tidy CSV inputs exit 3 with the file
-    (and, for a short row, the line) named on stderr."""
+    """Short, long and duplicate rows and bad numbers in the tidy CSV inputs
+    exit 3 with the file (and, but for a duplicate, the line) named on
+    stderr."""
 
     @pytest.mark.parametrize("kind", ["scores", "metrics", "features",
                                       "scripts"])
@@ -837,6 +885,59 @@ class TestMalformedCsv:
         code, _, err = run_cli(monkeypatch, capsys, argv)
         assert code == EXIT_DATA
         assert err.startswith(f"error: {path}:3: ")
+
+    @pytest.mark.parametrize("kind", ["scores", "metrics", "features",
+                                      "scripts"])
+    def test_long_row_exits_3(self, monkeypatch, capsys, stats_files,
+                              selection_files, kind):
+        # an extra field used to be dropped silently
+        scores, metric_values = stats_files
+        features, scripts = selection_files
+        path = {"scores": scores, "metrics": metric_values,
+                "features": features, "scripts": scripts}[kind]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        width = lines[2].count(",") + 1
+        lines[2] = lines[2].rstrip("\n") + ",9\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        if kind in ("scores", "metrics"):
+            argv = ["stats", "--scores", str(scores),
+                    "--metrics", str(metric_values)]
+        else:
+            argv = ["select-langs", "--features", str(features),
+                    "--scripts", str(scripts), "--regime", "sim-div",
+                    "--set-size", "2"]
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"error: {path}:3: expected {width} fields, "
+                       f"got {width + 1}\n")
+
+    @pytest.mark.parametrize("cell", ["x", "nan", "-inf", "1e999"])
+    @pytest.mark.parametrize("kind", ["scores", "metrics", "features"])
+    def test_bad_number_names_file_and_line(self, monkeypatch, capsys,
+                                            stats_files, selection_files,
+                                            kind, cell):
+        scores, metric_values = stats_files
+        features, scripts = selection_files
+        path = {"scores": scores, "metrics": metric_values,
+                "features": features}[kind]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # in a feature vector the bad number follows a good one
+        value = f"1 {cell}" if kind == "features" else cell
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{value}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        if kind == "features":
+            argv = ["select-langs", "--features", str(features),
+                    "--scripts", str(scripts), "--regime", "sim-div",
+                    "--set-size", "2"]
+        else:
+            argv = ["stats", "--scores", str(scores),
+                    "--metrics", str(metric_values)]
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"error: {path}:3: expected a finite number, "
+                       f"got {cell!r}\n")
 
     @pytest.mark.parametrize("kind", ["scores", "metrics"])
     def test_duplicate_row_exits_3(self, monkeypatch, capsys, stats_files,

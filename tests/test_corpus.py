@@ -197,6 +197,30 @@ class TestTidyCsv:
         with pytest.raises(ValueError, match="expected columns"):
             cp.read_tidy_csv(path, ("lang",))
 
+    def test_rows_carry_their_end_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('lang,note,value\naaa,"two\nlines",1\n\nbbb,,2\n',
+                        encoding="utf-8")
+        assert [row.line for row in cp.read_tidy_csv(path, ["lang"])] == \
+            [3, 5]
+
+    def test_long_row_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("lang,value\naaa,1\nbbb,2,9\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"t\.csv:3: expected 2 fields, got 3"):
+            cp.read_tidy_csv(path, ("lang",))
+
+    @pytest.mark.parametrize("text", ["x", "", "nan", "inf", "-1e999"])
+    def test_number_cell_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match=r"^t\.csv:7: expected a finite "
+                                             r"number, got "):
+            cp.number_cell("t.csv", 7, text)
+
+    def test_number_cell_reads_floats(self):
+        assert cp.number_cell("t.csv", 2, " 0.25 ") == 0.25
+        assert cp.number_cell("t.csv", 2, "-3") == -3.0
+
     def test_short_row_names_its_line(self, tmp_path):
         # the quoted field spans two physical lines, so the short row is
         # on line 5

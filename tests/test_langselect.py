@@ -3,8 +3,11 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptshift import langselect as ls
 from scriptshift.langselect import (FeatureVectors, MissingFeatureError,
@@ -24,6 +27,127 @@ def brute_force_select(pool, spec, sims, scripts):
                                 else obj < best_obj):
             best, best_obj = combo, obj
     return best, best_obj
+
+
+# The subset search as it was before exact integer scoring: every candidate
+# scored by set_objective. Kept verbatim (module globals qualified) as the
+# oracle for select_subset.
+
+def ref_select_subset(pool, spec, sims, scripts=None):
+    """Pick the language set optimizing the regime objective.
+
+    When the number of candidate sets is at most EXHAUSTIVE_SEARCH_LIMIT the
+    search is exhaustive; larger pools fall back to a deterministic greedy
+    build followed by best-improving single swaps. Objective ties always go
+    to the lexicographically smallest set.
+    """
+    script_map = spec.script_map if scripts is None else scripts
+    ordered = sorted(set(pool))
+    if len(ordered) != len(pool):
+        raise ValueError("pool contains duplicate languages")
+    if len(ordered) < spec.set_size:
+        raise ValueError(f"pool of {len(ordered)} languages cannot fill a "
+                         f"set of {spec.set_size}")
+    if spec.regime.single_script:
+        pool_scripts = {ls._script_for(script_map, lang) for lang in ordered}
+        if len(pool_scripts) != 1:
+            raise ValueError(
+                f"regime {spec.regime.value} requires a single-script pool, "
+                f"got scripts {sorted(pool_scripts)}")
+
+    def better(candidate, incumbent):
+        if spec.regime.maximize:
+            return candidate > incumbent
+        return candidate < incumbent
+
+    def objective(langs):
+        return set_objective(langs, spec, sims, script_map)
+
+    if math.comb(len(ordered), spec.set_size) <= ls.EXHAUSTIVE_SEARCH_LIMIT:
+        best_set = None
+        best_obj = None
+        for combo in itertools.combinations(ordered, spec.set_size):
+            obj = objective(combo)
+            if best_obj is None or better(obj, best_obj):
+                best_set, best_obj = combo, obj
+        return best_set, best_obj
+
+    return ref_greedy_with_swaps(ordered, spec, objective, better)
+
+
+REF_PAIR_START_LIMIT = 2048
+
+
+def ref_seed_pairs(ordered, objective, better):
+    """Deterministic starting pairs for the greedy build.
+
+    Small pools start once from every pair; larger pools start from each
+    language joined with its best partner, keeping the start count linear."""
+    if math.comb(len(ordered), 2) <= REF_PAIR_START_LIMIT:
+        return list(itertools.combinations(ordered, 2))
+    pairs = []
+    for lang in ordered:
+        best_partner = None
+        best_obj = None
+        for other in ordered:
+            if other == lang:
+                continue
+            obj = objective(tuple(sorted((lang, other))))
+            if best_obj is None or better(obj, best_obj):
+                best_partner, best_obj = other, obj
+        pairs.append(tuple(sorted((lang, best_partner))))
+    return sorted(set(pairs))
+
+
+def ref_climb(start, ordered, spec, objective, better):
+    """Greedy completion of one starting pair, then best-improving single
+    swaps until no swap improves the objective."""
+    current = list(start)
+    while len(current) < spec.set_size:
+        best_add = None
+        best_obj = None
+        for lang in ordered:
+            if lang in current:
+                continue
+            candidate = tuple(sorted(current + [lang]))
+            obj = objective(candidate)
+            if best_obj is None or better(obj, best_obj):
+                best_add, best_obj = lang, obj
+        current = sorted(current + [best_add])
+
+    current_obj = objective(current)
+    improved = True
+    while improved:
+        improved = False
+        best_move = None
+        best_obj = current_obj
+        for member in current:
+            for outsider in ordered:
+                if outsider in current:
+                    continue
+                candidate = tuple(sorted([l for l in current if l != member]
+                                         + [outsider]))
+                obj = objective(candidate)
+                if better(obj, best_obj) or (
+                        obj == best_obj and best_move is not None
+                        and candidate < best_move):
+                    best_move, best_obj = candidate, obj
+        if best_move is not None and better(best_obj, current_obj):
+            current = list(best_move)
+            current_obj = best_obj
+            improved = True
+    return tuple(current), current_obj
+
+
+def ref_greedy_with_swaps(ordered, spec, objective, better):
+    best_set = None
+    best_obj = None
+    for start in ref_seed_pairs(ordered, objective, better):
+        candidate, obj = ref_climb(start, ordered, spec, objective, better)
+        if best_obj is None or better(obj, best_obj) or (
+                obj == best_obj and candidate < best_set):
+            best_set, best_obj = candidate, obj
+    return best_set, best_obj
 
 
 def random_instance(rng, n, quantize=None):
@@ -129,6 +253,14 @@ class TestAggregateSimilarity:
                                      corpora={"aaa": ["a"]})
         assert value == pytest.approx((4.0 / 3.0) * 1.6, abs=1e-12)
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            aggregate_similarity("aaa", "bbb", crafted_features(),
+                                 {"aaa": ["a"], "bbb": [" "]})
+        with pytest.raises(ValueError, match="non-empty"):
+            SimilarityMatrix.build(["aaa", "bbb"], crafted_features(),
+                                   {"aaa": [], "bbb": ["a"]})
+
     def test_unknown_language_rejected(self):
         with pytest.raises(MissingFeatureError, match="zzz"):
             aggregate_similarity("aaa", "zzz", crafted_features())
@@ -170,6 +302,14 @@ class TestSimilarityMatrix:
     def test_unsorted_langs_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             SimilarityMatrix(("bbb", "aaa"), {("aaa", "bbb"): 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match=r"pair \('aaa', 'ccc'\) is not "
+                                             r"finite"):
+            SimilarityMatrix(("aaa", "bbb", "ccc"),
+                             {("aaa", "bbb"): 1.0, ("aaa", "ccc"): value,
+                              ("bbb", "ccc"): value})
 
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -251,6 +391,11 @@ class TestSpecAndRegime:
             SelectionSpec(regime=Regime.SIM_SAME, set_size=1)
         with pytest.raises(ValueError, match="alpha"):
             SelectionSpec(regime=Regime.SIM_SAME, alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_spec_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            SelectionSpec(regime=Regime.SIM_DIV, alpha=alpha)
 
     def test_spec_defaults(self):
         spec = SelectionSpec(regime=Regime.SIM_DIV)
@@ -360,6 +505,155 @@ class TestSelectSubset:
         spec_div = SelectionSpec(regime=Regime.SIM_DIV, set_size=2,
                                  script_map=SCRIPTS)
         select_subset(("aaa", "bbb", "ccc"), spec_div, stub_matrix())
+
+
+LANG_SCRIPTS = ("Latn", "Cyrl", "Hang")
+PAIR_VALUES = {
+    "uniform": st.floats(0.0, 4.0),
+    # few distinct values, so objective ties are common
+    "quantized": st.integers(0, 8).map(lambda v: v / 4),
+    "signed": st.floats(-4.0, 4.0),
+    "wide": st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)),
+}
+ALPHAS = st.one_of(st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]),
+                   st.floats(0.0, 8.0))
+
+
+def search_outcome(search, pool, spec, sims, exhaustive):
+    """(chosen, objective.hex()) of one search, or the error it raised;
+    exhaustive=False forces the greedy branch."""
+    limit = ls.EXHAUSTIVE_SEARCH_LIMIT if exhaustive else 0
+    with mock.patch.object(ls, "EXHAUSTIVE_SEARCH_LIMIT", limit):
+        try:
+            chosen, objective = search(pool, spec, sims)
+        except (ValueError, KeyError) as exc:
+            return type(exc), str(exc)
+    return chosen, objective.hex()
+
+
+@st.composite
+def selection_cases(draw):
+    n = draw(st.integers(2, 10))
+    langs = tuple(f"l{i:02d}" for i in range(n))
+    kind = draw(st.sampled_from([*PAIR_VALUES, "equal"]))
+    if kind == "equal":
+        value = draw(st.floats(-4.0, 4.0))
+        values = {pair: value for pair in itertools.combinations(langs, 2)}
+    else:
+        values = {pair: draw(PAIR_VALUES[kind])
+                  for pair in itertools.combinations(langs, 2)}
+    pool = draw(st.lists(st.sampled_from(langs), min_size=2, unique=True))
+    layout = draw(st.sampled_from(["single", "mixed", "missing"]))
+    if layout == "single":
+        scripts = {lang: "Latn" for lang in langs}
+    else:
+        scripts = {lang: draw(st.sampled_from(LANG_SCRIPTS))
+                   for lang in langs
+                   if layout == "mixed" or draw(st.booleans())}
+    spec = SelectionSpec(regime=draw(st.sampled_from(list(Regime))),
+                         set_size=draw(st.integers(2, min(len(pool), 5))),
+                         alpha=draw(ALPHAS), script_map=scripts)
+    return pool, spec, SimilarityMatrix(langs, values), draw(st.booleans())
+
+
+class TestSearchMatchesReference:
+    """select_subset against the set_objective-scored search it replaced:
+    the same set, the same objective bits, the same error."""
+
+    @given(selection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_small_pools(self, case):
+        pool, spec, sims, exhaustive = case
+        assert search_outcome(select_subset, pool, spec, sims, exhaustive) \
+            == search_outcome(ref_select_subset, pool, spec, sims,
+                              exhaustive)
+
+    @given(st.integers(65, 68), st.integers(2, 4),
+           st.sampled_from(list(Regime)), st.sampled_from([None, 2, 4]),
+           st.sampled_from([0.0, 0.25]), st.integers(0, 2**32))
+    @settings(max_examples=6, deadline=None)
+    def test_linear_seed_pools(self, n, k, regime, quantize, alpha, seed):
+        # more than 64 languages: greedy starts from each language's best
+        # partner instead of from every pair
+        rng = random.Random(seed)
+        langs, sims = random_instance(rng, n, quantize)
+        scripts = {lang: "Latn" if regime.single_script
+                   else rng.choice(LANG_SCRIPTS) for lang in langs}
+        spec = SelectionSpec(regime=regime, set_size=k, alpha=alpha,
+                             script_map=scripts)
+        assert math.comb(n, 2) > ls._PAIR_START_LIMIT
+        assert search_outcome(select_subset, langs, spec, sims, False) == \
+            search_outcome(ref_select_subset, langs, spec, sims, False)
+
+    @pytest.mark.parametrize("seed, regime", [(74, Regime.DISSIM_DIV),
+                                              (179, Regime.SIM_DIV)])
+    def test_swap_ties_on_linear_seed_pools(self, seed, regime):
+        # instances where two best swaps tie on the objective and the
+        # greedy answer depends on taking the lexicographically smaller set
+        rng = random.Random(seed)
+        langs, sims = random_instance(rng, 66, 2)
+        scripts = {lang: rng.choice(["Latn", "Cyrl"]) for lang in langs}
+        spec = SelectionSpec(regime=regime, set_size=4, alpha=0.5,
+                             script_map=scripts)
+        assert search_outcome(select_subset, langs, spec, sims, False) == \
+            search_outcome(ref_select_subset, langs, spec, sims, False)
+
+
+def pairwise_outcome(langs, features, corpora):
+    """aggregate_similarity per pair in build's order, or the first error."""
+    ordered = sorted(set(langs))
+    try:
+        return {pair: aggregate_similarity(*pair, features, corpora).hex()
+                for pair in itertools.combinations(ordered, 2)}
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def similarity_inputs(draw):
+    langs = draw(st.lists(st.sampled_from(["aaa", "bbb", "ccc", "ddd",
+                                           "eee"]), min_size=2, unique=True))
+    # small integer vectors of one or two dimensions, so zero vectors and
+    # dimension mismatches occur; a language may lack any component
+    vectors = st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1,
+                                            max_size=2).map(tuple))
+    features = {}
+    for lang in langs:
+        if draw(st.integers(0, 5)):
+            features[lang] = FeatureVectors(
+                lang, **{name: draw(vectors)
+                         for name in ls.FEATURE_COMPONENTS})
+    lines = st.lists(st.text(alphabet="ab ", max_size=6), max_size=3)
+    corpora = {lang: draw(lines) for lang in langs if draw(st.booleans())}
+    return langs, features, draw(st.sampled_from([None, corpora]))
+
+
+class TestBuildMatchesPairwise:
+    @given(similarity_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_values_and_first_error(self, case):
+        langs, features, corpora = case
+        try:
+            matrix = SimilarityMatrix.build(langs, features, corpora)
+        except ValueError as exc:
+            built = type(exc), str(exc)
+        else:
+            built = {pair: value.hex()
+                     for pair, value in matrix.values.items()}
+        assert built == pairwise_outcome(langs, features, corpora)
+
+    def test_each_corpus_read_once(self, monkeypatch):
+        calls = []
+
+        def counting(corpus):
+            calls.append(corpus)
+            return word_types(corpus)
+        monkeypatch.setattr(ls, "word_types", counting)
+        features = {lang: FeatureVectors(lang, syntactic=(1.0, float(i)))
+                    for i, lang in enumerate(["aaa", "bbb", "ccc", "ddd"])}
+        corpora = {lang: [f"w{lang} shared"] for lang in features}
+        SimilarityMatrix.build(list(features), features, corpora)
+        assert len(calls) == 4
 
 
 class TestFileLoading:
