@@ -9,7 +9,7 @@ makes the effects visible.
 
 from .corpus import (CorpusManifest, Document, EmptyCorpusError,
                      count_words, oversampling_weights, repetition_counts,
-                     sample_to_budget)
+                     sample_to_budget, word_counts)
 from .input_types import InputType
 from .langselect import (FeatureVectors, Regime, SelectionSpec,
                          SimilarityMatrix, aggregate_similarity,

@@ -168,8 +168,7 @@ def _cmd_train_tokenizer(args: argparse.Namespace) -> int:
     def lines():
         for path in args.input:
             with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    yield line.rstrip("\n")
+                yield from handle
 
     model = tokenizer.train(lines(), args.vocab_size, args.min_char_freq)
     _emit(args, tokenizer.dumps_model(model))
@@ -190,8 +189,7 @@ def _cmd_token_set(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
     input_type = InputType.parse(args.input_type)
     with _open_in(args.input) as src:
-        ts = tokenizer.token_set(model, (line.rstrip("\n") for line in src),
-                                 args.lang, input_type)
+        ts = tokenizer.token_set(model, src, args.lang, input_type)
     _emit(args, write_report(ts.to_json_dict(), "json"))
     return EXIT_OK
 
@@ -224,9 +222,8 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
     input_type = InputType.parse(args.input_type)
     with open(args.input, "r", encoding="utf-8") as handle:
-        report = metrics.quality_report(
-            model, (line.rstrip("\n") for line in handle), args.lang,
-            input_type)
+        report = metrics.quality_report(model, handle, args.lang,
+                                        input_type)
     _emit_report(args, report.to_json_dict(),
                  [_METRIC_COLUMNS, *report.to_csv_rows()])
     return EXIT_OK
@@ -284,8 +281,11 @@ def _read_stats_csv(path: str, value_column: str,
     values: dict[tuple, float] = {}
     required = ("lang", "input_type", *key_columns, value_column)
     for row in corpus_mod.read_tidy_csv(path, required):
-        key = (row.get("set", "").strip(), row["lang"].strip(),
-               InputType.parse(row["input_type"]).value,
+        try:
+            input_type = InputType.parse(row["input_type"]).value
+        except ValueError as exc:
+            raise ValueError(f"{path}:{row.line}: {exc}") from None
+        key = (row.get("set", "").strip(), row["lang"].strip(), input_type,
                *(row[column].strip() for column in key_columns))
         if key in values:
             raise ValueError(f"{path}: duplicate row for {key}")

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -76,6 +78,12 @@ def count_words(doc: Document | str) -> int:
     """Whitespace-segmented word count; empty text counts zero."""
     text = doc.text if isinstance(doc, Document) else doc
     return len(text.split())
+
+
+def word_counts(lines: Iterable[str]) -> Counter:
+    """Occurrences of each whitespace word over text lines, keyed in order
+    of first occurrence; the one place a corpus is counted into words."""
+    return Counter(chain.from_iterable(map(str.split, lines)))
 
 
 def sample_to_budget(docs: Sequence[Document], budget: int, seed: int,

@@ -163,7 +163,11 @@ def _pair_similarity(x: str, y: str, features: Mapping[str, FeatureVectors],
         vec_y = features[y].component(name)
         if vec_x is None or vec_y is None:
             continue
-        present.append(cosine_similarity(vec_x, vec_y))
+        try:
+            present.append(cosine_similarity(vec_x, vec_y))
+        except ValueError as exc:
+            raise ValueError(
+                f"{name} vectors of {x!r} and {y!r}: {exc}") from exc
     if x in types and y in types:
         present.append(_jaccard(types[x], types[y]))
     if not present:
@@ -287,7 +291,11 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
     else:
         best = _greedy(weights, script_ids, spec.set_size, gain)
     chosen = tuple(ordered[i] for i in best)
-    return chosen, set_objective(chosen, spec, sims, script_map)
+    objective = set_objective(chosen, spec, sims, script_map)
+    if not math.isfinite(objective):
+        raise ValueError(f"objective of the {spec.regime.value} selection with "
+                         f"alpha {spec.alpha!r} is not finite: {objective!r}")
+    return chosen, objective
 
 
 def _scaled_weights(ordered: Sequence[str], sims: SimilarityMatrix,

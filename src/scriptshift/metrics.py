@@ -4,7 +4,8 @@ All ratios are computed as exact fractions; reports render them as decimals
 only when serialized. Overlap compares an unseen target language's token set
 against the token sets of the languages a tokenizer was trained on. The
 quality metrics (unknown-token ratio, fertility, vocabulary coverage) are
-projections of one tally per corpus that segments each distinct word once.
+projections of `tokenizer.tally`, which segments each distinct word of a
+corpus once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .input_types import InputType
-from .tokenizer import SubwordModel, TokenSet, UNK_SENTINEL, encoder_for
+from .tokenizer import SubwordModel, TokenSet, tally
 
 
 class OverlapVariant(str, Enum):
@@ -124,6 +125,17 @@ def _check_target_and_sources(target: TokenSet,
         raise ValueError(f"duplicate source languages: {langs}")
 
 
+def _best_source(target: TokenSet, sources: Sequence[TokenSet],
+                 ) -> tuple[TokenSet, Fraction]:
+    """The source sharing the most target tokens (ties to the smallest
+    language code) and that count over |target tokens|."""
+    _check_target_and_sources(target, sources)
+    neg_shared, _, best = min(
+        (-len(source.tokens & target.tokens), source.lang, source)
+        for source in sources)
+    return best, Fraction(-neg_shared, len(target.tokens))
+
+
 def overlap_ratio(target: TokenSet,
                   sources: Sequence[TokenSet]) -> tuple[str, Fraction]:
     """Best source language and its shared-token ratio.
@@ -132,15 +144,8 @@ def overlap_ratio(target: TokenSet,
     |target tokens|; the maximum wins, ties going to the lexicographically
     smallest language code. All token sets must come from one tokenizer.
     """
-    _check_target_and_sources(target, sources)
-    best_lang = None
-    best_ratio = None
-    for source in sorted(sources, key=lambda s: s.lang):
-        ratio = Fraction(len(source.tokens & target.tokens),
-                         len(target.tokens))
-        if best_ratio is None or ratio > best_ratio:
-            best_lang, best_ratio = source.lang, ratio
-    return best_lang, best_ratio
+    best, ratio = _best_source(target, sources)
+    return best.lang, ratio
 
 
 def overlap_by_length(target: TokenSet,
@@ -148,30 +153,14 @@ def overlap_by_length(target: TokenSet,
     """Split the best source's overlap by token length. Each entry is
     |shared tokens of length m| over |target tokens|, so the entries sum to
     the overall ratio exactly; lengths with no shared tokens are omitted."""
-    best_lang, _ = overlap_ratio(target, sources)
-    best = next(s for s in sources if s.lang == best_lang)
-    return _shared_by_length(target, best.tokens)
+    return overlap_report(target, sources).by_length
 
 
 def overlap_all_sources(target: TokenSet,
                         sources: Sequence[TokenSet]) -> dict[int, Fraction]:
     """Like overlap_by_length but against the union of all source tokens."""
-    _check_target_and_sources(target, sources)
-    union: set[str] = set()
-    for source in sources:
-        union |= source.tokens
-    return _shared_by_length(target, union)
-
-
-def _shared_by_length(target: TokenSet,
-                      source_tokens: frozenset | set) -> dict[int, Fraction]:
-    shared = target.tokens & source_tokens
-    counts: dict[int, int] = {}
-    for token in shared:
-        counts[len(token)] = counts.get(len(token), 0) + 1
-    total = len(target.tokens)
-    return {length: Fraction(count, total)
-            for length, count in sorted(counts.items())}
+    return overlap_report(target, sources,
+                          OverlapVariant.ALL_SOURCES).by_length
 
 
 def overlap_type_ratio(target: TokenSet,
@@ -179,56 +168,39 @@ def overlap_type_ratio(target: TokenSet,
     """Per-length-class overlap with the best source: shared tokens of
     length m over target tokens of length m. Every length present in the
     target appears, including classes with no overlap."""
-    best_lang, _ = overlap_ratio(target, sources)
-    best = next(s for s in sources if s.lang == best_lang)
-    shared = target.tokens & best.tokens
-    ratios: dict[int, Fraction] = {}
-    for length, bucket in target.by_length().items():
-        hit = sum(1 for token in bucket if token in shared)
-        ratios[length] = Fraction(hit, len(bucket))
-    return ratios
+    return overlap_report(target, sources,
+                          OverlapVariant.TYPE_RATIO).by_length
 
 
 def overlap_report(target: TokenSet, sources: Sequence[TokenSet],
                    variant: OverlapVariant = OverlapVariant.MAX_SOURCE,
                    ) -> OverlapReport:
-    """Assemble an overlap report under the chosen aggregation variant."""
-    best_lang, best_ratio = overlap_ratio(target, sources)
-    if variant is OverlapVariant.MAX_SOURCE:
-        by_length = overlap_by_length(target, sources)
-        return OverlapReport(target.lang, variant, best_lang, best_ratio,
-                             by_length)
+    """Assemble an overlap report under the chosen aggregation variant.
+    The three per-length helpers above are projections of it."""
     if variant is OverlapVariant.ALL_SOURCES:
-        by_length = overlap_all_sources(target, sources)
+        _check_target_and_sources(target, sources)
+        by_length = _shared_by_length(
+            target, frozenset().union(*(source.tokens for source in sources)))
         overall = sum(by_length.values(), Fraction(0))
         return OverlapReport(target.lang, variant, None, overall, by_length)
-    by_length = overlap_type_ratio(target, sources)
-    return OverlapReport(target.lang, variant, best_lang, best_ratio,
-                         by_length)
+    best, ratio = _best_source(target, sources)
+    if variant is OverlapVariant.MAX_SOURCE:
+        by_length = _shared_by_length(target, best.tokens)
+    else:
+        by_length = {length: Fraction(len(bucket & best.tokens), len(bucket))
+                     for length, bucket in target.by_length().items()}
+    return OverlapReport(target.lang, variant, best.lang, ratio, by_length)
+
+
+def _shared_by_length(target: TokenSet,
+                      source_tokens: frozenset | set) -> dict[int, Fraction]:
+    counts = Counter(map(len, target.tokens & source_tokens))
+    total = len(target.tokens)
+    return {length: Fraction(count, total)
+            for length, count in sorted(counts.items())}
 
 
 # --- Tokenizer quality ------------------------------------------------------
-
-
-def _tally(model: SubwordModel, corpus: Iterable[str],
-           ) -> tuple[int, int, int, set[str]]:
-    """Whitespace words, produced tokens, unknown tokens, and the distinct
-    non-unknown tokens of a corpus. Each distinct word is segmented once and
-    its counts are weighted by how often it occurs."""
-    counts = Counter(word for line in corpus for word in line.split())
-    encoder = encoder_for(model)
-    tokens = 0
-    unk = 0
-    produced: set[str] = set()
-    for word, count in counts.items():
-        symbols = encoder.segment_word(word)
-        tokens += count * len(symbols)
-        for sym in symbols:
-            if sym is UNK_SENTINEL:
-                unk += count
-            else:
-                produced.add(sym)
-    return counts.total(), tokens, unk, produced
 
 
 def _coverage(model: SubwordModel, produced: set[str],
@@ -244,7 +216,7 @@ def _coverage(model: SubwordModel, produced: set[str],
 
 def unk_ratio(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
     """Fraction of produced tokens that are the unknown token."""
-    _, tokens, unk, _ = _tally(model, corpus)
+    _, tokens, unk, _ = tally(model, corpus)
     if tokens == 0:
         raise ValueError("corpus produced no tokens")
     return Fraction(unk, tokens)
@@ -252,7 +224,7 @@ def unk_ratio(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
 
 def fertility(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
     """Tokens produced per whitespace word; at least 1 by construction."""
-    words, tokens, _, _ = _tally(model, corpus)
+    words, tokens, _, _ = tally(model, corpus)
     if words == 0:
         raise ValueError("corpus has no words")
     return Fraction(tokens, words)
@@ -265,13 +237,13 @@ def vocab_coverage(model: SubwordModel, corpus: Iterable[str],
     Returns the overall ratio (distinct non-unknown tokens emitted over
     vocab_size_target) and its exact partition by surface token length,
     where the length of a token is measured with the marker stripped."""
-    return _coverage(model, _tally(model, corpus)[3])
+    return _coverage(model, tally(model, corpus)[3])
 
 
 def quality_report(model: SubwordModel, corpus: Iterable[str], lang: str,
                    input_type: InputType) -> TokenizerQualityReport:
     """All quality metrics of one corpus from a single read of it."""
-    words, tokens, unk, produced = _tally(model, corpus)
+    words, tokens, unk, produced = tally(model, corpus)
     if words == 0:
         raise ValueError(f"corpus for {lang!r} has no words")
     coverage, by_length = _coverage(model, produced)

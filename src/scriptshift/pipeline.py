@@ -3,9 +3,11 @@
 A run takes per-language document collections, samples seen languages to a
 word budget, renders every corpus in the configured input type, trains one
 tokenizer on the oversampling-weighted seen corpora, and reports quality and
-overlap metrics. Runs are deterministic functions of the config, corpora and
-rule tables; artifacts are cached under a digest of all three so stages can
-be reused exactly.
+overlap metrics. Each prepared corpus is counted once into a word table,
+which gives the training counts (scaled by repetition counts) and, through
+its distinct words, the token set. Runs are deterministic functions of the
+config, corpora and rule tables; artifacts are cached under a digest of all
+three so stages can be reused exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .corpus import (CorpusManifest, Document, EmptyCorpusError,
-                     repetition_counts, sample_to_budget)
+                     repetition_counts, sample_to_budget, word_counts)
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
@@ -431,29 +433,31 @@ def run_experiment(config: ExperimentConfig,
         store.save_text(f"prepared/{lang}.txt",
                         "".join(line + "\n" for line in lines))
 
-    cached_model = store.load_text("model.json")
-    if cached_model is not None:
-        model = loads_model(cached_model)
+    tables = {lang: word_counts(lines) for lang, lines in prepared.items()}
+
+    model_text = store.load_text("model.json")
+    if model_text is not None:
+        model = loads_model(model_text)
     else:
         try:
             reps = repetition_counts(
                 [manifests[lang] for lang in config.seen_langs],
                 config.budget)
-            word_counts: Counter = Counter()
+            train_counts: Counter = Counter()
             for lang in config.seen_langs:
                 factor = reps[lang]
-                for line in prepared[lang]:
-                    for word in line.split():
-                        word_counts[word] += factor
-            model = train_from_word_counts(word_counts, config.vocab_size,
+                for word, count in tables[lang].items():
+                    train_counts[word] += count * factor
+            model = train_from_word_counts(train_counts, config.vocab_size,
                                            config.min_char_freq)
         except Exception as exc:
             raise PipelineStageError("train", None, exc) from exc
-        store.save_text("model.json", dumps_model(model))
+        model_text = dumps_model(model)
+        store.save_text("model.json", model_text)
 
     try:
         token_sets = {
-            lang: token_set(model, prepared[lang], lang, config.input_type)
+            lang: token_set(model, tables[lang], lang, config.input_type)
             for lang in sorted(config.langs)
         }
         for lang, ts in token_sets.items():
@@ -487,8 +491,7 @@ def run_experiment(config: ExperimentConfig,
 
     report = AnalysisReport(
         config_digest=config.digest(),
-        model_digest=hashlib.sha256(
-            dumps_model(model).encode("utf-8")).hexdigest(),
+        model_digest=hashlib.sha256(model_text.encode("utf-8")).hexdigest(),
         input_type=config.input_type,
         seed=config.seed,
         vocab_size=config.vocab_size,

@@ -8,6 +8,8 @@ right over the word; the encoder reaches the same result by rank-driven
 merging, so a serialized model reproduces the same segmentation anywhere.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
+`tally` is the one segmentation walk over a corpus, segmenting each distinct
+word once; token sets and the quality metrics are projections of it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import EmptyCorpusError
+from .corpus import EmptyCorpusError, word_counts
 from .input_types import InputType
 
 UNK_ID = 0
@@ -367,10 +369,8 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
 def train(corpus: Iterable[str], vocab_size: int,
           min_char_freq: int = 1) -> SubwordModel:
     """Train a model on an iterable of text lines."""
-    word_counts: Counter = Counter()
-    for line in corpus:
-        word_counts.update(line.split())
-    return train_from_word_counts(word_counts, vocab_size, min_char_freq)
+    return train_from_word_counts(word_counts(corpus), vocab_size,
+                                  min_char_freq)
 
 
 # --- Encoding ---------------------------------------------------------------
@@ -509,24 +509,32 @@ def decode(model: SubwordModel, ids: Sequence[int]) -> str:
     return text[1:] if text.startswith(" ") else text
 
 
+def tally(model: SubwordModel, corpus: Iterable[str],
+          ) -> tuple[int, int, int, set[str]]:
+    """Whitespace words, produced tokens, unknown tokens, and the distinct
+    non-unknown symbols (markers kept) over a corpus of text lines. Each
+    distinct word is segmented once; its counts are weighted by occurrence."""
+    counts = word_counts(corpus)
+    encoder = encoder_for(model)
+    tokens = unk = 0
+    produced: set = set()
+    for word, count in counts.items():
+        symbols = encoder.segment_word(word)
+        tokens += count * len(symbols)
+        unk += count * symbols.count(UNK_SENTINEL)
+        produced.update(symbols)
+    produced.discard(UNK_SENTINEL)
+    return counts.total(), tokens, unk, produced
+
+
 def token_set(model: SubwordModel, corpus: Iterable[str], lang: str,
               input_type: InputType) -> TokenSet:
     """Unique surface tokens (markers stripped, unknowns excluded) the model
-    produces over a corpus of text lines."""
-    encoder = encoder_for(model)
-    words: set[str] = set()
-    for line in corpus:
-        words.update(line.split())
-    surface: set[str] = set()
-    for word in words:
-        for sym in encoder.segment_word(word):
-            if sym is UNK_SENTINEL:
-                continue
-            stripped = model.strip_marker(sym)
-            if stripped:
-                surface.add(stripped)
+    produces over a corpus of text lines. Only the distinct words matter,
+    so a corpus's distinct words, one per line, give the same set."""
+    surface = {model.strip_marker(sym) for sym in tally(model, corpus)[3]}
     return TokenSet(lang=lang, input_type=input_type,
-                    tokens=frozenset(surface))
+                    tokens=frozenset(surface - {""}))
 
 
 # --- Serialization ----------------------------------------------------------

@@ -481,6 +481,38 @@ class TestSelectLangsCommand:
         assert out == ""
         assert err == f"error: alpha must be finite, got {float(alpha)}\n"
 
+    @pytest.mark.parametrize("regime, objective", [("sim-div", "inf"),
+                                                   ("dissim-div", "-inf")])
+    def test_overflowing_objective_exits_3(self, monkeypatch, capsys,
+                                           selection_files, regime,
+                                           objective):
+        # used to exit 0 and print "objective": Infinity, which is not JSON
+        features, scripts = selection_files
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", regime,
+             "--set-size", "2", "--alpha", "1e308"])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"error: objective of the {regime} selection with "
+                       f"alpha 1e+308 is not finite: {objective}\n")
+
+    def test_vector_length_mismatch_names_component_and_langs(
+            self, monkeypatch, capsys, selection_files):
+        features, scripts = selection_files
+        with open(features, "a", encoding="utf-8") as handle:
+            handle.write("aaa,genetic,1 0\nbbb,genetic,2\n")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", "sim-div",
+             "--set-size", "2"])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == ("error: genetic vectors of 'aaa' and 'bbb': vector "
+                       "dimensions differ: 2 vs 1\n")
+
     def test_nan_feature_cell_exits_3(self, monkeypatch, capsys,
                                       selection_files):
         features, scripts = selection_files
@@ -938,6 +970,25 @@ class TestMalformedCsv:
         assert out == ""
         assert err == (f"error: {path}:3: expected a finite number, "
                        f"got {cell!r}\n")
+
+    @pytest.mark.parametrize("kind", ["scores", "metrics"])
+    def test_unknown_input_type_names_file_and_line(self, monkeypatch,
+                                                    capsys, stats_files,
+                                                    kind):
+        scores, metric_values = stats_files
+        path = scores if kind == "scores" else metric_values
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace(",Ortho,", ",Foo,")
+        path.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["stats", "--scores", str(scores),
+             "--metrics", str(metric_values)])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"error: {path}:3: unknown input type 'Foo'; "
+                       f"expected one of ['Ortho', 'IPA', 'Rom', "
+                       f"'Cipher']\n")
 
     @pytest.mark.parametrize("kind", ["scores", "metrics"])
     def test_duplicate_row_exits_3(self, monkeypatch, capsys, stats_files,

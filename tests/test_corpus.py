@@ -37,6 +37,37 @@ class TestCountWords:
         assert cp.count_words(cp.Document("d", "eng", text)) == expected
 
 
+class TestWordCounts:
+    def test_splits_on_tabs_and_ideographic_space(self):
+        counts = cp.word_counts(["b\ta  b", "c\u3000a\tb"])
+        assert counts == {"a": 2, "b": 3, "c": 1}
+        assert list(counts) == ["b", "a", "c"]  # first occurrence order
+
+    def test_empty_and_whitespace_only_lines_count_nothing(self):
+        assert cp.word_counts([]) == {}
+        counts = cp.word_counts(["", "   ", "\t\u3000", "x", ""])
+        assert counts == {"x": 1}
+        assert counts.total() == 1
+
+    def test_reads_a_one_shot_iterator_once(self):
+        lines = iter(["x y", "", "y z y"])
+        assert cp.word_counts(lines) == {"x": 1, "y": 3, "z": 1}
+        assert next(lines, None) is None
+
+    @given(st.lists(st.text(alphabet="ab \t\u3000\n", max_size=8),
+                    max_size=6))
+    @settings(max_examples=100)
+    def test_matches_per_line_loop(self, lines):
+        expected = {}
+        for line in lines:
+            for word in line.split():
+                expected[word] = expected.get(word, 0) + 1
+        counts = cp.word_counts(lines)
+        assert counts == expected
+        assert list(counts) == list(expected)
+        assert counts.total() == sum(cp.count_words(line) for line in lines)
+
+
 class TestSampling:
     def test_crossing_document_included(self):
         docs = docs_of("a b c d e", "f g h i j", "k l m n o")

@@ -253,6 +253,17 @@ class TestAggregateSimilarity:
                                      corpora={"aaa": ["a"]})
         assert value == pytest.approx((4.0 / 3.0) * 1.6, abs=1e-12)
 
+    def test_vector_length_mismatch_names_component_and_languages(self):
+        features = crafted_features()
+        features["bbb"] = FeatureVectors("bbb", syntactic=(1.0, 0.0),
+                                         genetic=(1.0,))
+        message = (r"^genetic vectors of 'aaa' and 'bbb': vector dimensions "
+                   r"differ: 2 vs 1$")
+        with pytest.raises(ValueError, match=message):
+            aggregate_similarity("aaa", "bbb", features)
+        with pytest.raises(ValueError, match=message):
+            SimilarityMatrix.build(["aaa", "bbb"], features)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             aggregate_similarity("aaa", "bbb", crafted_features(),
@@ -421,6 +432,22 @@ class TestSelectSubset:
                                     stub_matrix())
         assert chosen == ("aaa", "ccc")
         assert obj == 0.2
+
+    @pytest.mark.parametrize("regime", [Regime.SIM_DIV, Regime.DISSIM_DIV])
+    def test_overflowing_objective_rejected(self, regime):
+        # a finite alpha whose script term overflows used to be returned as
+        # an infinite objective
+        spec = SelectionSpec(regime=regime, set_size=2, alpha=1e308,
+                             script_map=SCRIPTS)
+        with pytest.raises(ValueError, match=(
+                rf"^objective of the {regime.value} selection with alpha "
+                r"1e\+308 is not finite: -?inf$")):
+            select_subset(("aaa", "bbb", "ccc"), spec, stub_matrix())
+        large = SelectionSpec(regime=regime, set_size=2, alpha=1e307,
+                              script_map=SCRIPTS)
+        _, objective = select_subset(("aaa", "bbb", "ccc"), large,
+                                     stub_matrix())
+        assert math.isfinite(objective)
 
     def test_script_bonus_changes_winner(self):
         # without the bonus the most similar pair is (aaa, bbb); the script

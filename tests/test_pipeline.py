@@ -1,15 +1,21 @@
 """End-to-end experiment runs, caching, and cross-input-type comparison."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from scriptshift import pipeline as pl
-from scriptshift.corpus import Document
+from scriptshift.corpus import Document, repetition_counts, sample_to_budget
 from scriptshift.input_types import InputType
-from scriptshift.metrics import OverlapVariant
+from scriptshift.metrics import (OverlapReport, OverlapVariant,
+                                 overlap_report, quality_report,
+                                 token_length_histogram)
+from scriptshift.tokenizer import (dumps_model, token_set,
+                                   train_from_word_counts)
 from scriptshift.pipeline import (AnalysisReport, ComparisonTable,
                                   ConfigError, ExperimentConfig,
                                   LanguageSpec, PipelineStageError,
@@ -225,6 +231,107 @@ class TestRunExperiment:
             run_experiment(make_config(InputType.ORTHO), augmented)
         assert excinfo.value.stage == "sample"
         assert excinfo.value.lang == "kor"
+
+
+def ref_run(config, corpora, prepared):
+    """Reference for the stages after transliteration: training on counts
+    summed line by line and word by word, each word weighted by its
+    language's repetition count, then token_set and quality_report over the
+    prepared lines. Returns the model and report JSON."""
+    manifests = {lang: sample_to_budget(corpora[lang], config.budget,
+                                        config.seed, config.input_type)[0]
+                 for lang in config.seen_langs}
+    reps = repetition_counts(list(manifests.values()), config.budget)
+    counts = Counter()
+    for lang in config.seen_langs:
+        for line in prepared[lang]:
+            for word in line.split():
+                counts[word] += reps[lang]
+    model = train_from_word_counts(counts, config.vocab_size,
+                                   config.min_char_freq)
+    itype = config.input_type
+    token_sets = {lang: token_set(model, prepared[lang], lang, itype)
+                  for lang in sorted(config.langs)}
+    seen_sets = [token_sets[lang] for lang in config.seen_langs]
+    overlap = {}
+    for lang in config.unseen_langs:
+        target = token_sets[lang]
+        overlap[lang] = (
+            overlap_report(target, seen_sets, config.overlap_variant)
+            if target.tokens else OverlapReport(
+                lang, config.overlap_variant, None, Fraction(0), {}))
+    model_json = dumps_model(model)
+    report = AnalysisReport(
+        config_digest=config.digest(),
+        model_digest=hashlib.sha256(model_json.encode("utf-8")).hexdigest(),
+        input_type=itype, seed=config.seed, vocab_size=config.vocab_size,
+        seen_langs=config.seen_langs, unseen_langs=config.unseen_langs,
+        manifests=manifests,
+        quality={lang: quality_report(model, prepared[lang], lang, itype)
+                 for lang in sorted(config.langs)},
+        overlap=overlap,
+        token_lengths=token_length_histogram(token_sets.values()))
+    return model_json, dumps_report(report), token_sets
+
+
+@pytest.fixture(scope="module")
+def ragged_corpora():
+    """Corpora with words repeated within and across languages, and blank
+    and whitespace-only documents among the rest."""
+    rng = random.Random(11)
+    blanks = ["", "   ", "\t \t", "\u3000"]
+    shared = ["the", "quick", "dog", "casa"]
+
+    def ragged(lines):
+        lines = [line + " " + rng.choice(shared) for line in lines]
+        for blank in blanks:
+            lines.insert(rng.randrange(len(lines) + 1), blank)
+        return lines
+
+    return {
+        "eng": as_documents("eng", ragged(latin_lines(rng, 300,
+                                                      vocabulary=40))),
+        "spa": as_documents("spa", ragged(latin_lines(rng, 40, vocabulary=12,
+                                                      words_per_line=5))),
+        "kor": as_documents("kor", ragged(hangul_lines(rng, 90,
+                                                       vocabulary=30))),
+    }
+
+
+class TestWordTablesMatchLinePasses:
+    """run_experiment counts each prepared corpus into one word table; its
+    model, report and token sets equal those of the per-line passes."""
+
+    @pytest.mark.parametrize("input_type, seen, unseen", [
+        (InputType.ORTHO, ("eng", "spa"), ("kor",)),
+        (InputType.ROM, ("eng", "kor"), ("spa",)),
+        (InputType.CIPHER, ("eng", "spa"), ("kor",)),
+        (InputType.IPA, ("spa",), ()),
+    ])
+    def test_byte_equal_to_reference(self, ragged_corpora, tmp_path,
+                                     input_type, seen, unseen):
+        languages = tuple(LanguageSpec(lang, True) for lang in seen) + \
+            tuple(LanguageSpec(lang, False) for lang in unseen)
+        config = make_config(input_type, languages=languages)
+        corpora = {lang: ragged_corpora[lang] for lang in seen + unseen}
+        report = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        root = next(tmp_path.iterdir())
+        prepared = {lang: (root / "prepared" / f"{lang}.txt").read_text(
+                        encoding="utf-8").splitlines()
+                    for lang in config.langs}
+        assert any(not line.strip() for line in prepared["spa"])
+        model_json, report_json, token_sets = ref_run(config, corpora,
+                                                      prepared)
+        assert (root / "model.json").read_text(encoding="utf-8") == \
+            model_json
+        assert dumps_report(report) == report_json
+        for lang, ts in token_sets.items():
+            written = json.loads((root / "tokensets" / f"{lang}.json")
+                                 .read_text(encoding="utf-8"))
+            assert written == ts.to_json_dict()
+        warm = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert dumps_report(warm) == report_json
+        assert dumps_report(run_experiment(config, corpora)) == report_json
 
 
 class TestArtifacts:

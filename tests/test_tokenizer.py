@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scriptshift import tokenizer as tok
-from scriptshift.corpus import EmptyCorpusError
+from scriptshift.corpus import EmptyCorpusError, word_counts
 from scriptshift.input_types import InputType
 
 MARKER = tok.BOUNDARY_MARKER
@@ -422,6 +422,25 @@ class TestTokenSet:
                         expected.add(stripped)
             ts = tok.token_set(model, lines, "eng", InputType.ORTHO)
             assert ts.tokens == expected, f"seed {seed}"
+
+    @given(st.lists(st.one_of(
+        st.lists(st.text(alphabet="abcde안", min_size=1, max_size=5),
+                 max_size=6).map(" ".join),
+        st.sampled_from(["", "   ", "\t\u3000"])), max_size=8))
+    @settings(max_examples=100)
+    def test_table_keys_give_the_lines_token_set(self, lines):
+        model = tok.train(["abcd abc ab dab bcd", "cab abcd"], vocab_size=14)
+        expected = set()
+        for line in lines:
+            for token in tok.encode_tokens(model, line):
+                stripped = model.strip_marker(token)
+                if token != tok.UNK_TOKEN and stripped:
+                    expected.add(stripped)
+        from_lines = tok.token_set(model, lines, "eng", InputType.ORTHO)
+        from_keys = tok.token_set(model, word_counts(lines).keys(), "eng",
+                                  InputType.ORTHO)
+        assert from_keys == from_lines
+        assert from_keys.tokens == expected
 
     def test_by_length_partitions_tokens(self):
         ts = tok.TokenSet("eng", InputType.ORTHO,
