@@ -3,8 +3,9 @@
 Subcommands wrap the library one stage at a time (translit, train-tokenizer,
 encode, token-set, overlap, quality, select-langs, stats) plus whole runs
 (run, compare). Machine-readable output goes to stdout or --output; logs and
-errors go to stderr. Exit codes: 0 success, 2 configuration or usage error,
-3 data or processing error, 4 unwritable output.
+errors go to stderr. Exit codes: 0 success, 2 configuration or usage error
+(a malformed config included), 3 data or processing error (any other
+malformed input file), 4 unwritable output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import langselect, metrics, pipeline, stats, tokenizer, translit
+from . import langselect, metrics, pipeline, records, stats, tokenizer
+from . import translit
 from .input_types import InputType
 
 EXIT_OK = 0
@@ -63,8 +65,7 @@ def write_report(payload, fmt: str) -> str:
     """Render a report payload: dict for JSON, list of rows for CSV. An
     empty CSV report still carries its header row."""
     if fmt == "json":
-        return json.dumps(payload, ensure_ascii=True, sort_keys=True,
-                          indent=2) + "\n"
+        return records.dumps(payload)
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -194,14 +195,9 @@ def _cmd_token_set(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_token_set(path: str) -> tokenizer.TokenSet:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return tokenizer.TokenSet.from_json_dict(payload)
-
-
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    target = _load_token_set(args.target)
-    sources = [_load_token_set(path)
+    target = records.load(tokenizer.TokenSet, args.target)
+    sources = [records.load(tokenizer.TokenSet, path)
                for path in args.sources.split(",") if path]
     if not sources:
         raise UsageError("--sources needs at least one file")
@@ -288,7 +284,7 @@ def _read_stats_csv(path: str, value_column: str,
         key = (row.get("set", "").strip(), row["lang"].strip(), input_type,
                *(row[column].strip() for column in key_columns))
         if key in values:
-            raise ValueError(f"{path}: duplicate row for {key}")
+            raise ValueError(f"{path}:{row.line}: duplicate row for {key}")
         values[key] = corpus_mod.number_cell(path, row.line,
                                              row[value_column])
     return values
@@ -309,14 +305,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             b=tuple(scores[s, l, type_b] for s, l in common),
         )
         result = stats.paired_t_test(sample)
-        t_tests.append({
-            "input_type_a": type_a,
-            "input_type_b": type_b,
-            "t": result.t,
-            "p_value": result.p_value,
-            "n": result.n,
-            "significant": result.p_value < args.alpha,
-        })
+        t_tests.append({"input_type_a": type_a, "input_type_b": type_b,
+                        **result._asdict(),
+                        "significant": result.p_value < args.alpha})
 
     correlations = []
     if args.metrics:
@@ -334,14 +325,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 except ValueError:
                     continue  # constant series has no correlation
                 correlations.append({
-                    "metric": series[0],
-                    "length": series[1],
-                    "method": result.method,
-                    "r": result.r,
-                    "p_value": result.p_value,
-                    "n": result.n,
-                    "significant": result.p_value < args.alpha,
-                })
+                    "metric": series[0], "length": series[1],
+                    **records.to_json(result),
+                    "significant": result.significant(args.alpha)})
 
     payload = {"alpha": args.alpha, "t_tests": t_tests,
                "correlations": correlations}

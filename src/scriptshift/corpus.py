@@ -2,7 +2,8 @@
 
 Corpora are plain-text files with one document per line. Sampling selects a
 seeded, word-budgeted subset of one language's documents and records what it
-took in a manifest; oversampling weights level the seen languages' sizes.
+took in a manifest (a JSON record, see `records`); oversampling weights level
+the seen languages' sizes.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .input_types import InputType
+from .records import Record
 
 
 class EmptyCorpusError(ValueError):
@@ -37,7 +39,7 @@ class Document:
 
 
 @dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(Record):
     """What a sampling pass selected: document and word totals for one
     language in one input type, plus the seed that drove the shuffle."""
 
@@ -51,27 +53,6 @@ class CorpusManifest:
     def __post_init__(self) -> None:
         if self.doc_count < 0 or self.word_count < 0:
             raise ValueError("manifest counts must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "input_type": self.input_type.value,
-            "doc_count": self.doc_count,
-            "word_count": self.word_count,
-            "sampling_seed": self.sampling_seed,
-            "under_budget": self.under_budget,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "CorpusManifest":
-        return cls(
-            lang=payload["lang"],
-            input_type=InputType.parse(payload["input_type"]),
-            doc_count=int(payload["doc_count"]),
-            word_count=int(payload["word_count"]),
-            sampling_seed=int(payload["sampling_seed"]),
-            under_budget=bool(payload["under_budget"]),
-        )
 
 
 def count_words(doc: Document | str) -> int:

@@ -21,9 +21,15 @@ class InputType(str, Enum):
     CIPHER = "Cipher"
 
     @classmethod
-    def parse(cls, name: str) -> "InputType":
-        for member in cls:
-            if member.value.lower() == name.strip().lower():
-                return member
-        raise ValueError(f"unknown input type {name!r}; expected one of "
+    def _missing_(cls, value):
+        """Match a name ignoring case and surrounding spaces."""
+        if isinstance(value, str):
+            for member in cls:
+                if member.value.lower() == value.strip().lower():
+                    return member
+        raise ValueError(f"unknown input type {value!r}; expected one of "
                          f"{[m.value for m in cls]}")
+
+    @classmethod
+    def parse(cls, name: str) -> "InputType":
+        return cls(name)

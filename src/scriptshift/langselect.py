@@ -465,14 +465,16 @@ def load_feature_csv(path: str | Path) -> dict[str, FeatureVectors]:
         lang = row["lang"].strip()
         component = row["component"].strip()
         if component not in FEATURE_COMPONENTS:
-            raise ValueError(f"{path}: unknown component {component!r}")
+            raise ValueError(f"{path}:{row.line}: unknown component "
+                             f"{component!r}")
         vector = tuple(number_cell(path, row.line, v)
                        for v in row["values"].split())
         if not vector:
-            raise ValueError(f"{path}: empty vector for {lang}")
+            raise ValueError(f"{path}:{row.line}: empty vector for {lang}")
         per_lang = collected.setdefault(lang, {})
         if component in per_lang:
-            raise ValueError(f"{path}: duplicate {component} row for {lang}")
+            raise ValueError(f"{path}:{row.line}: duplicate {component} row "
+                             f"for {lang}")
         per_lang[component] = vector
     return {
         lang: FeatureVectors(lang=lang, **vectors)
@@ -486,6 +488,6 @@ def load_script_map(path: str | Path) -> dict[str, str]:
     for row in read_tidy_csv(path, ("lang", "script")):
         lang = row["lang"].strip()
         if lang in scripts:
-            raise ValueError(f"{path}: duplicate language {lang}")
+            raise ValueError(f"{path}:{row.line}: duplicate language {lang}")
         scripts[lang] = row["script"].strip()
     return scripts

@@ -1,7 +1,7 @@
 """Token-set overlap and tokenizer-quality metrics.
 
-All ratios are computed as exact fractions; reports render them as decimals
-only when serialized. Overlap compares an unseen target language's token set
+All ratios are computed as exact fractions; reports render them as floats
+only when serialized through `records`. Overlap compares an unseen target language's token set
 against the token sets of the languages a tokenizer was trained on. The
 quality metrics (unknown-token ratio, fertility, vocabulary coverage) are
 projections of `tokenizer.tally`, which segments each distinct word of a
@@ -14,9 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .input_types import InputType
+from .records import Record
 from .tokenizer import SubwordModel, TokenSet, tally
 
 
@@ -34,37 +35,16 @@ class OverlapVariant(str, Enum):
 
 
 @dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(Record):
     target_lang: str
     variant: OverlapVariant
     best_source: str | None
     overall_ratio: Fraction
     by_length: dict[int, Fraction]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "target_lang": self.target_lang,
-            "variant": self.variant.value,
-            "best_source": self.best_source,
-            "overall_ratio": float(self.overall_ratio),
-            "by_length": {str(length): float(ratio)
-                          for length, ratio in sorted(self.by_length.items())},
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "OverlapReport":
-        return cls(
-            target_lang=payload["target_lang"],
-            variant=OverlapVariant(payload["variant"]),
-            best_source=payload["best_source"],
-            overall_ratio=Fraction(payload["overall_ratio"]),
-            by_length={int(length): Fraction(ratio) for length, ratio
-                       in payload["by_length"].items()},
-        )
-
 
 @dataclass(frozen=True)
-class TokenizerQualityReport:
+class TokenizerQualityReport(Record):
     lang: str
     input_type: InputType
     unk_ratio: Fraction
@@ -73,20 +53,6 @@ class TokenizerQualityReport:
     coverage_by_length: dict[int, Fraction]
     token_count: int
     word_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "input_type": self.input_type.value,
-            "unk_ratio": float(self.unk_ratio),
-            "fertility": float(self.fertility),
-            "vocab_coverage": float(self.vocab_coverage),
-            "coverage_by_length": {
-                str(length): float(ratio)
-                for length, ratio in sorted(self.coverage_by_length.items())},
-            "token_count": self.token_count,
-            "word_count": self.word_count,
-        }
 
     def to_csv_rows(self) -> list[list]:
         """Tidy rows: lang, input_type, metric, length, value. Scalar
@@ -98,20 +64,6 @@ class TokenizerQualityReport:
         rows += [key + ["coverage_by_length", length, float(ratio)]
                  for length, ratio in sorted(self.coverage_by_length.items())]
         return rows
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "TokenizerQualityReport":
-        return cls(
-            lang=payload["lang"],
-            input_type=InputType.parse(payload["input_type"]),
-            unk_ratio=Fraction(payload["unk_ratio"]),
-            fertility=Fraction(payload["fertility"]),
-            vocab_coverage=Fraction(payload["vocab_coverage"]),
-            coverage_by_length={int(length): Fraction(ratio) for length, ratio
-                                in payload["coverage_by_length"].items()},
-            token_count=int(payload["token_count"]),
-            word_count=int(payload["word_count"]),
-        )
 
 
 def _check_target_and_sources(target: TokenSet,

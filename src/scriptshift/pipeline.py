@@ -7,7 +7,9 @@ overlap metrics. Each prepared corpus is counted once into a word table,
 which gives the training counts (scaled by repetition counts) and, through
 its distinct words, the token set. Runs are deterministic functions of the
 config, corpora and rule tables; artifacts are cached under a digest of all
-three so stages can be reused exactly.
+three so stages can be reused exactly. Configs, reports and comparison
+tables are JSON records (`records`); a config that does not read raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .corpus import (CorpusManifest, Document, EmptyCorpusError,
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
+from .records import Record, dumps, load
 from .tokenizer import (dumps_model, loads_model, token_set,
                         train_from_word_counts)
 from .translit import (CipherKey, RuleMode, TableRegistry,
@@ -59,7 +62,7 @@ class LanguageSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     languages: tuple[LanguageSpec, ...]
     input_type: InputType
     vocab_size: int = DEFAULT_VOCAB_SIZE
@@ -69,6 +72,8 @@ class ExperimentConfig:
     overlap_variant: OverlapVariant = OverlapVariant.MAX_SOURCE
     table_root: str | None = None
     cipher_shifts: Mapping[str, int] | None = None
+
+    json_error = ConfigError
 
     def __post_init__(self) -> None:
         langs = [spec.lang for spec in self.languages]
@@ -105,49 +110,6 @@ class ExperimentConfig:
     def unseen_langs(self) -> tuple[str, ...]:
         return tuple(sorted(s.lang for s in self.languages if not s.seen))
 
-    def to_json_dict(self) -> dict:
-        payload = {
-            "languages": [{"lang": s.lang, "seen": s.seen}
-                          for s in self.languages],
-            "input_type": self.input_type.value,
-            "vocab_size": self.vocab_size,
-            "budget": self.budget,
-            "seed": self.seed,
-            "min_char_freq": self.min_char_freq,
-            "overlap_variant": self.overlap_variant.value,
-            "table_root": self.table_root,
-            "cipher_shifts": (dict(sorted(self.cipher_shifts.items()))
-                              if self.cipher_shifts is not None else None),
-        }
-        return payload
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "ExperimentConfig":
-        try:
-            languages = tuple(
-                LanguageSpec(str(entry["lang"]), bool(entry["seen"]))
-                for entry in payload["languages"])
-            return cls(
-                languages=languages,
-                input_type=InputType.parse(payload["input_type"]),
-                vocab_size=int(payload.get("vocab_size",
-                                           DEFAULT_VOCAB_SIZE)),
-                budget=int(payload.get("budget", DEFAULT_BUDGET)),
-                seed=int(payload.get("seed", DEFAULT_SEED)),
-                min_char_freq=int(payload.get("min_char_freq", 1)),
-                overlap_variant=OverlapVariant(
-                    payload.get("overlap_variant", "max")),
-                table_root=payload.get("table_root"),
-                cipher_shifts=({str(k): int(v) for k, v
-                                in payload["cipher_shifts"].items()}
-                               if payload.get("cipher_shifts") is not None
-                               else None),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed experiment config: {exc}") from exc
-
     def digest(self) -> str:
         canonical = json.dumps(self.to_json_dict(), sort_keys=True,
                                ensure_ascii=True)
@@ -157,30 +119,26 @@ class ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load a config from JSON, or TOML when a TOML parser is available."""
     path = Path(path)
-    if path.suffix == ".toml":
+    if path.suffix != ".toml":
+        return load(ExperimentConfig, path)
+    try:
+        import tomllib as toml_parser  # Python >= 3.11
+    except ModuleNotFoundError:
         try:
-            import tomllib as toml_parser  # Python >= 3.11
+            import tomli as toml_parser
         except ModuleNotFoundError:
-            try:
-                import tomli as toml_parser
-            except ModuleNotFoundError:
-                raise ConfigError(
-                    "TOML configs need Python >= 3.11 or the tomli package; "
-                    "use JSON instead") from None
-        try:
-            payload = toml_parser.loads(path.read_text(encoding="utf-8"))
-        except toml_parser.TOMLDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    else:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(
+                "TOML configs need Python >= 3.11 or the tomli package; "
+                "use JSON instead") from None
+    try:
+        payload = toml_parser.loads(path.read_text(encoding="utf-8"))
+    except toml_parser.TOMLDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return ExperimentConfig.from_json_dict(payload)
 
 
 @dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything a run measured, serializable to JSON and CSV."""
 
     config_digest: str
@@ -205,50 +163,6 @@ class AnalysisReport:
                                  f"{quality.lang!r} in "
                                  f"{quality.input_type.value}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "model_digest": self.model_digest,
-            "input_type": self.input_type.value,
-            "seed": self.seed,
-            "vocab_size": self.vocab_size,
-            "seen_langs": list(self.seen_langs),
-            "unseen_langs": list(self.unseen_langs),
-            "manifests": {lang: manifest.to_json_dict()
-                          for lang, manifest in sorted(
-                              self.manifests.items())},
-            "quality": {lang: report.to_json_dict()
-                        for lang, report in sorted(self.quality.items())},
-            "overlap": {lang: report.to_json_dict()
-                        for lang, report in sorted(self.overlap.items())},
-            "token_lengths": {
-                lang: {str(length): count
-                       for length, count in sorted(lengths.items())}
-                for lang, lengths in sorted(self.token_lengths.items())},
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "AnalysisReport":
-        return cls(
-            config_digest=payload["config_digest"],
-            model_digest=payload["model_digest"],
-            input_type=InputType.parse(payload["input_type"]),
-            seed=int(payload["seed"]),
-            vocab_size=int(payload["vocab_size"]),
-            seen_langs=tuple(payload["seen_langs"]),
-            unseen_langs=tuple(payload["unseen_langs"]),
-            manifests={lang: CorpusManifest.from_json_dict(entry)
-                       for lang, entry in payload["manifests"].items()},
-            quality={lang: TokenizerQualityReport.from_json_dict(entry)
-                     for lang, entry in payload["quality"].items()},
-            overlap={lang: OverlapReport.from_json_dict(entry)
-                     for lang, entry in payload["overlap"].items()},
-            token_lengths={
-                lang: {int(length): int(count)
-                       for length, count in lengths.items()}
-                for lang, lengths in payload["token_lengths"].items()},
-        )
-
     def to_csv_rows(self) -> list[list]:
         """Tidy rows: lang, input_type, metric, length, value. Scalar
         metrics leave the length column empty."""
@@ -267,13 +181,11 @@ class AnalysisReport:
 
 
 def dumps_report(report: AnalysisReport) -> str:
-    return json.dumps(report.to_json_dict(), ensure_ascii=True,
-                      sort_keys=True, indent=2) + "\n"
+    return dumps(report.to_json_dict())
 
 
 def load_report(path: str | Path) -> AnalysisReport:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return AnalysisReport.from_json_dict(payload)
+    return load(AnalysisReport, path)
 
 
 # --- Running ------------------------------------------------------------------
@@ -461,10 +373,8 @@ def run_experiment(config: ExperimentConfig,
             for lang in sorted(config.langs)
         }
         for lang, ts in token_sets.items():
-            store.save_text(
-                f"tokensets/{lang}.json",
-                json.dumps(ts.to_json_dict(), ensure_ascii=True,
-                           sort_keys=True, indent=2) + "\n")
+            store.save_text(f"tokensets/{lang}.json",
+                            dumps(ts.to_json_dict()))
     except Exception as exc:
         raise PipelineStageError("token-sets", None, exc) from exc
 
@@ -522,7 +432,7 @@ class ComparisonRow:
 
 
 @dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(Record):
     """Per-language metric values side by side across input types, with
     deltas against the Ortho baseline when it is present."""
 
@@ -530,23 +440,6 @@ class ComparisonTable:
     langs: tuple[str, ...]
     rows: tuple[ComparisonRow, ...]
     coverage_by_length: dict[str, dict[int, float]]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "input_types": list(self.input_types),
-            "langs": list(self.langs),
-            "rows": [{
-                "lang": row.lang,
-                "metric": row.metric,
-                "values": row.values,
-                "deltas": row.deltas,
-            } for row in self.rows],
-            "coverage_by_length": {
-                itype: {str(length): value
-                        for length, value in sorted(lengths.items())}
-                for itype, lengths in sorted(
-                    self.coverage_by_length.items())},
-        }
 
     def to_csv_rows(self) -> list[list]:
         header = (["lang", "metric"]

@@ -10,6 +10,8 @@ Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus, segmenting each distinct
 word once; token sets and the quality metrics are projections of it.
+Token sets use the shared JSON codec (`records`); models keep their own
+validating one, written in the canonical `records.dumps` text.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import EmptyCorpusError, word_counts
 from .input_types import InputType
+from .records import Record, dumps
 
 UNK_ID = 0
 UNK_TOKEN = "<unk>"
@@ -115,6 +118,8 @@ class SubwordModel:
                       in sorted(self.vocab.items(), key=lambda kv: kv[1])},
         }
 
+    # Not the generic `records` codec: the model validates itself, and it
+    # is read on the artifact-cache path, where the generic rule is slower.
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "SubwordModel":
         try:
@@ -128,7 +133,7 @@ class SubwordModel:
                                                 BOUNDARY_MARKER)),
                 version=str(payload.get("version", "1")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed model payload: {exc}") from exc
@@ -136,7 +141,7 @@ class SubwordModel:
 
 
 @dataclass(frozen=True)
-class TokenSet:
+class TokenSet(Record):
     """The set of surface token strings (boundary markers stripped) a model
     produces on one corpus. Set semantics: duplicates collapse."""
 
@@ -150,21 +155,6 @@ class TokenSet:
             buckets.setdefault(len(token), set()).add(token)
         return {length: frozenset(tokens)
                 for length, tokens in sorted(buckets.items())}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lang": self.lang,
-            "input_type": self.input_type.value,
-            "tokens": sorted(self.tokens),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "TokenSet":
-        return cls(
-            lang=payload["lang"],
-            input_type=InputType.parse(payload["input_type"]),
-            tokens=frozenset(payload["tokens"]),
-        )
 
 
 # --- Training ---------------------------------------------------------------
@@ -541,9 +531,8 @@ def token_set(model: SubwordModel, corpus: Iterable[str], lang: str,
 
 
 def dumps_model(model: SubwordModel) -> str:
-    """Serialize with sorted keys and ASCII escapes for byte-stable output."""
-    return json.dumps(model.to_json_dict(), ensure_ascii=True,
-                      sort_keys=True, indent=2) + "\n"
+    """The model's canonical JSON text (`records.dumps`)."""
+    return dumps(model.to_json_dict())
 
 
 def save_model(model: SubwordModel, path: str | Path) -> None:

@@ -892,8 +892,8 @@ class TestCompareCommand:
 
 
 class TestMalformedCsv:
-    """Short, long and duplicate rows and bad numbers in the tidy CSV inputs
-    exit 3 with the file (and, but for a duplicate, the line) named on
+    """Short, long and duplicate rows, bad numbers and bad feature rows in
+    the tidy CSV inputs exit 3 with the file and the line named on
     stderr."""
 
     @pytest.mark.parametrize("kind", ["scores", "metrics", "features",
@@ -990,21 +990,124 @@ class TestMalformedCsv:
                        f"expected one of ['Ortho', 'IPA', 'Rom', "
                        f"'Cipher']\n")
 
-    @pytest.mark.parametrize("kind", ["scores", "metrics"])
+    @pytest.mark.parametrize("kind", ["scores", "metrics", "features",
+                                      "scripts"])
     def test_duplicate_row_exits_3(self, monkeypatch, capsys, stats_files,
-                                   kind):
+                                   selection_files, kind):
         scores, metric_values = stats_files
-        path = scores if kind == "scores" else metric_values
+        features, scripts = selection_files
+        path = {"scores": scores, "metrics": metric_values,
+                "features": features, "scripts": scripts}[kind]
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         # same key, another value: the last copy must not win silently
         lines.append(lines[1].rsplit(",", 1)[0] + ",0.99\n")
         path.write_text("".join(lines), encoding="utf-8")
-        code, _, err = run_cli(
-            monkeypatch, capsys,
-            ["stats", "--scores", str(scores),
-             "--metrics", str(metric_values)])
+        if kind in ("scores", "metrics"):
+            argv = ["stats", "--scores", str(scores),
+                    "--metrics", str(metric_values)]
+        else:
+            argv = ["select-langs", "--features", str(features),
+                    "--scripts", str(scripts), "--regime", "sim-div",
+                    "--set-size", "2"]
+        code, _, err = run_cli(monkeypatch, capsys, argv)
         assert code == EXIT_DATA
-        assert err.startswith(f"error: {path}: duplicate ")
+        assert err.startswith(f"error: {path}:{len(lines)}: duplicate ")
+
+    @pytest.mark.parametrize("row, message", [
+        ("bbb,syntax,2 1", "unknown component 'syntax'"),
+        ("bbb,syntactic,", "empty vector for bbb")],
+        ids=["unknown-component", "empty-vector"])
+    def test_bad_feature_row_names_file_and_line(self, monkeypatch, capsys,
+                                                 selection_files, row,
+                                                 message):
+        features, scripts = selection_files
+        lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = row + "\n"
+        features.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", "sim-div",
+             "--set-size", "2"])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {features}:3: {message}\n"
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+    return mutate
+
+
+def _drop(key):
+    def mutate(payload):
+        del payload[key]
+        return payload
+    return mutate
+
+
+def _not_object(payload):
+    return [payload]
+
+
+MALFORMED_JSON = {
+    "token-set-without-input-type": ("token-set", _drop("input_type")),
+    "token-set-tokens-number": ("token-set", _set("tokens", 5)),
+    "token-set-not-object": ("token-set", _not_object),
+    "report-without-config-digest": ("report", _drop("config_digest")),
+    "report-ratio-string": ("report",
+                            _set("quality", "eng", "unk_ratio", "0.0")),
+    "report-not-object": ("report", _not_object),
+    "model-vocab-list": ("model", _set("vocab", [1])),
+    "model-not-object": ("model", _not_object),
+    "config-cipher-shifts-list": ("config", _set("cipher_shifts", [1])),
+    "config-seen-string": ("config", _set("languages", 0, "seen", "false")),
+    "config-without-languages": ("config", _drop("languages")),
+    "config-not-object": ("config", _not_object),
+    "config-seed-float": ("config", _set("seed", 1.5)),
+    "config-vocab-size-string": ("config", _set("vocab_size", "2000")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_input_exits_2_or_3(monkeypatch, capsys, request,
+                                           tmp_path, case):
+    """A JSON input that does not fit its record exits 2 (config) or 3
+    with one error line, never a traceback or exit 1."""
+    kind, mutate = MALFORMED_JSON[case]
+    fixture = request.getfixturevalue
+    if kind == "token-set":
+        source = fixture("token_set_files")["tgt"]
+    elif kind == "report":
+        source = fixture("report_files")[0]
+    elif kind == "model":
+        source = fixture("trained_model")
+    else:
+        source = fixture("run_inputs")[0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(
+        source.read_text(encoding="utf-8")))), encoding="utf-8")
+    argv = {
+        "token-set": lambda: ["overlap", "--target", str(bad), "--sources",
+                              str(fixture("token_set_files")["fra"])],
+        "report": lambda: ["compare", "--reports", str(bad),
+                           str(fixture("report_files")[1])],
+        "model": lambda: ["encode", "--model", str(bad)],
+        "config": lambda: ["run", "--config", str(bad), "--corpus-dir",
+                           str(fixture("run_inputs")[1])],
+    }[kind]()
+    code, out, err = run_cli(monkeypatch, capsys, argv, stdin="ab\n")
+    assert code == (EXIT_CONFIG if kind == "config" else EXIT_DATA)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "malformed" in err
 
 
 def _output_command(name, request):
