@@ -1,11 +1,11 @@
 """Token-set overlap and tokenizer-quality metrics.
 
 All ratios are computed as exact fractions; reports render them as floats
-only when serialized through `records`. Overlap compares an unseen target language's token set
-against the token sets of the languages a tokenizer was trained on. The
-quality metrics (unknown-token ratio, fertility, vocabulary coverage) are
-projections of `tokenizer.tally`, which segments each distinct word of a
-corpus once.
+only when serialized through `records`. Overlap compares an unseen target
+language's token set against the token sets of the languages a tokenizer
+was trained on. The quality metrics (unknown-token ratio, fertility,
+vocabulary coverage) are projections of `tokenizer.tally`, which segments
+each distinct word of a corpus once.
 """
 
 from __future__ import annotations

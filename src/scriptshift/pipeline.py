@@ -8,7 +8,7 @@ which gives the training counts (scaled by repetition counts) and, through
 its distinct words, the token set. Runs are deterministic functions of the
 config, corpora and rule tables; artifacts are cached under a digest of all
 three so stages can be reused exactly. Configs, reports and comparison
-tables are JSON records (`records`); a config that does not read raises
+tables are JSON records (`records`); a config that fails to read raises
 ConfigError.
 """
 

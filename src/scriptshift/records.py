@@ -48,7 +48,9 @@ def to_json(value):
         return {str(key): to_json(item) for key, item in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted(map(to_json, value))
-    return list(map(to_json, value))
+    if isinstance(value, (tuple, list)):
+        return list(map(to_json, value))
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def from_json(cls, payload):
@@ -60,13 +62,13 @@ def from_json(cls, payload):
 
 
 def load(cls, path: str | Path):
-    """Read a record of type cls from a JSON file; text that is not JSON
-    raises the record's error too."""
+    """Read a record of type cls from a JSON file. Text that is not JSON
+    or does not fit raises the record's error, naming the path."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return from_json(cls, json.loads(text))
+    except (json.JSONDecodeError, cls.json_error) as exc:
         raise cls.json_error(f"{path}: {exc}") from exc
-    return from_json(cls, payload)
 
 
 def _decode(hint, value):

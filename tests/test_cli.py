@@ -1108,6 +1108,8 @@ def test_malformed_json_input_exits_2_or_3(monkeypatch, capsys, request,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "malformed" in err
+    if kind != "model":  # records read from a file name it
+        assert err.startswith(f"error: {bad}: malformed ")
 
 
 def _output_command(name, request):
