@@ -129,11 +129,7 @@ def _build_transform(args: argparse.Namespace):
         else:
             if not args.lang:
                 raise UsageError("--keys needs --lang to pick the entry")
-            shifts = json.loads(Path(args.keys).read_text(encoding="utf-8"))
-            if args.lang not in shifts:
-                raise UsageError(f"no cipher key for language {args.lang!r} "
-                                 f"in {args.keys}")
-            key = translit.CipherKey(args.lang, int(shifts[args.lang]))
+            key = _cipher_key(args.keys, args.lang)
         if args.decipher:
             return lambda text: translit.caesar_decipher(key, text)
         return lambda text: translit.caesar_encipher(key, text)
@@ -152,6 +148,20 @@ def _build_transform(args: argparse.Namespace):
         return lambda text: translit.apply_rules(
             table, translit.decompose_syllables(text))
     return lambda text: translit.apply_rules(table, text)
+
+
+def _cipher_key(path: str, lang: str) -> translit.CipherKey:
+    """The key for lang in a --keys file: a JSON object mapping each
+    language to an integer shift. A file of another shape is a usage
+    error naming the file."""
+    try:
+        shifts = records.decode(dict[str, int], json.loads(
+            Path(path).read_text(encoding="utf-8")))
+        if lang in shifts:
+            return translit.CipherKey(lang, shifts[lang])
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+    raise UsageError(f"no cipher key for language {lang!r} in {path}")
 
 
 def _cmd_translit(args: argparse.Namespace) -> int:

@@ -99,15 +99,26 @@ class SelectionSpec:
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    _check_dimensions(a, b)
+    return _cosine(a, b, _norm(a), _norm(b))
+
+
+def _check_dimensions(a: Sequence[float], b: Sequence[float]) -> None:
     if len(a) != len(b):
         raise ValueError(f"vector dimensions differ: {len(a)} vs {len(b)}")
     if not a:
         raise ValueError("vectors must be non-empty")
-    norm_a = math.sqrt(math.fsum(v * v for v in a))
-    norm_b = math.sqrt(math.fsum(v * v for v in b))
+
+
+def _norm(vector: Sequence[float]) -> float:
+    return math.sqrt(math.fsum(map(operator.mul, vector, vector)))
+
+
+def _cosine(a: Sequence[float], b: Sequence[float], norm_a: float,
+            norm_b: float) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine similarity is undefined for a zero vector")
-    dot = math.fsum(x * y for x, y in zip(a, b))
+    dot = math.fsum(map(operator.mul, a, b))
     return dot / (norm_a * norm_b)
 
 
@@ -147,24 +158,30 @@ def aggregate_similarity(x: str, y: str,
     types = {}
     if corpora is not None and x in corpora and y in corpora:
         types = {x: word_types(corpora[x]), y: word_types(corpora[y])}
-    return _pair_similarity(x, y, features, types)
+    return _pair_similarity(x, y, features, types,
+                            lambda lang, name, vector: _norm(vector))
 
 
 def _pair_similarity(x: str, y: str, features: Mapping[str, FeatureVectors],
-                     types: Mapping[str, frozenset[str]]) -> float:
+                     types: Mapping[str, frozenset[str]], norm) -> float:
     """aggregate_similarity of two distinct languages, with the word types
-    of each language that has a corpus given in `types`."""
+    of each language that has a corpus given in `types`. norm(lang, name,
+    vector) gives the norm of a language's component vector; it is called
+    after the pair's dimension checks, x's vector first."""
     for lang in (x, y):
         if lang not in features:
             raise MissingFeatureError(f"no feature vectors for {lang!r}")
     present: list[float] = []
+    features_x, features_y = features[x], features[y]
     for name in FEATURE_COMPONENTS:
-        vec_x = features[x].component(name)
-        vec_y = features[y].component(name)
+        vec_x = getattr(features_x, name)
+        vec_y = getattr(features_y, name)
         if vec_x is None or vec_y is None:
             continue
         try:
-            present.append(cosine_similarity(vec_x, vec_y))
+            _check_dimensions(vec_x, vec_y)
+            present.append(_cosine(vec_x, vec_y, norm(x, name, vec_x),
+                                   norm(y, name, vec_y)))
         except ValueError as exc:
             raise ValueError(
                 f"{name} vectors of {x!r} and {y!r}: {exc}") from exc
@@ -199,14 +216,23 @@ class SimilarityMatrix:
               features: Mapping[str, FeatureVectors],
               corpora: Mapping[str, Sequence[str]] | None = None,
               ) -> "SimilarityMatrix":
-        """aggregate_similarity for every pair, reading each corpus once."""
+        """aggregate_similarity for every pair, reading each corpus once
+        and taking each feature vector's norm once."""
         ordered = tuple(sorted(set(langs)))
         types = {}
         if corpora is not None:
             types = {lang: word_types(corpora[lang])
                      for lang in ordered if lang in corpora}
+        norms: dict[tuple[str, str], float] = {}
+
+        def norm(lang, name, vector):
+            key = lang, name
+            value = norms.get(key)
+            if value is None:
+                value = norms[key] = _norm(vector)
+            return value
         values = {
-            (x, y): _pair_similarity(x, y, features, types)
+            (x, y): _pair_similarity(x, y, features, types, norm)
             for x, y in itertools.combinations(ordered, 2)
         }
         return cls(ordered, values)

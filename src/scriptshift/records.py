@@ -6,7 +6,8 @@ sorted list, and a tuple or list a list. `from_json` is the inverse, read
 from the record's type hints: every value must have its field's JSON type,
 mapping keys are parsed to the key type, and only a field with a default
 may be absent. A failed read raises the record's `json_error`, naming the
-record and the field. `dumps` is the one canonical JSON text.
+record and the field; `decode` reads a value of a field type by the same
+rule. `dumps` is the one canonical JSON text.
 """
 
 from __future__ import annotations
@@ -59,6 +60,15 @@ def from_json(cls, payload):
         return _record(cls, payload)
     except RecordError as exc:
         raise cls.json_error(f"malformed {exc}") from None
+
+
+def decode(hint, payload):
+    """The value of type hint that a JSON value encodes, read by the rule
+    of from_json; a value that does not fit raises RecordError."""
+    try:
+        return _decode(hint, payload)
+    except ValueError as exc:
+        raise RecordError(str(exc)) from None
 
 
 def load(cls, path: str | Path):

@@ -4,13 +4,21 @@ The t CDF is evaluated through the regularized incomplete beta function,
 computed with a continued fraction (modified Lentz iteration) and log-gamma
 scaling. Sums use compensated summation so results are stable for the small
 sample sizes these analyses run at.
+
+Correlations decide constant series and perfect collinearity on exact
+integer moments: every value is an integer over one power-of-two scale per
+series, so the centered moments times a positive factor are exact Python
+ints. Where float cancellation, underflow or overflow spoils the
+compensated float moments, r is the exact moment ratio rounded once. The
+paired t-test rescales both sides by one power of two when a step of it
+overflows; t does not change under a common scale.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -148,23 +156,50 @@ def average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def _exact_moments(x: Sequence[float], y: Sequence[float],
-                   ) -> tuple[Fraction, Fraction, Fraction]:
-    """Centered covariance and variances in exact rational arithmetic.
+def _integer_moments(x: Sequence[float], y: Sequence[float],
+                     ) -> tuple[int, int, int]:
+    """Exact n*sum(xy) - sum(x)*sum(y), n*sum(x^2) - sum(x)^2 and
+    n*sum(y^2) - sum(y)^2, with each series written as integers over one
+    scale (a power of two for floats).
 
-    Floats convert to Fraction losslessly, so constant series and perfect
-    collinearity are detected without rounding artifacts."""
+    These are the centered covariance and variances times n*sx*sy, n*sx^2
+    and n*sy^2 for the scales sx and sy, so zero variances, the sign of
+    the covariance, perfect collinearity (C^2 == Vx*Vy) and the ratio
+    C^2 / (Vx*Vy) are exact and mean what they mean for the moments."""
     n = len(x)
-    ex = [Fraction(v) for v in x]
-    ey = [Fraction(v) for v in y]
-    mean_x = sum(ex) / n
-    mean_y = sum(ey) / n
-    dx = [v - mean_x for v in ex]
-    dy = [v - mean_y for v in ey]
-    cov = sum(a * b for a, b in zip(dx, dy))
-    var_x = sum(d * d for d in dx)
-    var_y = sum(d * d for d in dy)
+    xs, ys = _scaled(x), _scaled(y)
+    sum_x, sum_y = sum(xs), sum(ys)
+    cov = n * sum(map(operator.mul, xs, ys)) - sum_x * sum_y
+    var_x = n * sum(map(operator.mul, xs, xs)) - sum_x * sum_x
+    var_y = n * sum(map(operator.mul, ys, ys)) - sum_y * sum_y
     return cov, var_x, var_y
+
+
+def _scaled(values: Sequence[float]) -> list[int]:
+    """values[i] * scale as exact integers, for the least common scale;
+    NaN raises ValueError and an infinity OverflowError."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(den for _, den in ratios))
+    return [num * (scale // den) for num, den in ratios]
+
+
+def _float_r(x: Sequence[float], y: Sequence[float]) -> float | None:
+    """r from compensated float moments, or None where those fail: a
+    variance lost to cancellation or underflow, or a step that overflows."""
+    n = len(x)
+    try:
+        mean_x = math.fsum(x) / n
+        mean_y = math.fsum(y) / n
+        dx = [v - mean_x for v in x]
+        dy = [v - mean_y for v in y]
+        var_x = math.fsum(d * d for d in dx)
+        var_y = math.fsum(d * d for d in dy)
+        norms = math.sqrt(var_x) * math.sqrt(var_y)
+        if not 0.0 < norms < math.inf:
+            return None
+        return math.fsum(a * b for a, b in zip(dx, dy)) / norms
+    except OverflowError:
+        return None
 
 
 def _pearson_core(x: Sequence[float], y: Sequence[float],
@@ -174,26 +209,19 @@ def _pearson_core(x: Sequence[float], y: Sequence[float],
         raise ValueError(f"series differ in length: {n} vs {len(y)}")
     if n < 3:
         raise ValueError(f"correlation needs at least 3 points, got {n}")
-    exact_cov, exact_var_x, exact_var_y = _exact_moments(x, y)
-    if exact_var_x == 0 or exact_var_y == 0:
+    cov, var_x, var_y = _integer_moments(x, y)
+    if var_x == 0 or var_y == 0:
         raise ValueError("correlation is undefined for a constant series")
     df = n - 2
-    if exact_cov * exact_cov == exact_var_x * exact_var_y:
-        r = 1.0 if exact_cov > 0 else -1.0
+    if cov * cov == var_x * var_y:
+        r = 1.0 if cov > 0 else -1.0
         return CorrelationResult(method=method, r=r, p_value=0.0, n=n)
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    dx = [v - mean_x for v in x]
-    dy = [v - mean_y for v in y]
-    var_x = math.fsum(d * d for d in dx)
-    var_y = math.fsum(d * d for d in dy)
-    if var_x == 0.0 or var_y == 0.0:
-        # float cancellation collapsed a variance; use the exact moments
-        ratio = (exact_cov * exact_cov) / (exact_var_x * exact_var_y)
-        r = math.copysign(math.sqrt(float(ratio)), float(exact_cov))
-    else:
-        cov = math.fsum(a * b for a, b in zip(dx, dy))
-        r = cov / (math.sqrt(var_x) * math.sqrt(var_y))
+    r = _float_r(x, y)
+    if r is None:
+        # the exact ratio, rounded once
+        r = math.sqrt(cov * cov / (var_x * var_y))
+        if cov < 0:
+            r = -r
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0
@@ -221,11 +249,17 @@ def paired_t_test(sample: PairedSample) -> TTestResult:
     An all-zero difference vector returns t=0, p=1; a constant non-zero
     difference has no sampling variance and returns an infinite t with p=0.
     """
-    diffs = [ai - bi for ai, bi in zip(sample.a, sample.b)]
-    n = len(diffs)
-    mean = math.fsum(diffs) / n
-    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
-    sd = math.sqrt(var)
+    n = len(sample.a)
+    moments = _difference_moments(sample.a, sample.b)
+    if moments is None:
+        values = [*sample.a, *sample.b]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("paired test needs finite measurements")
+        shift = -math.frexp(max(map(abs, values)))[1]
+        moments = _difference_moments(
+            [math.ldexp(v, shift) for v in sample.a],
+            [math.ldexp(v, shift) for v in sample.b])
+    mean, sd = moments
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, p_value=1.0, n=n)
@@ -233,6 +267,24 @@ def paired_t_test(sample: PairedSample) -> TTestResult:
         return TTestResult(t=t, p_value=0.0, n=n)
     t = mean / (sd / math.sqrt(n))
     return TTestResult(t=t, p_value=_two_sided_p(t, n - 1), n=n)
+
+
+def _difference_moments(a: Sequence[float], b: Sequence[float],
+                        ) -> tuple[float, float] | None:
+    """Mean and sample standard deviation of a - b, or None when a step
+    overflows."""
+    diffs = [ai - bi for ai, bi in zip(a, b)]
+    if not all(map(math.isfinite, diffs)):
+        return None
+    n = len(diffs)
+    try:
+        mean = math.fsum(diffs) / n
+        var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    except OverflowError:
+        return None
+    if var == math.inf:
+        return None
+    return mean, math.sqrt(var)
 
 
 def significance_mask(p_values: Mapping, alpha: float = SIGNIFICANCE_LEVEL,

@@ -70,6 +70,47 @@ class TestTranslitCommand:
                    "--lang", "spa"]
         assert run_cli(monkeypatch, capsys, missing)[0] == EXIT_CONFIG
 
+    def _keys_error(self, monkeypatch, capsys, tmp_path, text):
+        keys = tmp_path / "keys.json"
+        keys.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["translit", "--mode", "cipher", "--keys", str(keys),
+             "--lang", "eng"], stdin="abc\n")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {keys}: ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_cipher_keys_list_shift_exits_2(self, monkeypatch, capsys,
+                                            tmp_path):
+        err = self._keys_error(monkeypatch, capsys, tmp_path, '{"eng": [1]}')
+        assert err.endswith("expected int, got [1]\n")
+
+    def test_cipher_keys_top_level_string_exits_2(self, monkeypatch, capsys,
+                                                  tmp_path):
+        err = self._keys_error(monkeypatch, capsys, tmp_path, '"eng"')
+        assert err.endswith("expected dict, got 'eng'\n")
+
+    def test_cipher_keys_float_shift_exits_2(self, monkeypatch, capsys,
+                                             tmp_path):
+        err = self._keys_error(monkeypatch, capsys, tmp_path, '{"eng": 1.7}')
+        assert err.endswith("expected int, got 1.7\n")
+
+    def test_cipher_keys_bool_shift_exits_2(self, monkeypatch, capsys,
+                                            tmp_path):
+        err = self._keys_error(monkeypatch, capsys, tmp_path,
+                               '{"eng": true}')
+        assert err.endswith("expected int, got True\n")
+
+    def test_cipher_keys_out_of_range_or_not_json_exits_2(
+            self, monkeypatch, capsys, tmp_path):
+        err = self._keys_error(monkeypatch, capsys, tmp_path, '{"eng": 26}')
+        assert err.endswith("shift must be in 0..25, got 26\n")
+        err = self._keys_error(monkeypatch, capsys, tmp_path, '{"eng": 3')
+        assert err.endswith("Expecting ',' delimiter: line 1 column 10 "
+                            "(char 9)\n")
+
     def test_g2p_packaged_table(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys,
@@ -697,6 +738,57 @@ class TestStatsCommand:
             "0.015233089110024517,5,True\n"
             "correlation,,,unk_ratio,,spearman,-0.8999999999999998,"
             "0.03738607346849875,5,True\n")
+
+    def _t_test(self, monkeypatch, capsys, tmp_path, ortho, rom):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "lang,input_type,score\n"
+            + "".join(f"l{i},Ortho,{a}\nl{i},Rom,{b}\n"
+                      for i, (a, b) in enumerate(zip(ortho, rom))),
+            encoding="utf-8")
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["stats", "--scores", str(scores)])
+        assert (code, err) == (EXIT_OK, "")
+        return json.loads(out)["t_tests"][0]
+
+    def test_t_test_squared_deviation_overflow(self, monkeypatch, capsys,
+                                               tmp_path):
+        # (1e308 - 0)**2 overflows; the test runs on rescaled scores
+        entry = self._t_test(monkeypatch, capsys, tmp_path,
+                             ["1e308", "-1e308", "0"], ["0", "0", "0"])
+        assert (entry["t"], entry["p_value"], entry["n"]) == (0.0, 1.0, 3)
+
+    def test_t_test_difference_overflow(self, monkeypatch, capsys,
+                                        tmp_path):
+        # 1.7e308 - (-1.7e308) overflows to inf before any sum
+        entry = self._t_test(monkeypatch, capsys, tmp_path,
+                             ["1.7e308", "-1.7e308", "1"],
+                             ["-1.7e308", "1.7e308", "0"])
+        assert entry["n"] == 3
+        assert entry["t"] == pytest.approx(1 / 3 / (2 * 1.7e308 / 3 ** 0.5),
+                                           rel=1e-9)
+        assert entry["p_value"] == 1.0
+
+    def test_correlation_with_overflowing_deviations(self, monkeypatch,
+                                                     capsys, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("lang,input_type,score\naaa,Ortho,1\n"
+                          "bbb,Ortho,2\nccc,Ortho,3\nddd,Ortho,5\n",
+                          encoding="utf-8")
+        metric_values = tmp_path / "metrics.csv"
+        metric_values.write_text(
+            "lang,input_type,metric,length,value\n"
+            "aaa,Ortho,m,,1e200\nbbb,Ortho,m,,-1e200\n"
+            "ccc,Ortho,m,,5e199\nddd,Ortho,m,,3e199\n", encoding="utf-8")
+        code, out, _ = run_cli(
+            monkeypatch, capsys,
+            ["stats", "--scores", str(scores),
+             "--metrics", str(metric_values)])
+        assert code == EXIT_OK
+        pearson = json.loads(out)["correlations"][0]
+        assert pearson["method"] == "pearson"
+        assert pearson["r"] == pytest.approx(-2 / (218 * 8.75) ** 0.5,
+                                             rel=1e-12)
 
     def test_missing_columns(self, monkeypatch, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

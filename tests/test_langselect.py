@@ -626,27 +626,78 @@ class TestSearchMatchesReference:
             search_outcome(ref_select_subset, langs, spec, sims, False)
 
 
-def pairwise_outcome(langs, features, corpora):
-    """aggregate_similarity per pair in build's order, or the first error."""
-    ordered = sorted(set(langs))
+# Pair similarity as it was before build shared each vector's norm across
+# pairs, kept verbatim (module globals qualified) as the oracle for build.
+
+def ref_cosine_similarity(a, b):
+    if len(a) != len(b):
+        raise ValueError(f"vector dimensions differ: {len(a)} vs {len(b)}")
+    if not a:
+        raise ValueError("vectors must be non-empty")
+    norm_a = math.sqrt(math.fsum(v * v for v in a))
+    norm_b = math.sqrt(math.fsum(v * v for v in b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero vector")
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    return dot / (norm_a * norm_b)
+
+
+def ref_aggregate_similarity(x, y, features, corpora=None):
+    if x == y:
+        return float(ls.COMPONENT_COUNT)
+    for lang in (x, y):
+        if lang not in features:
+            raise MissingFeatureError(f"no feature vectors for {lang!r}")
+    present = []
+    for name in ls.FEATURE_COMPONENTS:
+        vec_x = features[x].component(name)
+        vec_y = features[y].component(name)
+        if vec_x is None or vec_y is None:
+            continue
+        try:
+            present.append(ref_cosine_similarity(vec_x, vec_y))
+        except ValueError as exc:
+            raise ValueError(
+                f"{name} vectors of {x!r} and {y!r}: {exc}") from exc
+    if corpora is not None and x in corpora and y in corpora:
+        present.append(lexical_similarity(corpora[x], corpora[y]))
+    if not present:
+        raise MissingFeatureError(
+            f"languages {x!r} and {y!r} share no similarity components")
+    return (ls.COMPONENT_COUNT / len(present)) * math.fsum(present)
+
+
+def pairwise_outcome(similarity, langs, features, corpora):
+    """The matrix of similarity(x, y, ...) over every pair in build's
+    order, or the first error."""
+    ordered = tuple(sorted(set(langs)))
     try:
-        return {pair: aggregate_similarity(*pair, features, corpora).hex()
-                for pair in itertools.combinations(ordered, 2)}
-    except ValueError as exc:
+        values = {pair: similarity(*pair, features, corpora)
+                  for pair in itertools.combinations(ordered, 2)}
+        matrix = SimilarityMatrix(ordered, values)
+    except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+    return {pair: value.hex() for pair, value in matrix.values.items()}
 
 
 @st.composite
 def similarity_inputs(draw):
     langs = draw(st.lists(st.sampled_from(["aaa", "bbb", "ccc", "ddd",
-                                           "eee"]), min_size=2, unique=True))
-    # small integer vectors of one or two dimensions, so zero vectors and
-    # dimension mismatches occur; a language may lack any component
-    vectors = st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1,
-                                            max_size=2).map(tuple))
+                                           "eee", "fff"]),
+                          min_size=2, unique=True))
+    # vectors of up to three small integers or floats, so empty and zero
+    # vectors and dimension mismatches occur, with entries whose squares
+    # overflow or sum past the largest float; a language may lack any
+    # component
+    entry = st.one_of(st.integers(0, 3), st.floats(-1e3, 1e3),
+                      st.sampled_from([0.0, 5e-324, 1.3e154, 1e200]))
+    vectors = st.one_of(
+        st.none(),
+        st.lists(entry, max_size=3).map(tuple),
+        st.integers(1, 3).map(lambda k: (0.0,) * k))
     features = {}
     for lang in langs:
-        if draw(st.integers(0, 5)):
+        if draw(st.integers(0, 7)):
             features[lang] = FeatureVectors(
                 lang, **{name: draw(vectors)
                          for name in ls.FEATURE_COMPONENTS})
@@ -657,17 +708,38 @@ def similarity_inputs(draw):
 
 class TestBuildMatchesPairwise:
     @given(similarity_inputs())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_values_and_first_error(self, case):
         langs, features, corpora = case
         try:
             matrix = SimilarityMatrix.build(langs, features, corpora)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             built = type(exc), str(exc)
         else:
             built = {pair: value.hex()
                      for pair, value in matrix.values.items()}
-        assert built == pairwise_outcome(langs, features, corpora)
+        assert built == pairwise_outcome(aggregate_similarity, *case)
+        assert built == pairwise_outcome(ref_aggregate_similarity, *case)
+
+    def test_each_norm_taken_once(self, monkeypatch):
+        calls = []
+        norm = ls._norm
+
+        def counting(vector):
+            calls.append(vector)
+            return norm(vector)
+        monkeypatch.setattr(ls, "_norm", counting)
+        rng = random.Random(3)
+        features = {
+            f"l{i:02d}": FeatureVectors(
+                f"l{i:02d}",
+                **{name: tuple(rng.uniform(0.1, 1.0) for _ in range(4))
+                   for name in ls.FEATURE_COMPONENTS})
+            for i in range(12)}
+        matrix = SimilarityMatrix.build(list(features), features)
+        assert len(calls) == 12 * len(ls.FEATURE_COMPONENTS)
+        for (x, y), value in matrix.values.items():
+            assert value == ref_aggregate_similarity(x, y, features)
 
     def test_each_corpus_read_once(self, monkeypatch):
         calls = []

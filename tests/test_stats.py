@@ -6,11 +6,14 @@ computes every distribution function from scratch.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scriptshift import stats
 from scriptshift.stats import (CorrelationResult, PairedSample, TTestResult,
@@ -288,3 +291,242 @@ class TestSignificance:
         result = CorrelationResult("pearson", 0.9, 0.001, 10)
         assert result.significant()
         assert not result.significant(alpha=0.0005)
+
+
+# --- Exact moments and the references they replaced ------------------------
+
+
+def fraction_moments(x, y):
+    """Centered covariance and variances in exact rational arithmetic: the
+    moments correlations were decided on before integer moments."""
+    n = len(x)
+    ex = [Fraction(v) for v in x]
+    ey = [Fraction(v) for v in y]
+    mean_x = sum(ex) / n
+    mean_y = sum(ey) / n
+    dx = [v - mean_x for v in ex]
+    dy = [v - mean_y for v in ey]
+    cov = sum(a * b for a, b in zip(dx, dy))
+    var_x = sum(d * d for d in dx)
+    var_y = sum(d * d for d in dy)
+    return cov, var_x, var_y
+
+
+def fraction_pearson_core(x, y, method):
+    """The correlation as computed over Fraction moments, kept verbatim as
+    the oracle for inputs whose float moments do not overflow."""
+    n = len(x)
+    if n != len(y):
+        raise ValueError(f"series differ in length: {n} vs {len(y)}")
+    if n < 3:
+        raise ValueError(f"correlation needs at least 3 points, got {n}")
+    exact_cov, exact_var_x, exact_var_y = fraction_moments(x, y)
+    if exact_var_x == 0 or exact_var_y == 0:
+        raise ValueError("correlation is undefined for a constant series")
+    df = n - 2
+    if exact_cov * exact_cov == exact_var_x * exact_var_y:
+        r = 1.0 if exact_cov > 0 else -1.0
+        return CorrelationResult(method=method, r=r, p_value=0.0, n=n)
+    mean_x = math.fsum(x) / n
+    mean_y = math.fsum(y) / n
+    dx = [v - mean_x for v in x]
+    dy = [v - mean_y for v in y]
+    var_x = math.fsum(d * d for d in dx)
+    var_y = math.fsum(d * d for d in dy)
+    if var_x == 0.0 or var_y == 0.0:
+        ratio = (exact_cov * exact_cov) / (exact_var_x * exact_var_y)
+        r = math.copysign(math.sqrt(float(ratio)), float(exact_cov))
+    else:
+        cov = math.fsum(a * b for a, b in zip(dx, dy))
+        r = cov / (math.sqrt(var_x) * math.sqrt(var_y))
+    r = max(-1.0, min(1.0, r))
+    if abs(r) == 1.0:
+        p = 0.0
+    else:
+        t = r * math.sqrt(df / (1.0 - r * r))
+        p = stats._two_sided_p(t, df)
+    return CorrelationResult(method=method, r=r, p_value=p, n=n)
+
+
+def reference_paired_t_test(sample):
+    """paired_t_test before overflowing steps were rescaled."""
+    diffs = [ai - bi for ai, bi in zip(sample.a, sample.b)]
+    n = len(diffs)
+    mean = math.fsum(diffs) / n
+    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    sd = math.sqrt(var)
+    if sd == 0.0:
+        if mean == 0.0:
+            return TTestResult(t=0.0, p_value=1.0, n=n)
+        t = math.inf if mean > 0 else -math.inf
+        return TTestResult(t=t, p_value=0.0, n=n)
+    t = mean / (sd / math.sqrt(n))
+    return TTestResult(t=t, p_value=stats._two_sided_p(t, n - 1), n=n)
+
+
+def outcome(fn, *args):
+    """A result's fields with floats as hex (so -0.0 differs from 0.0), or
+    the error raised."""
+    try:
+        result = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, CorrelationResult):
+        result = (result.method, result.r, result.p_value, result.n)
+    return tuple(v.hex() if isinstance(v, float) else v for v in result)
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1.0, 0.1, 5e-324, -5e-324, 1e-310,
+                  2.2250738585072014e-308, 1e150, -1e150, 1e300, -1e300,
+                  1.7e308)
+
+
+@st.composite
+def series_pairs(draw, magnitude=1.7976931348623157e308):
+    """Two aligned series of ints and finite floats up to magnitude, with
+    subnormals, ties, constant series, ranks and exact collinearity."""
+    value = st.one_of(
+        st.integers(-10 ** 6, 10 ** 6),
+        st.floats(-magnitude, magnitude),
+        st.sampled_from([v for v in SPECIAL_VALUES if abs(v) <= magnitude]))
+    n = draw(st.integers(3, 9))
+    pool = draw(st.lists(value, min_size=1, max_size=n))
+    series = st.lists(st.one_of(st.sampled_from(pool), value),
+                      min_size=n, max_size=n)
+    x = draw(series)
+    kind = draw(st.sampled_from(["free", "double", "reflect", "constant",
+                                 "ranks"]))
+    if kind == "free":
+        y = draw(series)
+    elif kind == "double":
+        y = [2 * v for v in x]
+    elif kind == "reflect":
+        c = draw(value)
+        y = [c - v for v in x]
+    elif kind == "constant":
+        y = [draw(value)] * n
+    else:
+        x, y = stats.average_ranks(x), stats.average_ranks(draw(series))
+    if draw(st.booleans()):
+        x, y = y, x
+    assume(all(map(math.isfinite, x + y)))  # 2 * v and c - v may overflow
+    return x, y
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+class TestIntegerMoments:
+    @given(series_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_match_fraction_oracle(self, case):
+        x, y = case
+        cov, var_x, var_y = stats._integer_moments(x, y)
+        f_cov, f_var_x, f_var_y = fraction_moments(x, y)
+        assert all(type(v) is int for v in (cov, var_x, var_y))
+        assert (var_x == 0, var_y == 0) == (f_var_x == 0, f_var_y == 0)
+        assert _sign(cov) == _sign(f_cov)
+        assert (cov * cov == var_x * var_y) == \
+            (f_cov * f_cov == f_var_x * f_var_y)
+        if f_var_x and f_var_y:
+            # n*sx^2, n*sy^2 and n*sx*sy: positive, and the middle one the
+            # geometric mean of the others
+            fx, fy = var_x / f_var_x, var_y / f_var_y
+            assert fx > 0 and fy > 0
+            if f_cov:
+                assert (cov / f_cov) ** 2 == fx * fy
+            assert Fraction(cov * cov, var_x * var_y) == \
+                f_cov * f_cov / (f_var_x * f_var_y)
+
+    @given(series_pairs(magnitude=1e100))
+    @settings(max_examples=400, deadline=None)
+    def test_pearson_and_spearman_match_fraction_reference(self, case):
+        x, y = case
+        assert outcome(pearson, x, y) == \
+            outcome(fraction_pearson_core, x, y, "pearson")
+        assert outcome(spearman, x, y) == outcome(
+            fraction_pearson_core, stats.average_ranks(x),
+            stats.average_ranks(y), "spearman")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_raise_as_before(self, bad):
+        for x, y in (([1.0, bad, 2.0], [1.0, 2.0, 4.0]),
+                     ([1.0, 2.0, 4.0], [bad, 1.0, 2.0])):
+            assert outcome(pearson, x, y) == \
+                outcome(fraction_pearson_core, x, y, "pearson")
+
+    def test_collinear_and_constant_series(self):
+        x = [0.1, 0.7, 1e-310, 3, 1e300]
+        assert (pearson(x, [2 * v for v in x]).r,
+                pearson(x, [-v for v in x]).r) == (1.0, -1.0)
+        with pytest.raises(ValueError, match="constant"):
+            pearson(x, [5e-324] * 5)
+
+    @given(st.lists(st.integers(-1000, 1000), min_size=3, max_size=9),
+           st.integers(900, 1000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_overflowing_float_moments_give_exact_ratio(self, ms, k, data):
+        # every deviation of x is at least 2**899, so its square overflows
+        x = [math.ldexp(m, k) for m in ms]
+        y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(x),
+                               max_size=len(x)))
+        f_cov, f_var_x, f_var_y = fraction_moments(x, y)
+        assume(f_var_x and f_var_y)
+        ratio = f_cov * f_cov / (f_var_x * f_var_y)
+        expected = math.sqrt(float(ratio))
+        if f_cov < 0:
+            expected = -expected
+        assert pearson(x, y).r == expected
+
+    def test_overflowing_squared_deviations(self):
+        result = pearson([1e200, -1e200, 5e199, 3e199], [1, 2, 3, 5])
+        assert result.r == pytest.approx(-2 / math.sqrt(218 * 8.75),
+                                         rel=1e-12)
+        assert 0.9 < result.p_value < 1.0
+
+
+class TestPairedTTestOverflow:
+    @given(st.lists(st.tuples(st.floats(-1e100, 1e100),
+                              st.floats(-1e100, 1e100)), min_size=2,
+                    max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_ordinary_inputs_match_reference(self, pairs):
+        labels = tuple(str(i) for i in range(len(pairs)))
+        sample = PairedSample(labels, tuple(a for a, _ in pairs),
+                              tuple(b for _, b in pairs))
+        assert outcome(paired_t_test, sample) == \
+            outcome(reference_paired_t_test, sample)
+
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
+                    min_size=2, max_size=12), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scale_keeps_t(self, pairs, headroom):
+        labels = tuple(str(i) for i in range(len(pairs)))
+        a = tuple(v for v, _ in pairs)
+        b = tuple(v for _, v in pairs)
+        top = max(map(abs, a + b))
+        k = 1020 - headroom - math.frexp(top)[1]
+        scaled = PairedSample(labels, tuple(math.ldexp(v, k) for v in a),
+                              tuple(math.ldexp(v, k) for v in b))
+        assert outcome(paired_t_test, scaled) == \
+            outcome(paired_t_test, PairedSample(labels, a, b))
+
+    def test_squared_deviation_overflow(self):
+        sample = PairedSample(("a", "b", "c"), (1e308, -1e308, 0.0),
+                              (0.0, 0.0, 0.0))
+        assert paired_t_test(sample) == TTestResult(0.0, 1.0, 3)
+
+    def test_difference_overflow(self):
+        sample = PairedSample(("a", "b", "c"), (1.7e308, -1.7e308, 1.0),
+                              (-1.7e308, 1.7e308, 0.0))
+        result = paired_t_test(sample)
+        assert result.t == pytest.approx(1 / 3 / (3.4e308 / math.sqrt(3)),
+                                         rel=1e-9)
+        assert result.p_value == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measurements_rejected(self, bad):
+        for a, b in (((bad, 1.0), (0.0, 0.0)), ((1.0, 2.0), (0.0, bad))):
+            with pytest.raises(ValueError, match="finite"):
+                paired_t_test(PairedSample(("a", "b"), a, b))
