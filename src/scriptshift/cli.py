@@ -16,6 +16,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -317,6 +318,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         result = stats.paired_t_test(sample)
         t_tests.append({"input_type_a": type_a, "input_type_b": type_b,
                         **result._asdict(),
+                        # JSON has no infinity: null, or an empty CSV cell
+                        "t": result.t if math.isfinite(result.t) else None,
                         "significant": result.p_value < args.alpha})
 
     correlations = []

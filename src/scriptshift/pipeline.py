@@ -511,7 +511,8 @@ def compare_input_types(reports: Sequence[AnalysisReport]) -> ComparisonTable:
         for lang in langs:
             for length, ratio in \
                     report.quality[lang].coverage_by_length.items():
-                sums[length] = sums.get(length, Fraction(0)) + ratio
+                # the float a report holds on disk, as if read back
+                sums[length] = sums.get(length, 0) + Fraction(float(ratio))
         coverage[itype] = {length: float(total / len(langs))
                            for length, total in sorted(sums.items())}
 

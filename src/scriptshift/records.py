@@ -1,4 +1,4 @@
-"""One JSON codec for every report, token set and config.
+"""One JSON codec for every model, report, token set and config.
 
 `to_json` follows one rule: a dataclass becomes an object keyed by field
 name, an enum its value, a Fraction a float, mapping keys strings, a set a
@@ -7,7 +7,8 @@ from the record's type hints: every value must have its field's JSON type,
 mapping keys are parsed to the key type, and only a field with a default
 may be absent. A failed read raises the record's `json_error`, naming the
 record and the field; `decode` reads a value of a field type by the same
-rule. `dumps` is the one canonical JSON text.
+rule. The reader of each field type is built once, from its hint, and
+kept. `dumps` is the one canonical JSON text.
 """
 
 from __future__ import annotations
@@ -29,15 +30,18 @@ class RecordError(ValueError):
 
 
 def dumps(payload) -> str:
-    """ASCII escapes, sorted keys, two-space indent and a final newline."""
+    """ASCII escapes, sorted keys, two-space indent and a final newline.
+    A NaN or an infinity has no JSON number and raises ValueError."""
     return json.dumps(payload, ensure_ascii=True, sort_keys=True,
-                      indent=2) + "\n"
+                      indent=2, allow_nan=False) + "\n"
 
 
 def to_json(value):
     """The JSON value of a record or of anything a record field holds."""
     if value is None or type(value) in (str, int, float, bool):
         return value
+    if isinstance(value, (tuple, list)):
+        return list(map(to_json, value))
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, Fraction):
@@ -49,8 +53,6 @@ def to_json(value):
         return {str(key): to_json(item) for key, item in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted(map(to_json, value))
-    if isinstance(value, (tuple, list)):
-        return list(map(to_json, value))
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
@@ -66,7 +68,7 @@ def decode(hint, payload):
     """The value of type hint that a JSON value encodes, read by the rule
     of from_json; a value that does not fit raises RecordError."""
     try:
-        return _decode(hint, payload)
+        return _decoder(hint)(payload)
     except ValueError as exc:
         raise RecordError(str(exc)) from None
 
@@ -81,23 +83,32 @@ def load(cls, path: str | Path):
         raise cls.json_error(f"{path}: {exc}") from exc
 
 
-def _decode(hint, value):
+@cache
+def _decoder(hint):
+    """The reader of a value of type hint, built once per hint by the rule
+    of from_json; a value that does not fit raises ValueError."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
-        return None if value is None else _decode(args[0], value)
+        read = _decoder(args[0])
+        return lambda value: None if value is None else read(value)
     if origin in (tuple, frozenset):
-        return origin(_decode(args[0], item)
-                      for item in _check(value, (list,)))
+        read = _decoder(args[0])
+        return lambda value: origin(map(read, _check(value, (list,))))
     if origin in (dict, Mapping):
-        return {args[0](_check(key, (str,))): _decode(args[1], item)
-                for key, item in _check(value, (dict,)).items()}
+        key, read = args[0], _decoder(args[1])
+        return lambda value: {key(_check(name, (str,))): read(item) for
+                              name, item in _check(value, (dict,)).items()}
     if dataclasses.is_dataclass(hint):
-        return _record(hint, value)
+        return lambda value: _record(hint, value)
     if hint in (float, Fraction):  # from a finite int or float
-        if not abs(_check(value, (int, float))) <= sys.float_info.max:
-            raise ValueError(f"expected a finite number, got {value!r}")
-        return hint(value)
-    return hint(_check(value, (str,) if issubclass(hint, Enum) else (hint,)))
+        def number(value):
+            if not abs(_check(value, (int, float))) <= sys.float_info.max:
+                raise ValueError(f"expected a finite number, got {value!r}")
+            return hint(value)
+        return number
+    if issubclass(hint, Enum):
+        return lambda value: hint(_check(value, (str,)))
+    return lambda value: _check(value, (hint,))  # str, int or bool as is
 
 
 def _check(value, accepts: tuple):
@@ -118,7 +129,7 @@ def _record(cls, value):
         for field in dataclasses.fields(cls):
             name = field.name
             if name in payload:
-                kwargs[name] = _decode(_hints(cls)[name], payload[name])
+                kwargs[name] = _decoder(_hints(cls)[name])(payload[name])
             elif field.default is dataclasses.MISSING:
                 raise ValueError("missing")
     except ValueError as exc:

@@ -10,8 +10,8 @@ Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus, segmenting each distinct
 word once; token sets and the quality metrics are projections of it.
-Token sets use the shared JSON codec (`records`); models keep their own
-validating one, written in the canonical `records.dumps` text.
+Models and token sets are read and written by the one JSON codec
+(`records`); a model checks its own structure as it is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import EmptyCorpusError, word_counts
 from .input_types import InputType
-from .records import Record, dumps
+from .records import Record, dumps, from_json, load
 
 UNK_ID = 0
 UNK_TOKEN = "<unk>"
@@ -52,13 +52,13 @@ class ModelFormatError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class SubwordModel:
+class SubwordModel(Record):
     """A trained tokenizer: alphabet, ordered merges, and the id table.
 
     Ids are assigned unknown first (0), boundary marker second (1), alphabet
     characters by codepoint from 2, then merge products in merge order.
     Merge order is application order: merge k applies after merges 0..k-1.
-    Every merge's operands and product must have an id.
+    Every merge is a pair whose operands and product have ids.
     """
 
     alphabet: frozenset[str]
@@ -68,7 +68,13 @@ class SubwordModel:
     boundary_marker: str = BOUNDARY_MARKER
     version: str = "1"
 
+    json_error = ModelFormatError
+
     def __post_init__(self) -> None:
+        if self.vocab_size_target < 1:
+            raise ModelFormatError(
+                f"malformed SubwordModel.vocab_size_target: expected at "
+                f"least 1, got {self.vocab_size_target!r}")
         vocab = self.vocab
         if vocab.get(UNK_TOKEN) != UNK_ID:
             raise ModelFormatError(f"{UNK_TOKEN!r} must have id {UNK_ID}")
@@ -83,7 +89,11 @@ class SubwordModel:
                                    f"{sorted(missing)!r}")
         if self.boundary_marker in self.alphabet:
             raise ModelFormatError("boundary marker cannot be in alphabet")
-        for left, right in self.merges:
+        for merge in self.merges:
+            if len(merge) != 2:
+                raise ModelFormatError(f"malformed SubwordModel.merges: "
+                                       f"expected pairs, got {merge!r:.60}")
+            left, right = merge
             if left not in vocab or right not in vocab:
                 raise ModelFormatError(
                     f"merge ({left!r}, {right!r}) references unknown tokens")
@@ -106,38 +116,6 @@ class SubwordModel:
         if token.startswith(self.boundary_marker):
             return token[len(self.boundary_marker):]
         return token
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "vocab_size_target": self.vocab_size_target,
-            "boundary_marker": self.boundary_marker,
-            "alphabet": sorted(self.alphabet),
-            "merges": [list(pair) for pair in self.merges],
-            "vocab": {token: token_id for token, token_id
-                      in sorted(self.vocab.items(), key=lambda kv: kv[1])},
-        }
-
-    # Not the generic `records` codec: the model validates itself, and it
-    # is read on the artifact-cache path, where the generic rule is slower.
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "SubwordModel":
-        try:
-            merges = tuple((str(a), str(b)) for a, b in payload["merges"])
-            model = cls(
-                alphabet=frozenset(payload["alphabet"]),
-                merges=merges,
-                vocab={str(k): int(v) for k, v in payload["vocab"].items()},
-                vocab_size_target=int(payload["vocab_size_target"]),
-                boundary_marker=str(payload.get("boundary_marker",
-                                                BOUNDARY_MARKER)),
-                version=str(payload.get("version", "1")),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ModelFormatError):
-                raise
-            raise ModelFormatError(f"malformed model payload: {exc}") from exc
-        return model
 
 
 @dataclass(frozen=True)
@@ -539,13 +517,10 @@ def save_model(model: SubwordModel, path: str | Path) -> None:
     Path(path).write_text(dumps_model(model), encoding="utf-8")
 
 
-def loads_model(payload: str) -> SubwordModel:
-    try:
-        raw = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return SubwordModel.from_json_dict(raw)
+def loads_model(text: str) -> SubwordModel:
+    return from_json(SubwordModel, json.loads(text))
 
 
 def load_model(path: str | Path) -> SubwordModel:
-    return loads_model(Path(path).read_text(encoding="utf-8"))
+    """Read a model file; an error names the path."""
+    return load(SubwordModel, path)

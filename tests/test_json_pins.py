@@ -144,7 +144,15 @@ def test_comparison_table_bytes(reports):
     table = compare_input_types([reports[t] for t in ("Ortho", "Rom",
                                                       "Cipher")])
     assert sha256(dumps(table.to_json_dict())) == \
-        "3ccc6cf0e7de1ffd69d3997063c077196aac1edc82be082898533521e52534f4"
+        "f502af4cebded980477d436f095546497a2c22940572c2099bf6fedd56169af5"
+
+
+def test_comparison_of_reports_read_back_has_the_same_bytes(reports):
+    runs = [reports[t] for t in ("Ortho", "Rom", "Cipher")]
+    read_back = [AnalysisReport.from_json_dict(json.loads(dumps_report(r)))
+                 for r in runs]
+    assert dumps(compare_input_types(read_back).to_json_dict()) == \
+        dumps(compare_input_types(runs).to_json_dict())
 
 
 def test_model_bytes():

@@ -16,7 +16,8 @@ from scriptshift.pipeline import (AnalysisReport, ConfigError,
                                   ExperimentConfig, LanguageSpec,
                                   run_experiment)
 from scriptshift.records import RecordError, dumps
-from scriptshift.tokenizer import TokenSet
+from scriptshift.tokenizer import (ModelFormatError, SubwordModel, TokenSet,
+                                   train)
 
 from support import hangul_lines, latin_lines
 
@@ -40,10 +41,18 @@ def report_payload():
     return run_experiment(config, corpora).to_json_dict()
 
 
+@pytest.fixture(scope="module")
+def model_payload():
+    return train(["abab abab", "abab ab"], 8).to_json_dict()
+
+
 def test_dumps_is_the_canonical_text():
     payload = {"b": [1, 0.5], "a": "\u00e9"}
     assert dumps(payload) == ('{\n  "a": "\\u00e9",\n  "b": [\n    1,\n'
                               '    0.5\n  ]\n}\n')
+    for constant in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dumps({"t": constant})
 
 
 def test_encoding_rule():
@@ -161,13 +170,14 @@ def _mutate(payload, data):
     return payload
 
 
-@pytest.mark.parametrize("kind", ["report", "token-set", "config"])
+@pytest.mark.parametrize("kind", ["report", "token-set", "config", "model"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_payload_reads_or_raises_the_documented_error(
-        report_payload, kind, data):
+        report_payload, model_payload, kind, data):
     cls, payload, error = {
         "report": (AnalysisReport, report_payload, RecordError),
+        "model": (SubwordModel, model_payload, ModelFormatError),
         "token-set": (TokenSet, TOKEN_SET, RecordError),
         "config": (ExperimentConfig, CONFIG, ConfigError),
     }[kind]

@@ -507,6 +507,14 @@ class TestSerialization:
         with pytest.raises(tok.ModelFormatError, match="product"):
             tok.SubwordModel.from_json_dict(payload)
 
+    @pytest.mark.parametrize("merge", [["a"], ["a", "a", "a"]])
+    def test_merge_that_is_not_a_pair_rejected(self, merge):
+        payload = {"alphabet": ["a"], "merges": [merge],
+                   "vocab": {"<unk>": 0, MARKER: 1, "a": 2, "aa": 3},
+                   "vocab_size_target": 5}
+        with pytest.raises(tok.ModelFormatError, match="expected pairs"):
+            tok.SubwordModel.from_json_dict(payload)
+
     def test_merge_referencing_unknown_token_rejected(self):
         payload = {"alphabet": ["a"], "merges": [["a", "q"]],
                    "vocab": {"<unk>": 0, MARKER: 1, "a": 2},
