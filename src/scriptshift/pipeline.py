@@ -6,10 +6,14 @@ tokenizer on the oversampling-weighted seen corpora, and reports quality and
 overlap metrics. Each prepared corpus is counted once into a word table,
 which gives the training counts (scaled by repetition counts) and, through
 its distinct words, the token set. Runs are deterministic functions of the
-config, corpora and rule tables; artifacts are cached under a digest of all
-three so stages can be reused exactly. Configs, reports and comparison
-tables are JSON records (`records`); a config that fails to read raises
-ConfigError.
+config, corpora and rule tables. With an artifacts dir, each stage's output
+is stored under a key of that stage's own inputs, so runs that share inputs
+share stages: a rerun returns its stored report, Cipher reuses the text Rom
+romanized, and a vocabulary sweep transliterates once. Every artifact is
+stored with its sha256 and checked on load; a missing, corrupt or
+undecodable artifact is a miss and its stage recomputes. Configs, reports
+and comparison tables are JSON records (`records`); a config that fails to
+read raises ConfigError.
 """
 
 from __future__ import annotations
@@ -191,13 +195,18 @@ def load_report(path: str | Path) -> AnalysisReport:
 # --- Running ------------------------------------------------------------------
 
 
-def _corpus_digest(corpora: Mapping[str, Sequence[Document]]) -> str:
-    digest = hashlib.sha256()
-    for lang in sorted(corpora):
-        digest.update(lang.encode("utf-8"))
-        for doc in corpora[lang]:
-            digest.update(b"\x00" + doc.doc_id.encode("utf-8"))
-            digest.update(b"\x01" + doc.text.encode("utf-8"))
+def _key(*parts: str) -> str:
+    """Digest naming an artifact by the parts it is a function of."""
+    return hashlib.sha256(json.dumps(parts).encode("ascii")).hexdigest()
+
+
+def _docs_digest(docs: Sequence[Document]) -> str:
+    """Digest of documents' ids and texts, in order: the JSON list of ids,
+    then the texts joined by newlines, which no text contains, so no two
+    sequences share a digest."""
+    digest = hashlib.sha256(
+        json.dumps([doc.doc_id for doc in docs]).encode("ascii"))
+    digest.update("\n".join([doc.text for doc in docs]).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -206,40 +215,30 @@ _TABLE_MODES = {InputType.IPA: RuleMode.G2P,
                 InputType.CIPHER: RuleMode.ROMANIZE}
 
 
-def _transform_digest(config: ExperimentConfig,
-                      registry: TableRegistry) -> str:
-    """Digest of every rule table the input type reads: language, mode,
-    passthrough policy and rules. A table that cannot be loaded records a
-    fixed marker; the transliterate stage raises its error again."""
-    digest = hashlib.sha256()
+def _table_digest(registry: TableRegistry, mode: RuleMode, lang: str) -> str:
+    """Digest of one rule table: language, mode, passthrough policy and
+    rules."""
+    table = registry.table(mode, lang)
+    return _key(lang, mode.value, table.passthrough.value,
+                format_rule_table(table))
+
+
+def _run_digest(config: ExperimentConfig, registry: TableRegistry,
+                docs_digests: Mapping[str, str]) -> str:
+    """Digest of everything a run reads: the config, each language's
+    documents and every rule table the input type uses. A table that
+    cannot be loaded records a fixed marker; the transliterate stage raises
+    its error again."""
+    parts = [config.digest()]
     mode = _TABLE_MODES.get(config.input_type)
-    if mode is None:
-        return digest.hexdigest()
     for lang in sorted(config.langs):
-        try:
-            table = registry.table(mode, lang)
-        except (LookupError, ValueError, OSError):
-            rendered = "\x00unavailable\n"
-        else:
-            rendered = (f"{table.passthrough.value}\n"
-                        + format_rule_table(table))
-        digest.update(f"{lang}\x00{mode.value}\x00{rendered}\x01"
-                      .encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _make_transform(config: ExperimentConfig, registry: TableRegistry,
-                    keys: Mapping[str, CipherKey] | None,
-                    lang: str) -> Callable[[str], str]:
-    itype = config.input_type
-    if itype is InputType.ORTHO:
-        return lambda text: text
-    if itype is InputType.IPA:
-        return lambda text: registry.g2p(lang, text)
-    if itype is InputType.ROM:
-        return lambda text: registry.romanize(lang, text)
-    key = keys[lang]
-    return lambda text: caesar_encipher(key, registry.romanize(lang, text))
+        parts += [lang, docs_digests[lang]]
+        if mode is not None:
+            try:
+                parts.append(_table_digest(registry, mode, lang))
+            except (LookupError, ValueError, OSError):
+                parts.append("unavailable")
+    return _key(*parts)
 
 
 def _cipher_keys(config: ExperimentConfig) -> dict[str, CipherKey] | None:
@@ -254,7 +253,12 @@ def _cipher_keys(config: ExperimentConfig) -> dict[str, CipherKey] | None:
 
 
 class _StageStore:
-    """Content-addressed artifact store; None path disables persistence."""
+    """Checked artifact store; a None root disables persistence.
+
+    Each artifact `<name>` is written with its sha256 in `<name>.sha256`,
+    the check last. A load returns the artifact's text only when both files
+    are there and agree; anything else is a miss, so a truncated, edited or
+    half-written artifact is recomputed, never served."""
 
     def __init__(self, root: Path | None):
         self.root = root
@@ -265,22 +269,93 @@ class _StageStore:
         if self.root is None:
             return None
         path = self.root / name
-        return path.read_text(encoding="utf-8") if path.is_file() else None
+        try:
+            check = _check_path(path).read_text(encoding="ascii")
+            data = path.read_bytes()
+            if hashlib.sha256(data).hexdigest() == check:
+                return data.decode("utf-8")
+        except (OSError, ValueError):
+            pass
+        return None
 
     def save_text(self, name: str, content: str) -> None:
-        """Write through a temporary file in the same directory, then
-        rename it into place, so the artifact is whole or absent."""
         if self.root is None:
             return
         path = self.root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            temp.write_text(content, encoding="utf-8")
-            os.replace(temp, path)
-        except BaseException:
-            temp.unlink(missing_ok=True)
-            raise
+        data = content.encode("utf-8")
+        _replace(path, data)
+        _replace(_check_path(path),
+                 hashlib.sha256(data).hexdigest().encode("ascii"))
+
+
+def _check_path(path: Path) -> Path:
+    return path.with_name(path.name + ".sha256")
+
+
+def _replace(path: Path, data: bytes) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    into place, so the file is whole or absent."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _decoded(text: str | None, decode: Callable[[str], object]):
+    """decode(text), or None when there is no text or it does not decode:
+    a stored artifact that no longer reads is a miss."""
+    if text is None:
+        return None
+    try:
+        return decode(text)
+    except ValueError:
+        return None
+
+
+def _loads_report(text: str) -> AnalysisReport:
+    return AnalysisReport.from_json_dict(json.loads(text))
+
+
+def _prepare(config: ExperimentConfig, registry: TableRegistry,
+             keys: Mapping[str, CipherKey] | None, store: _StageStore,
+             lang: str, docs: Sequence[Document], docs_digest: str | None,
+             ) -> tuple[list[str], str | None]:
+    """One language's documents rendered in the input type, one line each,
+    and the key of those lines (None without a docs digest, which is given
+    only with a store).
+
+    Romanized and g2p lines are stored under their mode, the language's
+    rule table and the documents. Cipher enciphers the romanized lines, so
+    it reads and writes Rom's artifact; Ortho lines are the texts."""
+    lines = [doc.text for doc in docs]
+    itype = config.input_type
+    if itype is InputType.ORTHO:
+        return lines, (None if docs_digest is None
+                       else _key(itype.value, docs_digest))
+    mode = _TABLE_MODES[itype]
+    key = name = text = None
+    if docs_digest is not None:
+        key = _key(mode.value, _table_digest(registry, mode, lang),
+                   docs_digest)
+        name = f"text/{lang}-{key}.txt"
+        text = store.load_text(name)
+    if text is not None:
+        lines = text.split("\n")[:-1]
+    else:
+        convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
+        lines = [convert(lang, line) for line in lines]
+        if key is not None:
+            store.save_text(name, "".join(line + "\n" for line in lines))
+    if itype is InputType.CIPHER:
+        cipher = keys[lang]
+        lines = [caesar_encipher(cipher, line) for line in lines]
+        if key is not None:
+            key = _key(itype.value, str(cipher.shift), key)
+    return lines, key
 
 
 def run_experiment(config: ExperimentConfig,
@@ -291,9 +366,21 @@ def run_experiment(config: ExperimentConfig,
     """Run the full pipeline for one input type over one language set.
 
     The run is a deterministic function of config, corpora and rule tables.
-    When artifacts_dir is given, every stage output lands under a directory
-    named by the combined config, corpus and rule-table digest, and an
-    existing artifact with the same digest is loaded instead of recomputed.
+    When artifacts_dir is given, each stage's output is stored under a key
+    of that stage's own inputs and read back instead of recomputed:
+
+    - the report, under the digest of config, corpora and rule tables,
+      looked up before anything else;
+    - romanized or g2p text per language, under its mode, table and
+      selected documents (Cipher enciphers the romanized text, so it
+      shares Rom's);
+    - the model, under each seen language's prepared-text key and
+      repetition count, vocab_size and min_char_freq;
+    - token sets, written for inspection under the model key and the
+      language's prepared-text key.
+
+    Every load is checked against the artifact's stored sha256; a missing,
+    corrupt or undecodable artifact is a miss and its stage recomputes.
     """
     missing = [lang for lang in config.langs if lang not in corpora]
     if missing:
@@ -305,17 +392,22 @@ def run_experiment(config: ExperimentConfig,
         else:
             registry = default_registry()
 
-    store = _StageStore(None)
-    if artifacts_dir is not None:
-        run_digest = hashlib.sha256(
-            (config.digest() + _corpus_digest(corpora)
-             + _transform_digest(config, registry)).encode("ascii")
-        ).hexdigest()
-        store = _StageStore(Path(artifacts_dir) / run_digest)
+    store = _StageStore(None if artifacts_dir is None else Path(artifacts_dir))
+    docs_digests: dict[str, str] = {}
+    report_name = None
+    if store.root is not None:
+        docs_digests = {lang: _docs_digest(corpora[lang])
+                        for lang in config.langs}
+        run_digest = _run_digest(config, registry, docs_digests)
+        report_name = f"report/{run_digest}.json"
+        report = _decoded(store.load_text(report_name), _loads_report)
+        if report is not None:
+            return report
 
     keys = _cipher_keys(config)
     manifests: dict[str, CorpusManifest] = {}
     prepared: dict[str, list[str]] = {}
+    text_keys: dict[str, str | None] = {}
 
     for lang in sorted(config.langs):
         seen = lang in config.seen_langs
@@ -332,29 +424,32 @@ def run_experiment(config: ExperimentConfig,
         except Exception as exc:
             raise PipelineStageError("sample", lang, exc) from exc
 
-        cached = store.load_text(f"prepared/{lang}.txt")
-        if cached is not None:
-            prepared[lang] = cached.splitlines()
-            continue
+        docs_digest = None
+        if store.root is not None:
+            docs_digest = (_docs_digest(selected) if seen
+                           else docs_digests[lang])
         try:
-            transform = _make_transform(config, registry, keys, lang)
-            lines = [transform(doc.text) for doc in selected]
+            prepared[lang], text_keys[lang] = _prepare(
+                config, registry, keys, store, lang, selected, docs_digest)
         except Exception as exc:
             raise PipelineStageError("transliterate", lang, exc) from exc
-        prepared[lang] = lines
-        store.save_text(f"prepared/{lang}.txt",
-                        "".join(line + "\n" for line in lines))
 
     tables = {lang: word_counts(lines) for lang, lines in prepared.items()}
 
-    model_text = store.load_text("model.json")
-    if model_text is not None:
-        model = loads_model(model_text)
-    else:
+    try:
+        reps = repetition_counts(
+            [manifests[lang] for lang in config.seen_langs], config.budget)
+    except Exception as exc:
+        raise PipelineStageError("train", None, exc) from exc
+    model_key = model = None
+    if store.root is not None:
+        model_key = _key(str(config.vocab_size), str(config.min_char_freq),
+                         *(f"{lang}:{text_keys[lang]}:{reps[lang]}"
+                           for lang in config.seen_langs))
+        model_text = store.load_text(f"model/{model_key}.json")
+        model = _decoded(model_text, loads_model)
+    if model is None:
         try:
-            reps = repetition_counts(
-                [manifests[lang] for lang in config.seen_langs],
-                config.budget)
             train_counts: Counter = Counter()
             for lang in config.seen_langs:
                 factor = reps[lang]
@@ -365,16 +460,19 @@ def run_experiment(config: ExperimentConfig,
         except Exception as exc:
             raise PipelineStageError("train", None, exc) from exc
         model_text = dumps_model(model)
-        store.save_text("model.json", model_text)
+        if model_key is not None:
+            store.save_text(f"model/{model_key}.json", model_text)
 
     try:
         token_sets = {
             lang: token_set(model, tables[lang], lang, config.input_type)
             for lang in sorted(config.langs)
         }
-        for lang, ts in token_sets.items():
-            store.save_text(f"tokensets/{lang}.json",
-                            dumps(ts.to_json_dict()))
+        if model_key is not None:
+            for lang, ts in token_sets.items():
+                store.save_text(
+                    f"tokensets/{lang}-{_key(model_key, text_keys[lang])}"
+                    ".json", dumps(ts.to_json_dict()))
     except Exception as exc:
         raise PipelineStageError("token-sets", None, exc) from exc
 
@@ -413,7 +511,8 @@ def run_experiment(config: ExperimentConfig,
         token_lengths=token_length_histogram(
             token_sets[lang] for lang in sorted(token_sets)),
     )
-    store.save_text("report.json", dumps_report(report))
+    if report_name is not None:
+        store.save_text(report_name, dumps_report(report))
     return report
 
 

@@ -1,10 +1,14 @@
-"""Helpers shared by test modules: synthetic corpora and fixture models."""
+"""Helpers shared by test modules: synthetic corpora, fixture models and
+the artifacts and prepared lines of pipeline runs."""
 
 import random
+from pathlib import Path
 
-from scriptshift import compose_hangul
+from scriptshift import compose_hangul, pipeline
+from scriptshift.corpus import sample_to_budget
 from scriptshift.input_types import InputType
 from scriptshift.tokenizer import BOUNDARY_MARKER, UNK_TOKEN, SubwordModel, TokenSet
+from scriptshift.translit import default_registry
 
 CONSONANTS = "bcdfghjklmnpqrstvwxyz"
 VOWELS = "aeiou"
@@ -69,3 +73,30 @@ def the_cat_model() -> SubwordModel:
             vocab[merged] = len(vocab)
     return SubwordModel(alphabet=alphabet, merges=merges, vocab=vocab,
                         vocab_size_target=12)
+
+
+def stored(artifacts_dir, kind: str, lang: str | None = None) -> list[Path]:
+    """The artifacts of one kind ("report", "model", "text" or
+    "tokensets") under a run's artifacts dir, only those of one language
+    when lang is given, sorted; their sha256 check files are left out."""
+    pattern = "*" if lang is None else f"{lang}-*"
+    return sorted(path for path in (Path(artifacts_dir) / kind).glob(pattern)
+                  if path.suffix != ".sha256")
+
+
+def prepared_lines(config, corpora, registry=None) -> dict[str, list[str]]:
+    """Each language's lines as run_experiment prepares them: the sampled
+    documents of a seen language, or all of an unseen one, through the
+    input type's transform, with no artifact store."""
+    registry = registry or default_registry()
+    keys = pipeline._cipher_keys(config)
+    lines = {}
+    for lang in config.langs:
+        docs = corpora[lang]
+        if lang in config.seen_langs:
+            docs = sample_to_budget(docs, config.budget, config.seed,
+                                    config.input_type)[1]
+        lines[lang], _ = pipeline._prepare(config, registry, keys,
+                                           pipeline._StageStore(None), lang,
+                                           docs, None)
+    return lines

@@ -27,7 +27,8 @@ from scriptshift.input_types import InputType
 from scriptshift.translit import (CipherKey, caesar_decipher,
                                   caesar_encipher, default_registry)
 
-from support import hangul_lines, latin_lines, make_token_set, the_cat_model
+from support import (hangul_lines, latin_lines, make_token_set,
+                     prepared_lines, stored, the_cat_model)
 
 
 def verdict(number, name, problems):
@@ -334,15 +335,18 @@ def test_criterion_7_selection_and_pipeline_equivalence(tmp_path):
                          cipher_shifts={"eng": 0, "kor": 0}, **common),
         corpora, artifacts_dir=cipher_dir)
 
-    rom_run = next(p for p in rom_dir.iterdir() if p.is_dir())
-    cipher_run = next(p for p in cipher_dir.iterdir() if p.is_dir())
+    rom_lines = prepared_lines(
+        ExperimentConfig(input_type=InputType.ROM, **common), corpora)
+    cipher_lines = prepared_lines(
+        ExperimentConfig(input_type=InputType.CIPHER,
+                         cipher_shifts={"eng": 0, "kor": 0}, **common),
+        corpora)
     for lang in ("eng", "kor"):
-        rom_bytes = (rom_run / "prepared" / f"{lang}.txt").read_bytes()
-        cipher_bytes = (cipher_run / "prepared" / f"{lang}.txt").read_bytes()
-        if rom_bytes != cipher_bytes:
+        if rom_lines[lang] != cipher_lines[lang]:
             problems.append(f"zero-shift prepared text differs for {lang}")
-    if (rom_run / "model.json").read_bytes() != \
-            (cipher_run / "model.json").read_bytes():
+    [rom_model] = stored(rom_dir, "model")
+    [cipher_model] = stored(cipher_dir, "model")
+    if rom_model.read_bytes() != cipher_model.read_bytes():
         problems.append("zero-shift cipher trained a different model")
     # quality reports embed the input-type label, so compare after
     # relabeling; every number must agree exactly

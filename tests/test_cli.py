@@ -3,17 +3,20 @@
 import hashlib
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import scriptshift
 from scriptshift.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_WRITE,
                              main)
 
-from support import hangul_lines, latin_lines
+from support import hangul_lines, latin_lines, stored
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -913,9 +916,27 @@ class TestRunCommand:
             ["run", "--config", str(config), "--corpus-dir",
              str(corpus_dir), "--artifacts-dir", str(artifacts)])
         assert code == EXIT_OK
-        run_dir = next(artifacts.iterdir())
-        assert (run_dir / "model.json").is_file()
-        assert (run_dir / "report.json").is_file()
+        [model_path] = stored(artifacts, "model")
+        assert model_path.is_file()
+        [report_path] = stored(artifacts, "report")
+        assert report_path.is_file()
+
+    def test_truncated_model_artifact_is_recomputed(self, monkeypatch,
+                                                    capsys, run_inputs,
+                                                    tmp_path):
+        config, corpus_dir = run_inputs
+        argv = ["run", "--config", str(config), "--corpus-dir",
+                str(corpus_dir), "--artifacts-dir", str(tmp_path)]
+        code, first, _ = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_OK
+        [model_path] = stored(tmp_path, "model")
+        model_path.write_bytes(model_path.read_bytes()[:100])
+        # the stored report would answer before the model is read
+        for path in stored(tmp_path, "report"):
+            path.unlink()
+        code, again, err = run_cli(monkeypatch, capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert again == first
 
     def test_missing_corpus_file(self, monkeypatch, capsys, run_inputs,
                                  tmp_path):
@@ -1308,6 +1329,36 @@ class TestParseErrors:
 
     def test_help_exits_zero(self, monkeypatch, capsys):
         assert run_cli(monkeypatch, capsys, ["--help"])[0] == EXIT_OK
+
+
+def test_run_bytes_do_not_depend_on_hash_seed_or_cache(run_inputs,
+                                                        tmp_path):
+    """`run` gives the same report bytes under two hash seeds, cold and
+    then warm over one artifacts dir per seed."""
+    config, corpus_dir = run_inputs
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    src = str(Path(scriptshift.__file__).resolve().parents[1])
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        artifacts = tmp_path / f"artifacts-{seed}"
+        for itype in ("Ortho", "Rom", "Cipher"):
+            typed = tmp_path / f"config-{itype}.json"
+            typed.write_text(json.dumps(dict(payload, input_type=itype)),
+                             encoding="utf-8")
+            for attempt in ("cold", "warm"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "scriptshift.cli", "run",
+                     "--config", str(typed), "--corpus-dir", str(corpus_dir),
+                     "--artifacts-dir", str(artifacts)],
+                    env=env, capture_output=True, timeout=120)
+                assert (proc.returncode, proc.stderr) == (0, b"")
+                outputs.setdefault(itype, {})[seed, attempt] = proc.stdout
+    for itype, runs in outputs.items():
+        assert len(set(runs.values())) == 1, itype
+    assert len({next(iter(runs.values())) for runs in outputs.values()}) == 3
 
 
 @pytest.mark.skipif(shutil.which("scriptshift") is None,

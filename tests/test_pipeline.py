@@ -1,5 +1,6 @@
 """End-to-end experiment runs, caching, and cross-input-type comparison."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -23,7 +24,7 @@ from scriptshift.pipeline import (AnalysisReport, ComparisonTable,
                                   load_config, load_report, run_experiment)
 from scriptshift.translit import TableRegistry, packaged_table_root
 
-from support import hangul_lines, latin_lines
+from support import hangul_lines, latin_lines, prepared_lines, stored
 
 
 def as_documents(lang, lines):
@@ -315,19 +316,16 @@ class TestWordTablesMatchLinePasses:
         config = make_config(input_type, languages=languages)
         corpora = {lang: ragged_corpora[lang] for lang in seen + unseen}
         report = run_experiment(config, corpora, artifacts_dir=tmp_path)
-        root = next(tmp_path.iterdir())
-        prepared = {lang: (root / "prepared" / f"{lang}.txt").read_text(
-                        encoding="utf-8").splitlines()
-                    for lang in config.langs}
+        prepared = prepared_lines(config, corpora)
         assert any(not line.strip() for line in prepared["spa"])
         model_json, report_json, token_sets = ref_run(config, corpora,
                                                       prepared)
-        assert (root / "model.json").read_text(encoding="utf-8") == \
-            model_json
+        [model_path] = stored(tmp_path, "model")
+        assert model_path.read_text(encoding="utf-8") == model_json
         assert dumps_report(report) == report_json
         for lang, ts in token_sets.items():
-            written = json.loads((root / "tokensets" / f"{lang}.json")
-                                 .read_text(encoding="utf-8"))
+            [path] = stored(tmp_path, "tokensets", lang)
+            written = json.loads(path.read_text(encoding="utf-8"))
             assert written == ts.to_json_dict()
         warm = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(warm) == report_json
@@ -338,34 +336,37 @@ class TestArtifacts:
     def test_artifact_files_written(self, corpora, tmp_path):
         config = make_config(InputType.ROM)
         run_experiment(config, corpora, artifacts_dir=tmp_path)
-        run_dirs = list(tmp_path.iterdir())
-        assert len(run_dirs) == 1
-        root = run_dirs[0]
-        for name in ("prepared/eng.txt", "prepared/spa.txt",
-                     "prepared/kor.txt", "model.json", "tokensets/eng.json",
-                     "tokensets/kor.json", "report.json"):
-            assert (root / name).is_file(), name
+        assert len(stored(tmp_path, "report")) == 1
+        assert len(stored(tmp_path, "model")) == 1
+        for lang in ("eng", "spa", "kor"):
+            assert len(stored(tmp_path, "text", lang)) == 1, lang
+            assert len(stored(tmp_path, "tokensets", lang)) == 1, lang
+        for kind in ("report", "model", "text", "tokensets"):
+            for path in stored(tmp_path, kind):
+                assert path.is_file(), path
+                assert path.with_name(path.name + ".sha256").is_file(), path
 
     def test_rerun_reuses_cache_byte_identically(self, corpora, tmp_path):
         config = make_config(InputType.ROM)
         first = run_experiment(config, corpora, artifacts_dir=tmp_path)
-        root = next(tmp_path.iterdir())
-        model_before = (root / "model.json").read_bytes()
-        report_before = (root / "report.json").read_bytes()
+        [model_path] = stored(tmp_path, "model")
+        [report_path] = stored(tmp_path, "report")
+        model_before = model_path.read_bytes()
+        report_before = report_path.read_bytes()
         second = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(second) == dumps_report(first)
-        assert (root / "model.json").read_bytes() == model_before
-        assert (root / "report.json").read_bytes() == report_before
+        assert model_path.read_bytes() == model_before
+        assert report_path.read_bytes() == report_before
 
     def test_downstream_rebuild_from_cached_stages(self, corpora, tmp_path):
         config = make_config(InputType.ROM)
         first = run_experiment(config, corpora, artifacts_dir=tmp_path)
-        root = next(tmp_path.iterdir())
-        report_bytes = (root / "report.json").read_bytes()
-        (root / "report.json").unlink()
+        [report_path] = stored(tmp_path, "report")
+        report_bytes = report_path.read_bytes()
+        report_path.unlink()
         second = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(second) == dumps_report(first)
-        assert (root / "report.json").read_bytes() == report_bytes
+        assert report_path.read_bytes() == report_bytes
 
     def test_custom_tables_do_not_leak_into_packaged_run(self, corpora,
                                                          tmp_path):
@@ -382,28 +383,212 @@ class TestArtifacts:
         fresh = run_experiment(config, corpora)
         assert custom.model_digest != fresh.model_digest
         assert dumps_report(packaged) == dumps_report(fresh)
-        assert len(list(artifacts.iterdir())) == 2
+        assert len(stored(artifacts, "report")) == 2
+        # only eng's table differs, so only eng's text is stored twice
+        assert len(stored(artifacts, "text", "eng")) == 2
+        assert len(stored(artifacts, "text", "spa")) == 1
+        assert len(stored(artifacts, "text", "kor")) == 1
 
-    def test_failed_write_leaves_no_artifact(self, tmp_path):
+    def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         store = pl._StageStore(tmp_path)
-        # A lone surrogate cannot be encoded, so the write fails after the
-        # file it writes to has been opened.
+        # A lone surrogate cannot be encoded, so the write fails before a
+        # file is opened; a failed rename fails after the temporary file
+        # is written, which must then be removed.
         with pytest.raises(UnicodeEncodeError):
             store.save_text("prepared/eng.txt", "abc\ud800")
         assert list((tmp_path / "prepared").iterdir()) == []
         store.save_text("model.json", "whole\n")
         with pytest.raises(UnicodeEncodeError):
             store.save_text("model.json", "abc\ud800")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pl.os, "replace", refuse)
+            with pytest.raises(OSError, match="rename refused"):
+                store.save_text("model.json", "other\n")
         assert store.load_text("model.json") == "whole\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == \
-            ["model.json", "prepared"]
+            ["model.json", "model.json.sha256", "prepared"]
 
     def test_different_configs_use_distinct_digests(self, corpora, tmp_path):
         run_experiment(make_config(InputType.ROM), corpora,
                        artifacts_dir=tmp_path)
         run_experiment(make_config(InputType.ORTHO), corpora,
                        artifacts_dir=tmp_path)
-        assert len(list(tmp_path.iterdir())) == 2
+        assert len(stored(tmp_path, "report")) == 2
+
+
+def _truncate_to_third(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 3], encoding="utf-8")
+
+
+def _truncate_to_100_bytes(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _edit_report(path):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["quality"]["eng"]["word_count"] += 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _drop_check(path):
+    path.with_name(path.name + ".sha256").unlink()
+
+
+class TestCorruptCache:
+    """A damaged artifact is a miss: the stage recomputes and the run gives
+    the fresh report's bytes, never an error or a wrong answer."""
+
+    @pytest.mark.parametrize("kind, lang, damage", [
+        ("text", "eng", _truncate_to_third),
+        ("model", None, _truncate_to_100_bytes),
+        ("report", None, _edit_report),
+        ("report", None, _drop_check),
+        ("model", None, _drop_check),
+        ("text", "kor", _drop_check),
+    ])
+    def test_damaged_artifact_is_recomputed(self, corpora, tmp_path, kind,
+                                            lang, damage):
+        config = make_config(InputType.ROM)
+        fresh = dumps_report(run_experiment(config, corpora))
+        run_experiment(config, corpora, artifacts_dir=tmp_path)
+        [path] = stored(tmp_path, kind, lang)
+        before = path.read_bytes()
+        damage(path)
+        if kind != "report":
+            # the report would be served before the damaged stage is read
+            stored(tmp_path, "report")[0].unlink()
+        again = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert dumps_report(again) == fresh
+        assert path.read_bytes() == before
+        assert dumps_report(run_experiment(config, corpora,
+                                           artifacts_dir=tmp_path)) == fresh
+
+    def test_checked_artifact_that_does_not_decode_is_a_miss(self, corpora,
+                                                              tmp_path):
+        config = make_config(InputType.ROM)
+        fresh = dumps_report(run_experiment(config, corpora))
+        run_experiment(config, corpora, artifacts_dir=tmp_path)
+        store = pl._StageStore(tmp_path)
+        for kind in ("report", "model"):
+            [path] = stored(tmp_path, kind)
+            store.save_text(f"{kind}/{path.name}", "{}\n")
+        again = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert dumps_report(again) == fresh
+
+
+@pytest.fixture
+def romanize_calls(monkeypatch):
+    """Counts TableRegistry.romanize calls per language."""
+    calls = Counter()
+    romanize = TableRegistry.romanize
+
+    def counted(self, lang, text):
+        calls[lang] += 1
+        return romanize(self, lang, text)
+
+    monkeypatch.setattr(TableRegistry, "romanize", counted)
+    return calls
+
+
+class TestSharedStore:
+    """Stages keyed by their own inputs are shared between runs that read
+    the same inputs, with the bytes of runs into an empty store."""
+
+    @pytest.mark.parametrize("change", ["text", "ids", "budget"])
+    def test_changed_input_is_a_miss(self, corpora, tmp_path, change):
+        config = make_config(InputType.ROM)
+        first = dumps_report(run_experiment(config, corpora,
+                                            artifacts_dir=tmp_path))
+        changed = dict(corpora)
+        eng = corpora["eng"]
+        if change == "text":
+            changed["eng"] = [dataclasses.replace(doc, text=doc.text + " zz")
+                              for doc in eng]
+        elif change == "ids":
+            changed["eng"] = [dataclasses.replace(doc,
+                                                  doc_id=eng[-1 - i].doc_id)
+                              for i, doc in enumerate(eng)]
+        else:
+            config = make_config(InputType.ROM, budget=200)
+        fresh = dumps_report(run_experiment(config, changed))
+        assert fresh != first
+        again = run_experiment(config, changed, artifacts_dir=tmp_path)
+        assert dumps_report(again) == fresh
+
+    def test_rerun_returns_stored_report_before_any_stage(self, corpora,
+                                                          tmp_path,
+                                                          monkeypatch):
+        config = make_config(InputType.CIPHER)
+        cold = dumps_report(run_experiment(config, corpora,
+                                           artifacts_dir=tmp_path))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        for name in ("sample_to_budget", "caesar_encipher", "loads_model",
+                     "train_from_word_counts", "quality_report"):
+            monkeypatch.setattr(pl, name, fail)
+        monkeypatch.setattr(TableRegistry, "romanize", fail)
+        warm = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert dumps_report(warm) == cold
+
+    def test_cipher_after_rom_romanizes_nothing(self, corpora, tmp_path,
+                                                romanize_calls):
+        cipher = make_config(InputType.CIPHER)
+        cold = dumps_report(run_experiment(cipher, corpora,
+                                           artifacts_dir=tmp_path / "cold"))
+        shared = tmp_path / "shared"
+        run_experiment(make_config(InputType.ROM), corpora,
+                       artifacts_dir=shared)
+        romanize_calls.clear()
+        warm = dumps_report(run_experiment(cipher, corpora,
+                                           artifacts_dir=shared))
+        assert warm == cold
+        assert romanize_calls == Counter()
+
+    def test_vocab_sweep_transliterates_once(self, corpora, tmp_path,
+                                             romanize_calls):
+        sizes = (60, 70)
+        cold = {size: dumps_report(run_experiment(
+                    make_config(InputType.ROM, vocab_size=size), corpora,
+                    artifacts_dir=tmp_path / f"cold-{size}"))
+                for size in sizes}
+        prepared = prepared_lines(make_config(InputType.ROM), corpora)
+        romanize_calls.clear()
+        for size in sizes:
+            warm = run_experiment(make_config(InputType.ROM, vocab_size=size),
+                                  corpora, artifacts_dir=tmp_path / "shared")
+            assert dumps_report(warm) == cold[size]
+        assert romanize_calls == Counter({lang: len(lines) for lang, lines
+                                          in prepared.items()})
+        assert len(stored(tmp_path / "shared", "model")) == 2
+
+    def test_budget_sweep_over_whole_corpora_retrains(self, corpora,
+                                                      tmp_path):
+        # Both seen corpora are under either budget, so each selection and
+        # its text is the same; only the repetition counts, and with them
+        # the model, differ.
+        languages = (LanguageSpec("spa", True), LanguageSpec("kor", True),
+                     LanguageSpec("eng", False))
+        budgets = (200, 300)
+        cold = {budget: run_experiment(
+                    make_config(InputType.ROM, languages=languages,
+                                budget=budget), corpora,
+                    artifacts_dir=tmp_path / f"cold-{budget}")
+                for budget in budgets}
+        assert cold[200].model_digest != cold[300].model_digest
+        for budget in budgets:
+            warm = run_experiment(
+                make_config(InputType.ROM, languages=languages,
+                            budget=budget), corpora,
+                artifacts_dir=tmp_path / "shared")
+            assert dumps_report(warm) == dumps_report(cold[budget])
+        assert len(stored(tmp_path / "shared", "text", "spa")) == 1
 
 
 class TestReportSerialization:
