@@ -81,7 +81,7 @@ def _open_in(path: str | None):
     if path is None:
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8") as handle:
+        with records.open_text(path) as handle:
             yield handle
 
 
@@ -179,7 +179,7 @@ def _cmd_translit(args: argparse.Namespace) -> int:
 def _cmd_train_tokenizer(args: argparse.Namespace) -> int:
     def lines():
         for path in args.input:
-            with open(path, "r", encoding="utf-8") as handle:
+            with records.open_text(path) as handle:
                 yield from handle
 
     model = tokenizer.train(lines(), args.vocab_size, args.min_char_freq)
@@ -228,7 +228,7 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 def _cmd_quality(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
     input_type = InputType.parse(args.input_type)
-    with open(args.input, "r", encoding="utf-8") as handle:
+    with records.open_text(args.input) as handle:
         report = metrics.quality_report(model, handle, args.lang,
                                         input_type)
     _emit_report(args, report.to_json_dict(),
@@ -251,12 +251,16 @@ def _cmd_select_langs(args: argparse.Namespace) -> int:
                 if scripts.get(lang) == args.script]
     corpora = None
     if args.corpus_dir:
+        paths = {lang: Path(args.corpus_dir) / f"{lang}.txt" for lang in pool}
+        paths = {lang: path for lang, path in paths.items() if path.is_file()}
         corpora = {}
-        for lang in pool:
-            path = Path(args.corpus_dir) / f"{lang}.txt"
-            if path.is_file():
-                corpora[lang] = path.read_text(
-                    encoding="utf-8").splitlines()
+        for lang, path in paths.items():
+            with records.open_text(path) as handle:
+                corpora[lang] = handle.read().splitlines()
+            # the lexical component compares the word types of two corpora
+            if len(paths) > 1 and not any(map(str.split, corpora[lang])):
+                raise ValueError(f"{path}: the corpus of {lang!r} has no "
+                                 f"words")
     spec = langselect.SelectionSpec(
         regime=langselect.Regime(args.regime),
         set_size=args.set_size,

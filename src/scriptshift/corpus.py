@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .input_types import InputType
-from .records import Record
+from .records import Record, open_text
 
 
 class EmptyCorpusError(ValueError):
@@ -140,9 +140,10 @@ def repetition_counts(manifests: Sequence[CorpusManifest],
 
 def read_documents(path: str | Path, lang: str) -> list[Document]:
     """Read a one-document-per-line corpus; blank lines are skipped and
-    doc_ids are derived from line numbers."""
+    doc_ids are derived from line numbers. Text that is not UTF-8 raises
+    ValueError naming the path."""
     docs = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.rstrip("\n")
             if not text.strip():
@@ -165,10 +166,11 @@ def read_tidy_csv(path: str | Path,
     """Rows of a CSV file with a header line, as dicts keyed by column.
 
     The header must name every required column and every row must have as
-    many fields as the header; either fault raises ValueError naming the
-    path, and for a row its line. Blank lines are skipped."""
+    many fields as the header; either fault, or text that is not UTF-8,
+    raises ValueError naming the path, and for a row its line. Blank lines
+    are skipped."""
     required = sorted(required)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         columns = next(reader, None)
         if columns is None or not set(required) <= set(columns):

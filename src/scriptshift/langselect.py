@@ -16,6 +16,14 @@ on an intermediate overflow, far outside any similarity score). The mean
 and the script term follow with `set_objective`'s float operations, and
 candidates are compared by that float, so a float tie goes to the
 lexicographically smallest set even where the exact sums differ.
+
+Neither search scores a candidate that cannot change its answer. The
+exhaustive search is a branch and bound: it skips a prefix once an integer
+bound on the pair sum of every completion, with the most scripts the set
+could hold, gives no higher a score than the best set found so far, which
+a later set must beat strictly. The greedy search memoizes its climbs: a
+climb is a function of the set it stands on, so a start that reaches a set
+an earlier climb passed through ends where that climb ended.
 """
 
 from __future__ import annotations
@@ -290,6 +298,11 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
     to the lexicographically smallest set. Candidates are scored exactly as
     set_objective scores them (see the module docstring), which gives the
     objective returned for the winner.
+
+    The exhaustive search skips each prefix whose bound (see _exhaustive)
+    cannot beat the incumbent, and the greedy climbs share one memo of the
+    sets they passed through, so both return what scoring every candidate
+    would return.
     """
     script_map = spec.script_map if scripts is None else scripts
     ordered = sorted(set(pool))
@@ -313,7 +326,8 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
                       for lang in ordered]
     gain = _gain(spec, scale)
     if math.comb(len(ordered), spec.set_size) <= EXHAUSTIVE_SEARCH_LIMIT:
-        best = _exhaustive(weights, script_ids, spec.set_size, gain)
+        orient = 1 if spec.regime.maximize else -1
+        best = _exhaustive(weights, script_ids, spec.set_size, gain, orient)
     else:
         best = _greedy(weights, script_ids, spec.set_size, gain)
     chosen = tuple(ordered[i] for i in best)
@@ -354,12 +368,33 @@ def _gain(spec: SelectionSpec, scale: int):
     return gain
 
 
-def _exhaustive(weights, script_ids, k, gain):
-    """Lexicographic depth-first search over all k-subsets of indices. Each
+def _exhaustive(weights, script_ids, k, gain, orient):
+    """Lexicographic depth-first search over the k-subsets of indices. Each
     depth carries the exact pair sum of the chosen prefix and every index's
     row sum against it, so a leaf costs O(1); only a strictly higher gain
-    replaces the incumbent, so ties keep the lexicographically first set."""
+    replaces the incumbent, so ties keep the lexicographically first set.
+
+    A prefix is skipped once no completion can beat the incumbent. Say r
+    picks are left among the indices from `start`. Each pick j adds
+    rows[j], its pair values with the prefix, and shares with another pick
+    each of its pairs with the other r - 1 picks, whose oriented sum is at
+    most tops[j][r - 1], its r - 1 largest oriented pair values. So twice
+    the oriented final pair sum is at most twice the prefix's plus the sum
+    of the r largest values of 2 * orient * rows[j] + tops[j][r - 1], and
+    the integer pair sum is bounded by half of that, rounded up. The set
+    has at most min(scripts in the pool, distinct + r) scripts. gain never
+    falls as either grows (orient * script_sign >= 0), so if its value at
+    those bounds is no higher than the incumbent's, no set below the prefix
+    can displace it. A bound too large for a float prunes nothing."""
     n = len(weights)
+    tops = []
+    for i, row in enumerate(weights):
+        ranked = sorted((orient * w for j, w in enumerate(row) if j != i),
+                        reverse=True)
+        tops.append(list(itertools.accumulate(ranked[:k - 1], initial=0)))
+    columns = list(zip(*tops))  # columns[m][j] == tops[j][m]
+    pool_scripts = len(set(script_ids))
+    twice = 2 * orient
     chosen: list[int] = []
     counts = [0] * n
     best = best_set = None
@@ -367,14 +402,26 @@ def _exhaustive(weights, script_ids, k, gain):
     def descend(start, rows, pair_sum, distinct):
         nonlocal best, best_set
         depth = len(chosen)
-        if depth == k - 1:
+        left = k - depth
+        if best is not None:
+            reach = sorted(map(operator.add,
+                               map(twice.__mul__, rows[start:]),
+                               columns[left - 1][start:]), reverse=True)
+            bound = orient * pair_sum - (-sum(reach[:left]) // 2)
+            try:
+                if gain(orient * bound, k,
+                        min(pool_scripts, distinct + left)) <= best:
+                    return
+            except OverflowError:
+                pass
+        if left == 1:
             for j in range(start, n):
                 value = gain(pair_sum + rows[j], k,
                              distinct + (counts[script_ids[j]] == 0))
                 if best is None or value > best:
                     best, best_set = value, (*chosen, j)
             return
-        for i in range(start, n - k + depth + 1):
+        for i in range(start, n - left + 1):
             script = script_ids[i]
             new_script = counts[script] == 0
             counts[script] += 1
@@ -396,7 +443,9 @@ def _greedy(weights, script_ids, k, gain):
     single swaps; the best local optimum wins, ties to the smallest set.
 
     Small pools start once from every pair; larger pools start from each
-    index joined with its best partner, keeping the start count linear."""
+    index joined with its best partner, keeping the start count linear.
+    All climbs share one memo, so a climb that reaches a state an earlier
+    climb passed through ends where that climb ended."""
     n = len(weights)
     if math.comb(n, 2) <= _PAIR_START_LIMIT:
         starts = list(itertools.combinations(range(n), 2))
@@ -416,20 +465,33 @@ def _greedy(weights, script_ids, k, gain):
         starts = sorted(found)
     best_set = None
     best = None
+    memo: dict[tuple[int, ...], tuple[tuple[int, ...], float]] = {}
     for start in starts:
-        members, value = _climb(list(start), weights, script_ids, k, gain)
+        members, value = _climb(list(start), weights, script_ids, k, gain,
+                                memo)
         if best is None or value > best or (value == best
                                             and members < best_set):
             best_set, best = members, value
     return best_set
 
 
-def _climb(members, weights, script_ids, k, gain):
+def _climb(members, weights, script_ids, k, gain, memo):
     """Complete one starting pair greedily (first strictly best addition),
     then take the best single swap, ties to the smallest resulting set,
-    until no swap strictly improves the gain."""
+    until no swap strictly improves the gain.
+
+    Each step depends on the current members alone, so the climb's end is
+    a function of any state it passes through: memo maps every state a
+    climb passed through to that climb's (members, gain), and a climb
+    stops at the first state found there."""
     n = len(weights)
+    path = []
     while True:
+        state = tuple(members)
+        end = memo.get(state)
+        if end is not None:
+            break
+        path.append(state)
         # exact state of the current members: each index's row sum against
         # them, their pair sum and the members per script
         rows = [sum(column) for column in zip(*(weights[m] for m in members))]
@@ -472,8 +534,12 @@ def _climb(members, weights, script_ids, k, gain):
                     if candidate < move_set:
                         move, move_set = (m, o), candidate
         if move is None:
-            return tuple(members), current
+            end = state, current
+            break
         members = list(_swapped(members, *move))
+    for state in path:
+        memo[state] = end
+    return end
 
 
 def _swapped(members, out, into):

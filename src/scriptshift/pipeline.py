@@ -32,7 +32,7 @@ from .corpus import (CorpusManifest, Document, EmptyCorpusError,
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
-from .records import Record, dumps, load
+from .records import Record, dumps, load, open_text
 from .tokenizer import (dumps_model, loads_model, token_set,
                         train_from_word_counts)
 from .translit import (CipherKey, RuleMode, TableRegistry,
@@ -135,7 +135,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 "TOML configs need Python >= 3.11 or the tomli package; "
                 "use JSON instead") from None
     try:
-        payload = toml_parser.loads(path.read_text(encoding="utf-8"))
+        with open_text(path) as handle:
+            payload = toml_parser.loads(handle.read())
     except toml_parser.TOMLDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return ExperimentConfig.from_json_dict(payload)

@@ -8,11 +8,14 @@ mapping keys are parsed to the key type, and only a field with a default
 may be absent. A failed read raises the record's `json_error`, naming the
 record and the field; `decode` reads a value of a field type by the same
 rule. The reader of each field type is built once, from its hint, and
-kept. `dumps` is the one canonical JSON text.
+kept. `dumps` is the one canonical JSON text. `open_text` opens every
+UTF-8 input file the package reads, so bytes that are not UTF-8 raise an
+error naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -73,10 +76,23 @@ def decode(hint, payload):
         raise RecordError(str(exc)) from None
 
 
+@contextlib.contextmanager
+def open_text(path: str | Path, newline: str | None = None):
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8, met
+    while the file is read inside the block, raise ValueError naming the
+    path."""
+    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load(cls, path: str | Path):
-    """Read a record of type cls from a JSON file. Text that is not JSON
-    or does not fit raises the record's error, naming the path."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a record of type cls from a JSON file. Text that is not UTF-8,
+    is not JSON or does not fit raises an error naming the path."""
+    with open_text(path) as handle:
+        text = handle.read()
     try:
         return from_json(cls, json.loads(text))
     except (json.JSONDecodeError, cls.json_error) as exc:

@@ -502,6 +502,25 @@ class TestSelectLangsCommand:
         assert code == EXIT_OK
         assert isinstance(json.loads(out)["objective"], float)
 
+    def test_empty_corpus_file_names_itself(self, monkeypatch, capsys,
+                                            selection_files, tmp_path):
+        # a blank-only corpus used to exit 3 naming no language or file
+        features, scripts = selection_files
+        corpus_dir = tmp_path / "corpora"
+        corpus_dir.mkdir()
+        (corpus_dir / "aaa.txt").write_text("  \n\n", encoding="utf-8")
+        (corpus_dir / "bbb.txt").write_text("x y w\n", encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(features),
+             "--scripts", str(scripts), "--regime", "sim-same",
+             "--set-size", "2", "--script", "Latn",
+             "--corpus-dir", str(corpus_dir)])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (f"error: {corpus_dir / 'aaa.txt'}: the corpus of "
+                       f"'aaa' has no words\n")
+
     def test_pool_too_small(self, monkeypatch, capsys, selection_files):
         features, scripts = selection_files
         code, _, _ = run_cli(
@@ -1248,6 +1267,66 @@ def test_malformed_json_input_exits_2_or_3(monkeypatch, capsys, request,
     assert code == (EXIT_CONFIG if kind == "config" else EXIT_DATA)
     assert out == ""
     assert err.startswith(f"error: {bad}: malformed ")
+    assert err.count("\n") == 1
+
+
+def _non_utf8_command(reader, request, bad):
+    """argv for a command that reads the file `bad` through one reader,
+    with the exit code for the other faults of that file."""
+    fixture = request.getfixturevalue
+    if reader in ("tidy-csv", "select-corpus-dir"):
+        features, scripts = fixture("selection_files")
+        argv = ["select-langs", "--scripts", str(scripts), "--regime",
+                "sim-same", "--set-size", "2", "--script", "Latn"]
+        if reader == "tidy-csv":
+            return argv + ["--features", str(bad)], EXIT_DATA
+        (bad.parent / "bbb.txt").write_text("x y\n", encoding="utf-8")
+        return argv + ["--features", str(features),
+                       "--corpus-dir", str(bad.parent)], EXIT_DATA
+    if reader in ("documents", "record", "toml-config"):
+        config, corpus_dir = fixture("run_inputs")
+        if reader == "documents":
+            return ["run", "--config", str(config),
+                    "--corpus-dir", str(bad.parent)], EXIT_DATA
+        return ["run", "--config", str(bad),
+                "--corpus-dir", str(corpus_dir)], EXIT_DATA
+    if reader == "train-input":
+        return ["train-tokenizer", "--input", str(bad),
+                "--vocab-size", "8"], EXIT_DATA
+    if reader == "quality-input":
+        return ["quality", "--model", str(fixture("trained_model")),
+                "--input", str(bad), "--lang", "eng"], EXIT_DATA
+    if reader == "input":
+        return ["translit", "--mode", "cipher", "--shift", "1",
+                "--input", str(bad)], EXIT_DATA
+    assert reader == "keys"
+    return ["translit", "--mode", "cipher", "--keys", str(bad),
+            "--lang", "spa"], EXIT_CONFIG
+
+
+@pytest.mark.parametrize("reader", [
+    "tidy-csv", "select-corpus-dir", "documents", "record", "toml-config",
+    "train-input", "quality-input", "input", "keys"])
+def test_non_utf8_input_names_the_file(monkeypatch, capsys, request,
+                                       tmp_path, reader):
+    """A byte that is not UTF-8 in an input file exits with that file's
+    usual code and an error line naming the file; it used to give only
+    the codec's message."""
+    if reader == "toml-config":
+        try:
+            import tomllib  # noqa: F401
+        except ModuleNotFoundError:
+            pytest.importorskip("tomli")
+    name = {"select-corpus-dir": "aaa.txt", "documents": "eng.txt",
+            "toml-config": "config.toml"}.get(reader, "input.txt")
+    bad = tmp_path / "inputs" / name
+    bad.parent.mkdir()
+    bad.write_bytes(b"ab\n\xff\n")
+    argv, expected = _non_utf8_command(reader, request, bad)
+    code, out, err = run_cli(monkeypatch, capsys, argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode ")
     assert err.count("\n") == 1
 
 

@@ -6,7 +6,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptshift import langselect as ls
@@ -541,6 +541,10 @@ PAIR_VALUES = {
     "quantized": st.integers(0, 8).map(lambda v: v / 4),
     "signed": st.floats(-4.0, 4.0),
     "wide": st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)),
+    # two of these fit a float and three of one sign do not: a bound that
+    # adds each row's largest values can overflow where no set sum does
+    "huge": st.one_of(st.floats(-4.0, 4.0), st.floats(6e307, 8.9e307),
+                      st.floats(-8.9e307, -6e307)),
 }
 ALPHAS = st.one_of(st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]),
                    st.floats(0.0, 8.0))
@@ -556,6 +560,19 @@ def search_outcome(search, pool, spec, sims, exhaustive):
         except (ValueError, KeyError) as exc:
             return type(exc), str(exc)
     return chosen, objective.hex()
+
+
+def sums_fit(pool, size, sims):
+    """Whether set_objective sums the pairs of every set of 2 to `size`
+    languages from the pool without overflow."""
+    for count in range(2, size + 1):
+        for langs in itertools.combinations(sorted(pool), count):
+            try:
+                math.fsum(itertools.starmap(
+                    sims.get, itertools.combinations(langs, 2)))
+            except OverflowError:
+                return False
+    return True
 
 
 @st.composite
@@ -580,7 +597,9 @@ def selection_cases(draw):
     spec = SelectionSpec(regime=draw(st.sampled_from(list(Regime))),
                          set_size=draw(st.integers(2, min(len(pool), 5))),
                          alpha=draw(ALPHAS), script_map=scripts)
-    return pool, spec, SimilarityMatrix(langs, values), draw(st.booleans())
+    sims = SimilarityMatrix(langs, values)
+    assume(sums_fit(pool, spec.set_size, sims))
+    return pool, spec, sims, draw(st.booleans())
 
 
 class TestSearchMatchesReference:
@@ -624,6 +643,146 @@ class TestSearchMatchesReference:
                              script_map=scripts)
         assert search_outcome(select_subset, langs, spec, sims, False) == \
             search_outcome(ref_select_subset, langs, spec, sims, False)
+
+
+def select_stats_instance(seed):
+    """Languages, scripts and similarities shaped like the select-stats
+    benchmark: 21 languages in Latin and Hangul script, and 45 more in four
+    scripts, with random positive typological feature vectors."""
+    rng = random.Random(seed)
+    scripts = {}
+    for tree in range(7):
+        scripts.update({f"la{tree}a": "Latn", f"la{tree}b": "Latn",
+                        f"ko{tree}": "Hang"})
+    corpus_langs = sorted(scripts)
+    for i in range(45):
+        scripts[f"fx{i:02d}"] = rng.choice(("Latn", "Cyrl", "Arab", "Deva"))
+    features = {}
+    for lang in sorted(scripts):
+        vectors = {name: tuple(rng.uniform(0.05, 1.0) for _ in range(dims))
+                   for name, dims in (("syntactic", 32), ("geographic", 8),
+                                      ("genetic", 24))}
+        if rng.random() < 1 / 6:
+            del vectors["genetic"]
+        features[lang] = FeatureVectors(lang, **vectors)
+    sims = SimilarityMatrix.build(scripts, features)
+    return corpus_langs, sorted(scripts), scripts, sims
+
+
+def watch_gains(monkeypatch):
+    """Record the arguments of every gain call select_subset makes, and
+    apart from them those of the calls that raised OverflowError."""
+    calls, overflows = [], []
+    make_gain = ls._gain
+
+    def watching(spec, scale):
+        gain = make_gain(spec, scale)
+
+        def watched(*args):
+            calls.append(args)
+            try:
+                return gain(*args)
+            except OverflowError:
+                overflows.append(args)
+                raise
+        return watched
+    monkeypatch.setattr(ls, "_gain", watching)
+    return calls, overflows
+
+
+class TestPrunedSearch:
+    """The bounded exhaustive search and the memoized greedy climbs give
+    the reference's answers and skip the work they are meant to skip."""
+
+    @given(st.data(), st.integers(4, 7), st.sampled_from(list(Regime)),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_huge_values_on_whole_pools(self, data, n, regime, exhaustive):
+        langs = tuple(f"l{i:02d}" for i in range(n))
+        size = data.draw(st.integers(3, n - 1))
+        sims = SimilarityMatrix(langs, {
+            pair: data.draw(PAIR_VALUES["huge"])
+            for pair in itertools.combinations(langs, 2)})
+        assume(sums_fit(langs, size, sims))
+        scripts = {lang: "Latn" if regime.single_script
+                   else data.draw(st.sampled_from(LANG_SCRIPTS))
+                   for lang in langs}
+        spec = SelectionSpec(regime=regime, set_size=size,
+                             alpha=data.draw(ALPHAS), script_map=scripts)
+        assert search_outcome(select_subset, langs, spec, sims, exhaustive) \
+            == search_outcome(ref_select_subset, langs, spec, sims,
+                              exhaustive)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_overflowing_bound_prunes_nothing(self, monkeypatch, regime):
+        # Pairs of l1..l4 are +-8e307 by the gap between them, so no three
+        # languages hold three pairs of one sign and every set sum fits,
+        # yet from the prefix (l1,) a bound that adds each row's largest
+        # values does not. The pairs of l0 are poor, so the sets of l0 that
+        # the search scores first lose to (l1, l2, l4) behind that bound.
+        langs = tuple(f"l{i}" for i in range(5))
+        orient = 1 if regime.maximize else -1
+        sims = SimilarityMatrix(langs, {
+            (langs[i], langs[j]): orient * (
+                -1e307 if i == 0 else 8e307 if j - i in (2, 3) else -8e307)
+            for i, j in itertools.combinations(range(5), 2)})
+        spec = SelectionSpec(regime=regime, set_size=3,
+                             script_map={lang: "Latn" for lang in langs})
+        _, overflows = watch_gains(monkeypatch)
+        outcome = search_outcome(select_subset, langs, spec, sims, True)
+        assert overflows
+        assert outcome[0] == ("l1", "l2", "l4")
+        assert outcome == search_outcome(ref_select_subset, langs, spec,
+                                         sims, True)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_select_stats_shaped_pools(self, seed, regime):
+        corpus_langs, everyone, scripts, sims = select_stats_instance(seed)
+        if regime.single_script:
+            scripts = {lang: "Latn" for lang in everyone}
+        for pool, size, exhaustive in ((corpus_langs, 6, True),
+                                       (everyone, 5, False)):
+            assert exhaustive == (math.comb(len(pool), size)
+                                  <= ls.EXHAUSTIVE_SEARCH_LIMIT)
+            spec = SelectionSpec(regime=regime, set_size=size,
+                                 script_map=scripts)
+            assert search_outcome(select_subset, pool, spec, sims,
+                                  exhaustive) == \
+                search_outcome(ref_select_subset, pool, spec, sims,
+                               exhaustive)
+
+    def test_exhaustive_search_scores_under_a_tenth(self, monkeypatch):
+        corpus_langs, _, scripts, sims = select_stats_instance(1)
+        calls, _ = watch_gains(monkeypatch)
+        spec = SelectionSpec(regime=Regime.SIM_DIV, set_size=6,
+                             script_map=scripts)
+        select_subset(corpus_langs, spec, sims)
+        # bound checks call gain too, and count here
+        assert 0 < len(calls) < math.comb(21, 6) / 10
+
+    def test_greedy_scans_each_state_once(self, monkeypatch):
+        _, everyone, scripts, sims = select_stats_instance(1)
+        calls, _ = watch_gains(monkeypatch)
+        n, k = len(everyone), 5
+        spec = SelectionSpec(regime=Regime.DISSIM_DIV, set_size=k,
+                             script_map=scripts)
+        select_subset(everyone, spec, sims)
+        # A climb scores the n - k + 1 additions that complete its set and
+        # then each full-size state it reaches as one block: the state and
+        # its k * (n - k) swaps. So each run of full-size calls is one
+        # completion followed by whole blocks.
+        completion, block = n - k + 1, 1 + k * (n - k)
+        runs = [list(run) for full, run in itertools.groupby(
+            calls, key=lambda call: call[1] == k) if full]
+        scans = []
+        for run in runs:
+            assert len(run) >= completion
+            assert (len(run) - completion) % block == 0
+            scans += [tuple(run[i:i + block])
+                      for i in range(completion, len(run), block)]
+        assert scans
+        assert len(set(scans)) == len(scans)
 
 
 # Pair similarity as it was before build shared each vector's norm across
