@@ -16,10 +16,7 @@ from .langselect import (FeatureVectors, Regime, SelectionSpec,
                          cosine_similarity, lexical_similarity, select_subset,
                          set_objective)
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
-                      fertility, overlap_all_sources, overlap_by_length,
-                      overlap_ratio, overlap_report, overlap_type_ratio,
-                      quality_report, token_length_histogram, unk_ratio,
-                      vocab_coverage)
+                      overlap_report, quality_report, token_length_histogram)
 from .pipeline import (AnalysisReport, ComparisonTable, ExperimentConfig,
                        LanguageSpec, PipelineStageError, compare_input_types,
                        load_config, run_experiment)

@@ -1,11 +1,12 @@
-"""Token-set overlap and tokenizer-quality metrics.
+"""Token-set overlap and tokenizer-quality metrics: one function each.
 
 All ratios are computed as exact fractions; reports render them as floats
-only when serialized through `records`. Overlap compares an unseen target
-language's token set against the token sets of the languages a tokenizer
-was trained on. The quality metrics (unknown-token ratio, fertility,
-vocabulary coverage) are projections of `tokenizer.tally`, which segments
-each distinct word of a corpus once.
+only when serialized through `records`. `overlap_report` compares an unseen
+target language's token set against the token sets of the languages a
+tokenizer was trained on, under one of three `OverlapVariant`s.
+`quality_report` gives a corpus's unknown-token ratio, fertility and
+vocabulary coverage from `tokenizer.tally`, which segments each distinct
+word of the corpus once.
 """
 
 from __future__ import annotations
@@ -88,47 +89,20 @@ def _best_source(target: TokenSet, sources: Sequence[TokenSet],
     return best, Fraction(-neg_shared, len(target.tokens))
 
 
-def overlap_ratio(target: TokenSet,
-                  sources: Sequence[TokenSet]) -> tuple[str, Fraction]:
-    """Best source language and its shared-token ratio.
-
-    For each source, the ratio is |source tokens seen in target| over
-    |target tokens|; the maximum wins, ties going to the lexicographically
-    smallest language code. All token sets must come from one tokenizer.
-    """
-    best, ratio = _best_source(target, sources)
-    return best.lang, ratio
-
-
-def overlap_by_length(target: TokenSet,
-                      sources: Sequence[TokenSet]) -> dict[int, Fraction]:
-    """Split the best source's overlap by token length. Each entry is
-    |shared tokens of length m| over |target tokens|, so the entries sum to
-    the overall ratio exactly; lengths with no shared tokens are omitted."""
-    return overlap_report(target, sources).by_length
-
-
-def overlap_all_sources(target: TokenSet,
-                        sources: Sequence[TokenSet]) -> dict[int, Fraction]:
-    """Like overlap_by_length but against the union of all source tokens."""
-    return overlap_report(target, sources,
-                          OverlapVariant.ALL_SOURCES).by_length
-
-
-def overlap_type_ratio(target: TokenSet,
-                       sources: Sequence[TokenSet]) -> dict[int, Fraction]:
-    """Per-length-class overlap with the best source: shared tokens of
-    length m over target tokens of length m. Every length present in the
-    target appears, including classes with no overlap."""
-    return overlap_report(target, sources,
-                          OverlapVariant.TYPE_RATIO).by_length
-
-
 def overlap_report(target: TokenSet, sources: Sequence[TokenSet],
                    variant: OverlapVariant = OverlapVariant.MAX_SOURCE,
                    ) -> OverlapReport:
-    """Assemble an overlap report under the chosen aggregation variant.
-    The three per-length helpers above are projections of it."""
+    """Overlap of the target's tokens with the sources' tokens. All token
+    sets must come from one tokenizer.
+
+    MAX_SOURCE and TYPE_RATIO score the source sharing the most target
+    tokens, ties going to the smallest language code; overall_ratio is that
+    count over |target tokens|. By length, MAX_SOURCE gives |shared tokens
+    of length m| over |target tokens|, so the entries sum to overall_ratio
+    exactly and lengths with no shared token are omitted. ALL_SOURCES does
+    the same against the union of every source's tokens and names no best
+    source. TYPE_RATIO gives shared tokens of length m over target tokens of
+    length m, for every length present in the target."""
     if variant is OverlapVariant.ALL_SOURCES:
         _check_target_and_sources(target, sources)
         by_length = _shared_by_length(
@@ -155,57 +129,29 @@ def _shared_by_length(target: TokenSet,
 # --- Tokenizer quality ------------------------------------------------------
 
 
-def _coverage(model: SubwordModel, produced: set[str],
-              ) -> tuple[Fraction, dict[int, Fraction]]:
-    """Produced tokens over vocab_size_target, overall and split by the
-    token's length with the marker stripped."""
-    counts = Counter(len(model.strip_marker(token)) for token in produced)
-    denom = model.vocab_size_target
-    return (Fraction(len(produced), denom),
-            {length: Fraction(count, denom)
-             for length, count in sorted(counts.items())})
-
-
-def unk_ratio(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
-    """Fraction of produced tokens that are the unknown token."""
-    _, tokens, unk, _ = tally(model, corpus)
-    if tokens == 0:
-        raise ValueError("corpus produced no tokens")
-    return Fraction(unk, tokens)
-
-
-def fertility(model: SubwordModel, corpus: Iterable[str]) -> Fraction:
-    """Tokens produced per whitespace word; at least 1 by construction."""
-    words, tokens, _, _ = tally(model, corpus)
-    if words == 0:
-        raise ValueError("corpus has no words")
-    return Fraction(tokens, words)
-
-
-def vocab_coverage(model: SubwordModel, corpus: Iterable[str],
-                   ) -> tuple[Fraction, dict[int, Fraction]]:
-    """Share of the target vocabulary size actually produced on a corpus.
-
-    Returns the overall ratio (distinct non-unknown tokens emitted over
-    vocab_size_target) and its exact partition by surface token length,
-    where the length of a token is measured with the marker stripped."""
-    return _coverage(model, tally(model, corpus)[3])
-
-
 def quality_report(model: SubwordModel, corpus: Iterable[str], lang: str,
                    input_type: InputType) -> TokenizerQualityReport:
-    """All quality metrics of one corpus from a single read of it."""
+    """All quality metrics of one corpus from a single read of it.
+
+    unk_ratio is the share of produced tokens that are the unknown token;
+    fertility is tokens per whitespace word, at least 1 by construction.
+    vocab_coverage is the distinct non-unknown tokens produced over
+    vocab_size_target, and coverage_by_length is its exact partition by
+    token length with the marker stripped. A corpus with no words is
+    rejected."""
     words, tokens, unk, produced = tally(model, corpus)
     if words == 0:
         raise ValueError(f"corpus for {lang!r} has no words")
-    coverage, by_length = _coverage(model, produced)
+    lengths = Counter(len(model.strip_marker(token)) for token in produced)
+    denom = model.vocab_size_target
     return TokenizerQualityReport(
         lang=lang,
         input_type=input_type,
         unk_ratio=Fraction(unk, tokens),
         fertility=Fraction(tokens, words),
-        vocab_coverage=coverage,
-        coverage_by_length=by_length,
+        vocab_coverage=Fraction(len(produced), denom),
+        coverage_by_length={length: Fraction(count, denom)
+                            for length, count in sorted(lengths.items())},
         token_count=tokens,
         word_count=words,
     )

@@ -242,10 +242,17 @@ def parse_rule_table(content: str, lang: str, mode: RuleMode,
         raise RuleTableError(f"{origin}: {exc}") from None
 
 
-def load_rule_table(path: str | Path, lang: str, mode: RuleMode,
+def load_rule_table(path, lang: str, mode: RuleMode,
                     passthrough: Passthrough = Passthrough.KEEP) -> RuleTable:
-    path = Path(path)
-    content = path.read_text(encoding="utf-8")
+    """Read and parse a rule table from a file path (a str or a Path) or a
+    packaged-resource traversable. Bytes that are not UTF-8 raise
+    RuleTableError naming the path."""
+    if isinstance(path, str):
+        path = Path(path)
+    try:
+        content = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RuleTableError(f"{path}: {exc}") from None
     return parse_rule_table(content, lang, mode, passthrough,
                             origin=str(path))
 
@@ -415,9 +422,8 @@ class TableRegistry:
                 raise UnsupportedLanguageError(
                     f"no {mode.value} table for language {lang!r} under "
                     f"{[str(r) for r in self.roots]}")
-            content = located.read_text(encoding="utf-8")
-            self._cache[key] = parse_rule_table(
-                content, lang, mode, self.passthrough, origin=str(located))
+            self._cache[key] = load_rule_table(located, lang, mode,
+                                               self.passthrough)
         return self._cache[key]
 
     def g2p(self, lang: str, text: str) -> str:

@@ -131,11 +131,14 @@ def test_criterion_2_overlap_matches_brute_force():
         rng = random.Random(31_000 + seed)
         target, sources = random_family(rng)
         expected = naive_overlap(target, sources)
+        best = metrics.overlap_report(target, sources)
         got = {
-            "best": metrics.overlap_ratio(target, sources),
-            "by_length": metrics.overlap_by_length(target, sources),
-            "all_sources": metrics.overlap_all_sources(target, sources),
-            "type_ratio": metrics.overlap_type_ratio(target, sources),
+            "best": (best.best_source, best.overall_ratio),
+            "by_length": best.by_length,
+            "all_sources": metrics.overlap_report(
+                target, sources, OverlapVariant.ALL_SOURCES).by_length,
+            "type_ratio": metrics.overlap_report(
+                target, sources, OverlapVariant.TYPE_RATIO).by_length,
         }
         for key in expected:
             if got[key] != expected[key]:
@@ -156,14 +159,10 @@ def test_criterion_3_partition_invariant():
                         OverlapVariant.ALL_SOURCES):
             report = metrics.overlap_report(target, sources, variant)
             total = sum(report.by_length.values(), Fraction(0))
-            if variant is OverlapVariant.MAX_SOURCE:
-                _, expected = metrics.overlap_ratio(target, sources)
-            else:
-                expected = report.overall_ratio
-            if total != expected:
+            if total != report.overall_ratio:
                 problems.append(
                     f"seed {seed} {variant.value}: by_length sums to "
-                    f"{total}, overall is {expected}")
+                    f"{total}, overall is {report.overall_ratio}")
     verdict(3, "by-length overlap partitions the total", problems)
 
 
@@ -175,14 +174,16 @@ def test_criterion_4_unk_collapse_and_recovery():
     model = tok.train(train_corpus, vocab_size=2_000)
 
     eval_corpus = hangul_lines(rng, 3_000, vocabulary=200)
-    ortho_unk = metrics.unk_ratio(model, eval_corpus)
+    ortho_unk = metrics.quality_report(model, eval_corpus, "kor",
+                                       InputType.ORTHO).unk_ratio
     if ortho_unk < Fraction(95, 100):
         problems.append(f"orthographic unk_ratio {float(ortho_unk):.4f} "
                         f"below 0.95")
 
     registry = default_registry()
     romanized = [registry.romanize("kor", line) for line in eval_corpus]
-    rom_unk = metrics.unk_ratio(model, romanized)
+    rom_unk = metrics.quality_report(model, romanized, "kor",
+                                     InputType.ROM).unk_ratio
     if rom_unk > Fraction(5, 100):
         problems.append(f"romanized unk_ratio {float(rom_unk):.4f} "
                         f"above 0.05")
@@ -365,7 +366,9 @@ def test_criterion_8_coverage_and_fertility():
     problems = []
 
     model = the_cat_model()
-    if metrics.fertility(model, ["the cat"]) != Fraction(3, 2):
+    report = metrics.quality_report(model, ["the cat"], "eng",
+                                    InputType.ORTHO)
+    if report.fertility != Fraction(3, 2):
         problems.append("hand segmentation of 'the cat' is not 1.5 "
                         "tokens per word")
 
@@ -375,18 +378,21 @@ def test_criterion_8_coverage_and_fertility():
                              vocabulary=rng.randint(10, 60),
                              words_per_line=rng.randint(3, 12))
         trained = tok.train(corpus, vocab_size=rng.randint(30, 120))
-        overall, by_length = metrics.vocab_coverage(trained, corpus)
-        if sum(by_length.values(), Fraction(0)) != overall:
+        report = metrics.quality_report(trained, corpus, "eng",
+                                        InputType.ORTHO)
+        if sum(report.coverage_by_length.values(),
+               Fraction(0)) != report.vocab_coverage:
             problems.append(f"case {case}: coverage classes do not "
                             f"partition the total")
-        if metrics.fertility(trained, corpus) < 1:
+        if report.fertility < 1:
             problems.append(f"case {case}: fertility below one")
 
     fixed_model = tok.train(["abc abc"], vocab_size=8)
-    overall, by_length = metrics.vocab_coverage(fixed_model, ["abc ab"])
-    if (overall, by_length) != (Fraction(3, 8), {0: Fraction(1, 8),
-                                                 2: Fraction(1, 8),
-                                                 3: Fraction(1, 8)}):
+    report = metrics.quality_report(fixed_model, ["abc ab"], "eng",
+                                    InputType.ORTHO)
+    if (report.vocab_coverage, report.coverage_by_length) != (
+            Fraction(3, 8), {0: Fraction(1, 8), 2: Fraction(1, 8),
+                             3: Fraction(1, 8)}):
         problems.append("fixed coverage fixture mismatch")
 
     verdict(8, "coverage partition and fertility floor", problems)

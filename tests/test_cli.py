@@ -1330,6 +1330,36 @@ def test_non_utf8_input_names_the_file(monkeypatch, capsys, request,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["translit-table", "translit-tables",
+                                     "run-tables"])
+def test_non_utf8_rule_table_names_the_file(monkeypatch, capsys, request,
+                                            tmp_path, command):
+    """A rule table holding a byte that is not UTF-8 exits 3 with one error
+    line naming the table; it used to give only the codec's message."""
+    tables = tmp_path / "tables"
+    bad = tables / "rom" / "eng.tsv"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(b"a\tb\t\t\t1\n\xff\n")
+    if command == "run-tables":
+        config, corpus_dir = request.getfixturevalue("run_inputs")
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload["input_type"] = "Rom"
+        rom_config = tmp_path / "config.json"
+        rom_config.write_text(json.dumps(payload), encoding="utf-8")
+        argv = ["run", "--config", str(rom_config),
+                "--corpus-dir", str(corpus_dir), "--tables", str(tables)]
+    else:
+        argv = ["translit", "--mode", "rom", "--lang", "eng"] + (
+            ["--table", str(bad)] if command == "translit-table"
+            else ["--tables", str(tables)])
+    code, out, err = run_cli(monkeypatch, capsys, argv, stdin="ab\n")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert f"{bad}: 'utf-8' codec can't decode " in err
+
+
 def _output_command(name, request):
     """argv and stdin for one subcommand that takes --output."""
     fixture = request.getfixturevalue

@@ -84,49 +84,54 @@ class TestOverlapRatio:
         target = make_token_set("tgt", {"ab", "cd", "zz"})
         fra = make_token_set("fra", {"ab", "cd", "ef"})
         spa = make_token_set("spa", {"ab", "xy"})
-        assert metrics.overlap_ratio(target, [fra, spa]) == \
+        report = metrics.overlap_report(target, [fra, spa])
+        assert (report.best_source, report.overall_ratio) == \
             ("fra", Fraction(2, 3))
 
     def test_tie_goes_to_lexicographically_smaller_lang(self):
         target = make_token_set("tgt", {"ab", "cd"})
         zzz = make_token_set("zzz", {"ab"})
         aaa = make_token_set("aaa", {"cd"})
-        lang, ratio = metrics.overlap_ratio(target, [zzz, aaa])
-        assert (lang, ratio) == ("aaa", Fraction(1, 2))
+        report = metrics.overlap_report(target, [zzz, aaa])
+        assert (report.best_source, report.overall_ratio) == \
+            ("aaa", Fraction(1, 2))
 
     def test_zero_overlap(self):
         target = make_token_set("tgt", {"qq"})
         src = make_token_set("src", {"ab"})
-        assert metrics.overlap_ratio(target, [src]) == ("src", Fraction(0))
+        report = metrics.overlap_report(target, [src])
+        assert (report.best_source, report.overall_ratio) == \
+            ("src", Fraction(0))
 
     def test_source_order_does_not_matter(self):
         target, sources = random_family(random.Random(7))
-        forward = metrics.overlap_ratio(target, sources)
-        backward = metrics.overlap_ratio(target, list(reversed(sources)))
+        forward = metrics.overlap_report(target, sources)
+        backward = metrics.overlap_report(target, list(reversed(sources)))
         assert forward == backward
 
     def test_empty_target_rejected(self):
         target = make_token_set("tgt", set())
         src = make_token_set("src", {"ab"})
         with pytest.raises(ValueError, match="empty"):
-            metrics.overlap_ratio(target, [src])
+            metrics.overlap_report(target, [src])
 
     def test_no_sources_rejected(self):
         target = make_token_set("tgt", {"ab"})
         with pytest.raises(ValueError, match="source"):
-            metrics.overlap_ratio(target, [])
+            metrics.overlap_report(target, [])
 
     def test_duplicate_source_langs_rejected(self):
         target = make_token_set("tgt", {"ab"})
         src = make_token_set("src", {"ab"})
         with pytest.raises(ValueError, match="duplicate"):
-            metrics.overlap_ratio(target, [src, src])
+            metrics.overlap_report(target, [src, src])
 
     def test_matches_brute_force_on_random_families(self):
         for seed in range(120):
             rng = random.Random(seed)
             target, sources = random_family(rng, n_sources=rng.randint(1, 5))
-            assert metrics.overlap_ratio(target, sources) == \
+            report = metrics.overlap_report(target, sources)
+            assert (report.best_source, report.overall_ratio) == \
                 brute_overlap(target, sources), f"seed {seed}"
 
 
@@ -135,54 +140,58 @@ class TestOverlapVariants:
         target = make_token_set("tgt", {"ab", "cd", "zz"})
         fra = make_token_set("fra", {"ab", "cd", "ef"})
         spa = make_token_set("spa", {"ab", "xy"})
-        assert metrics.overlap_by_length(target, [fra, spa]) == \
+        assert metrics.overlap_report(target, [fra, spa]).by_length == \
             {2: Fraction(2, 3)}
 
     def test_by_length_sums_to_overall(self):
         for seed in range(100):
             rng = random.Random(500 + seed)
             target, sources = random_family(rng)
-            _, overall = metrics.overlap_ratio(target, sources)
-            by_length = metrics.overlap_by_length(target, sources)
-            assert sum(by_length.values(), Fraction(0)) == overall, \
-                f"seed {seed}"
+            report = metrics.overlap_report(target, sources)
+            assert sum(report.by_length.values(), Fraction(0)) == \
+                report.overall_ratio, f"seed {seed}"
 
     def test_all_sources_uses_union(self):
         target = make_token_set("tgt", {"ab", "cd", "zz"})
         fra = make_token_set("fra", {"ab"})
         spa = make_token_set("spa", {"cd"})
-        by_length = metrics.overlap_all_sources(target, [fra, spa])
-        assert by_length == {2: Fraction(2, 3)}
+        report = metrics.overlap_report(target, [fra, spa],
+                                        OverlapVariant.ALL_SOURCES)
+        assert report.by_length == {2: Fraction(2, 3)}
 
     def test_all_sources_dominates_best_single_source(self):
         for seed in range(60):
             rng = random.Random(900 + seed)
             target, sources = random_family(rng)
-            _, best = metrics.overlap_ratio(target, sources)
+            best = metrics.overlap_report(target, sources).overall_ratio
             union_total = sum(
-                metrics.overlap_all_sources(target, sources).values(),
-                Fraction(0))
+                metrics.overlap_report(target, sources,
+                                       OverlapVariant.ALL_SOURCES)
+                .by_length.values(), Fraction(0))
             assert union_total >= best, f"seed {seed}"
 
     def test_all_sources_equals_max_for_single_source(self):
         target, sources = random_family(random.Random(3), n_sources=1)
-        _, best = metrics.overlap_ratio(target, sources)
+        best = metrics.overlap_report(target, sources).overall_ratio
         union_total = sum(
-            metrics.overlap_all_sources(target, sources).values(),
-            Fraction(0))
+            metrics.overlap_report(target, sources,
+                                   OverlapVariant.ALL_SOURCES)
+            .by_length.values(), Fraction(0))
         assert union_total == best
 
     def test_type_ratio_normalizes_within_length_class(self):
         target = make_token_set("tgt", {"a", "bb", "cc"})
         src = make_token_set("src", {"bb"})
-        assert metrics.overlap_type_ratio(target, [src]) == \
-            {1: Fraction(0), 2: Fraction(1, 2)}
+        report = metrics.overlap_report(target, [src],
+                                        OverlapVariant.TYPE_RATIO)
+        assert report.by_length == {1: Fraction(0), 2: Fraction(1, 2)}
 
     def test_type_ratio_covers_every_target_length(self):
         for seed in range(60):
             rng = random.Random(1300 + seed)
             target, sources = random_family(rng)
-            ratios = metrics.overlap_type_ratio(target, sources)
+            ratios = metrics.overlap_report(
+                target, sources, OverlapVariant.TYPE_RATIO).by_length
             assert set(ratios) == {len(t) for t in target.tokens}, \
                 f"seed {seed}"
             assert all(0 <= r <= 1 for r in ratios.values())
@@ -238,21 +247,22 @@ def quality_model():
 
 class TestQualityMetrics:
     def test_unk_ratio_counts_unknown_runs(self, abc_model):
-        assert metrics.unk_ratio(abc_model, ["abc 안"]) == Fraction(1, 2)
-        assert metrics.unk_ratio(abc_model, ["abc"]) == Fraction(0)
-        assert metrics.unk_ratio(abc_model, ["안 녕"]) == Fraction(1)
-
-    def test_unk_ratio_empty_corpus_rejected(self, abc_model):
-        for corpus in EMPTY_CORPORA:
-            with pytest.raises(ValueError, match="no tokens"):
-                metrics.unk_ratio(abc_model, corpus)
+        for corpus, expected in ((["abc 안"], Fraction(1, 2)),
+                                 (["abc"], Fraction(0)),
+                                 (["안 녕"], Fraction(1))):
+            report = metrics.quality_report(abc_model, corpus, "eng",
+                                            InputType.ORTHO)
+            assert report.unk_ratio == expected
 
     def test_fertility_fixture(self):
-        model = the_cat_model()
-        assert metrics.fertility(model, ["the cat"]) == Fraction(3, 2)
+        report = metrics.quality_report(the_cat_model(), ["the cat"], "eng",
+                                        InputType.ORTHO)
+        assert report.fertility == Fraction(3, 2)
 
     def test_fertility_single_token_words(self, abc_model):
-        assert metrics.fertility(abc_model, ["abc abc abc"]) == Fraction(1)
+        report = metrics.quality_report(abc_model, ["abc abc abc"], "eng",
+                                        InputType.ORTHO)
+        assert report.fertility == Fraction(1)
 
     def test_fertility_at_least_one(self):
         model = tok.train(["ab ba abba"], vocab_size=10)
@@ -261,24 +271,24 @@ class TestQualityMetrics:
             words = ["".join(rng.choice("abc한")
                              for _ in range(rng.randint(1, 8)))
                      for _ in range(rng.randint(1, 10))]
-            assert metrics.fertility(model, [" ".join(words)]) >= 1
-
-    def test_fertility_empty_corpus_rejected(self, abc_model):
-        for corpus in EMPTY_CORPORA:
-            with pytest.raises(ValueError, match="no words"):
-                metrics.fertility(abc_model, corpus)
+            report = metrics.quality_report(model, [" ".join(words)], "eng",
+                                            InputType.ORTHO)
+            assert report.fertility >= 1
 
     def test_vocab_coverage_fixture(self, abc_model):
-        overall, by_length = metrics.vocab_coverage(abc_model, ["abc 안"])
-        assert overall == Fraction(1, 8)
-        assert by_length == {3: Fraction(1, 8)}
+        report = metrics.quality_report(abc_model, ["abc 안"], "eng",
+                                        InputType.ORTHO)
+        assert report.vocab_coverage == Fraction(1, 8)
+        assert report.coverage_by_length == {3: Fraction(1, 8)}
 
     def test_vocab_coverage_counts_distinct_tokens(self, abc_model):
         # "ab" segments to [marker, ab]: the bare marker counts as length 0
-        overall, by_length = metrics.vocab_coverage(abc_model, ["abc ab"])
-        assert overall == Fraction(3, 8)
-        assert by_length == {0: Fraction(1, 8), 2: Fraction(1, 8),
-                             3: Fraction(1, 8)}
+        report = metrics.quality_report(abc_model, ["abc ab"], "eng",
+                                        InputType.ORTHO)
+        assert report.vocab_coverage == Fraction(3, 8)
+        assert report.coverage_by_length == {0: Fraction(1, 8),
+                                             2: Fraction(1, 8),
+                                             3: Fraction(1, 8)}
 
     def test_vocab_coverage_partitions_exactly(self):
         model = tok.train(["abcd dcba abc bcd ab cd"], vocab_size=14)
@@ -287,26 +297,10 @@ class TestQualityMetrics:
             words = ["".join(rng.choice("abcde")
                              for _ in range(rng.randint(1, 6)))
                      for _ in range(rng.randint(1, 12))]
-            overall, by_length = metrics.vocab_coverage(model,
-                                                        [" ".join(words)])
-            assert sum(by_length.values(), Fraction(0)) == overall
-
-    def test_vocab_coverage_empty_corpus_is_zero(self, abc_model):
-        for corpus in EMPTY_CORPORA:
-            assert metrics.vocab_coverage(abc_model, corpus) == \
-                (Fraction(0), {})
-
-    def test_quality_report_matches_individual_metrics(self, abc_model):
-        corpus = ["abc 안 ab", "abc abc"]
-        report = metrics.quality_report(abc_model, corpus, "eng",
-                                        InputType.ORTHO)
-        overall, by_length = metrics.vocab_coverage(abc_model, corpus)
-        assert report.unk_ratio == metrics.unk_ratio(abc_model, corpus)
-        assert report.fertility == metrics.fertility(abc_model, corpus)
-        assert report.vocab_coverage == overall
-        assert report.coverage_by_length == by_length
-        assert report.lang == "eng"
-        assert report.input_type is InputType.ORTHO
+            report = metrics.quality_report(model, [" ".join(words)], "eng",
+                                            InputType.ORTHO)
+            assert sum(report.coverage_by_length.values(), Fraction(0)) == \
+                report.vocab_coverage
 
     def test_quality_report_counts(self, abc_model):
         report = metrics.quality_report(abc_model, ["abc 안"], "eng",
@@ -362,16 +356,12 @@ class TestQualityMetrics:
     @settings(max_examples=150)
     def test_quality_matches_per_word_loop(self, quality_model, corpus):
         ref = ref_quality(quality_model, corpus)
-        assert metrics.vocab_coverage(quality_model, corpus) == \
-            (ref["vocab_coverage"], ref["coverage_by_length"])
         if ref["word_count"] == 0:
             # the empty-corpus errors are pinned in the tests above
             with pytest.raises(ValueError, match="eng"):
                 metrics.quality_report(quality_model, corpus, "eng",
                                        InputType.ORTHO)
             return
-        assert metrics.unk_ratio(quality_model, corpus) == ref["unk_ratio"]
-        assert metrics.fertility(quality_model, corpus) == ref["fertility"]
         report = metrics.quality_report(quality_model, iter(corpus), "eng",
                                         InputType.ORTHO)
         assert {field: getattr(report, field) for field in ref} == ref

@@ -233,6 +233,25 @@ class TestRunExperiment:
         assert excinfo.value.stage == "sample"
         assert excinfo.value.lang == "kor"
 
+    @pytest.mark.parametrize("name, stage, lang", [
+        ("train_from_word_counts", "train", None),
+        ("token_set", "token-sets", None),
+        ("quality_report", "metrics", "eng"),
+        ("overlap_report", "metrics", "kor"),
+    ])
+    def test_each_stage_names_itself(self, corpora, monkeypatch, name, stage,
+                                     lang):
+        failure = RuntimeError(f"{name} failed")
+
+        def fail(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(pl, name, fail)
+        with pytest.raises(PipelineStageError) as excinfo:
+            run_experiment(make_config(InputType.ROM), corpora)
+        assert (excinfo.value.stage, excinfo.value.lang) == (stage, lang)
+        assert excinfo.value.__cause__ is failure
+
 
 def ref_run(config, corpora, prepared):
     """Reference for the stages after transliteration: training on counts
