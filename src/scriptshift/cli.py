@@ -201,7 +201,8 @@ def _cmd_token_set(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
     input_type = InputType.parse(args.input_type)
     with _open_in(args.input) as src:
-        ts = tokenizer.token_set(model, src, args.lang, input_type)
+        ts = tokenizer.token_set(model, corpus_mod.word_counts(src),
+                                 args.lang, input_type)
     _emit(args, write_report(ts.to_json_dict(), "json"))
     return EXIT_OK
 
@@ -229,8 +230,8 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
     input_type = InputType.parse(args.input_type)
     with records.open_text(args.input) as handle:
-        report = metrics.quality_report(model, handle, args.lang,
-                                        input_type)
+        report = metrics.quality_report(
+            model, corpus_mod.word_counts(handle), args.lang, input_type)
     _emit_report(args, report.to_json_dict(),
                  [_METRIC_COLUMNS, *report.to_csv_rows()])
     return EXIT_OK

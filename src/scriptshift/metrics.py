@@ -5,8 +5,8 @@ only when serialized through `records`. `overlap_report` compares an unseen
 target language's token set against the token sets of the languages a
 tokenizer was trained on, under one of three `OverlapVariant`s.
 `quality_report` gives a corpus's unknown-token ratio, fertility and
-vocabulary coverage from `tokenizer.tally`, which segments each distinct
-word of the corpus once.
+vocabulary coverage from its word table through `tokenizer.tally`, which
+segments each distinct word once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .input_types import InputType
 from .records import Record
@@ -129,9 +129,11 @@ def _shared_by_length(target: TokenSet,
 # --- Tokenizer quality ------------------------------------------------------
 
 
-def quality_report(model: SubwordModel, corpus: Iterable[str], lang: str,
-                   input_type: InputType) -> TokenizerQualityReport:
-    """All quality metrics of one corpus from a single read of it.
+def quality_report(model: SubwordModel, counts: Mapping[str, int],
+                   lang: str, input_type: InputType,
+                   ) -> TokenizerQualityReport:
+    """All quality metrics of one corpus from its word table
+    (`corpus.word_counts` over its lines).
 
     unk_ratio is the share of produced tokens that are the unknown token;
     fertility is tokens per whitespace word, at least 1 by construction.
@@ -139,7 +141,7 @@ def quality_report(model: SubwordModel, corpus: Iterable[str], lang: str,
     vocab_size_target, and coverage_by_length is its exact partition by
     token length with the marker stripped. A corpus with no words is
     rejected."""
-    words, tokens, unk, produced = tally(model, corpus)
+    words, tokens, unk, produced = tally(model, counts)
     if words == 0:
         raise ValueError(f"corpus for {lang!r} has no words")
     lengths = Counter(len(model.strip_marker(token)) for token in produced)

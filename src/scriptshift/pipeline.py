@@ -3,17 +3,19 @@
 A run takes per-language document collections, samples seen languages to a
 word budget, renders every corpus in the configured input type, trains one
 tokenizer on the oversampling-weighted seen corpora, and reports quality and
-overlap metrics. Each prepared corpus is counted once into a word table,
-which gives the training counts (scaled by repetition counts) and, through
-its distinct words, the token set. Runs are deterministic functions of the
-config, corpora and rule tables. With an artifacts dir, each stage's output
-is stored under a key of that stage's own inputs, so runs that share inputs
-share stages: a rerun returns its stored report, Cipher reuses the text Rom
-romanized, and a vocabulary sweep transliterates once. Every artifact is
-stored with its sha256 and checked on load; a missing, corrupt or
-undecodable artifact is a miss and its stage recomputes. Configs, reports
-and comparison tables are JSON records (`records`); a config that fails to
-read raises ConfigError.
+overlap metrics. Each corpus is counted once into a word table before it is
+transformed, and the transform rewrites the table's distinct words (or,
+for a rule table that does not rewrite word by word, its distinct lines),
+not every line. The table gives the training counts (scaled by repetition
+counts), the token set and the quality metrics. Runs are deterministic
+functions of the config, corpora and rule tables. With an artifacts dir,
+each stage's output is stored under a key of that stage's own inputs, so
+runs that share inputs share stages: a rerun returns its stored report,
+Cipher reuses the word table Rom romanized, and a vocabulary sweep
+transliterates once. Every artifact is stored with its sha256 and checked
+on load; a missing, corrupt or undecodable artifact is a miss and its
+stage recomputes. Configs, reports and comparison tables are JSON records
+(`records`); a config that fails to read raises ConfigError.
 """
 
 from __future__ import annotations
@@ -321,42 +323,80 @@ def _loads_report(text: str) -> AnalysisReport:
     return AnalysisReport.from_json_dict(json.loads(text))
 
 
+def _dumps_word_table(table: Mapping[str, int]) -> str:
+    return "".join(f"{word}\t{count}\n" for word, count in table.items())
+
+
+def _loads_word_table(text: str) -> Counter:
+    """A stored word table: one `word<TAB>count` row per word, in order of
+    first occurrence. A row that is not one word, a tab and a positive
+    count, or a word listed twice, does not decode."""
+    table: Counter = Counter()
+    rows = text.split("\n")
+    if rows.pop():
+        raise ValueError("word table does not end with a newline")
+    for row in rows:
+        word, count = row.split("\t")
+        if (word.split() != [word] or word in table
+                or not count.isdigit() or int(count) < 1):
+            raise ValueError(f"bad word table row {row!r}")
+        table[word] = int(count)
+    return table
+
+
+def _converted(units: Mapping[str, int],
+               convert: Callable[[str], str]) -> Counter:
+    """The word table of converted text: each unit (a word or a line) is
+    converted once, and its count is added to every word of the result,
+    in order of first occurrence."""
+    table: Counter = Counter()
+    for unit, count in units.items():
+        for word in convert(unit).split():
+            table[word] += count
+    return table
+
+
 def _prepare(config: ExperimentConfig, registry: TableRegistry,
              keys: Mapping[str, CipherKey] | None, store: _StageStore,
              lang: str, docs: Sequence[Document], docs_digest: str | None,
-             ) -> tuple[list[str], str | None]:
-    """One language's documents rendered in the input type, one line each,
-    and the key of those lines (None without a docs digest, which is given
-    only with a store).
+             ) -> tuple[Counter, str | None]:
+    """One language's documents rendered in the input type and counted into
+    a word table, and the key of that table (None without a docs digest,
+    which is given only with a store). The table has the keys, counts and
+    order `word_counts` gives over the rendered lines.
 
-    Romanized and g2p lines are stored under their mode, the language's
-    rule table and the documents. Cipher enciphers the romanized lines, so
-    it reads and writes Rom's artifact; Ortho lines are the texts."""
-    lines = [doc.text for doc in docs]
+    The text is counted before it is transformed, and the table is
+    transformed instead of the text: each distinct word is converted once
+    when the rule table rewrites word by word, and each distinct line
+    otherwise. Romanized and g2p tables are stored under their mode, the
+    language's rule table and the documents. Cipher enciphers the
+    romanized table, so it reads and writes Rom's artifact; Ortho counts
+    the texts."""
+    texts = (doc.text for doc in docs)
     itype = config.input_type
     if itype is InputType.ORTHO:
-        return lines, (None if docs_digest is None
-                       else _key(itype.value, docs_digest))
+        return word_counts(texts), (None if docs_digest is None
+                                    else _key(itype.value, docs_digest))
     mode = _TABLE_MODES[itype]
-    key = name = text = None
+    key = name = table = None
     if docs_digest is not None:
         key = _key(mode.value, _table_digest(registry, mode, lang),
                    docs_digest)
-        name = f"text/{lang}-{key}.txt"
-        text = store.load_text(name)
-    if text is not None:
-        lines = text.split("\n")[:-1]
-    else:
+        name = f"words/{lang}-{key}.tsv"
+        table = _decoded(store.load_text(name), _loads_word_table)
+    if table is None:
         convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
-        lines = [convert(lang, line) for line in lines]
+        by_word = registry.table(mode, lang).rewrites_by_word
+        table = _converted(word_counts(texts) if by_word else Counter(texts),
+                           lambda unit: convert(lang, unit))
         if key is not None:
-            store.save_text(name, "".join(line + "\n" for line in lines))
+            store.save_text(name, _dumps_word_table(table))
     if itype is InputType.CIPHER:
         cipher = keys[lang]
-        lines = [caesar_encipher(cipher, line) for line in lines]
+        table = _converted(table, lambda word: caesar_encipher(cipher, word))
         if key is not None:
             key = _key(itype.value, str(cipher.shift), key)
-    return lines, key
+    return table, key
 
 
 def run_experiment(config: ExperimentConfig,
@@ -372,13 +412,17 @@ def run_experiment(config: ExperimentConfig,
 
     - the report, under the digest of config, corpora and rule tables,
       looked up before anything else;
-    - romanized or g2p text per language, under its mode, table and
-      selected documents (Cipher enciphers the romanized text, so it
-      shares Rom's);
-    - the model, under each seen language's prepared-text key and
-      repetition count, vocab_size and min_char_freq;
+    - the romanized or g2p word table per language, under its mode, rule
+      table and selected documents (Cipher enciphers the romanized table,
+      so it shares Rom's);
+    - the model, under each seen language's word-table key and repetition
+      count, vocab_size and min_char_freq;
     - token sets, written for inspection under the model key and the
-      language's prepared-text key.
+      language's word-table key.
+
+    Each language's word table is built once (see `_prepare`); training,
+    the token sets and the quality metrics all read it, and no prepared
+    line is kept.
 
     Every load is checked against the artifact's stored sha256; a missing,
     corrupt or undecodable artifact is a miss and its stage recomputes.
@@ -407,7 +451,7 @@ def run_experiment(config: ExperimentConfig,
 
     keys = _cipher_keys(config)
     manifests: dict[str, CorpusManifest] = {}
-    prepared: dict[str, list[str]] = {}
+    tables: dict[str, Counter] = {}
     text_keys: dict[str, str | None] = {}
 
     for lang in sorted(config.langs):
@@ -430,12 +474,10 @@ def run_experiment(config: ExperimentConfig,
             docs_digest = (_docs_digest(selected) if seen
                            else docs_digests[lang])
         try:
-            prepared[lang], text_keys[lang] = _prepare(
+            tables[lang], text_keys[lang] = _prepare(
                 config, registry, keys, store, lang, selected, docs_digest)
         except Exception as exc:
             raise PipelineStageError("transliterate", lang, exc) from exc
-
-    tables = {lang: word_counts(lines) for lang, lines in prepared.items()}
 
     try:
         reps = repetition_counts(
@@ -482,7 +524,7 @@ def run_experiment(config: ExperimentConfig,
     seen_sets = [token_sets[lang] for lang in config.seen_langs]
     for lang in sorted(config.langs):
         try:
-            quality[lang] = quality_report(model, prepared[lang], lang,
+            quality[lang] = quality_report(model, tables[lang], lang,
                                            config.input_type)
             if lang in config.unseen_langs:
                 target = token_sets[lang]

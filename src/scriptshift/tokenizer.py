@@ -8,8 +8,9 @@ right over the word; the encoder reaches the same result by rank-driven
 merging, so a serialized model reproduces the same segmentation anywhere.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
-`tally` is the one segmentation walk over a corpus, segmenting each distinct
-word once; token sets and the quality metrics are projections of it.
+`tally` is the one segmentation walk over a corpus's word table, segmenting
+each distinct word once; token sets and the quality metrics are projections
+of it.
 Models and token sets are read and written by the one JSON codec
 (`records`); a model checks its own structure as it is built.
 """
@@ -477,30 +478,31 @@ def decode(model: SubwordModel, ids: Sequence[int]) -> str:
     return text[1:] if text.startswith(" ") else text
 
 
-def tally(model: SubwordModel, corpus: Iterable[str],
+def tally(model: SubwordModel, counts: Mapping[str, int],
           ) -> tuple[int, int, int, set[str]]:
     """Whitespace words, produced tokens, unknown tokens, and the distinct
-    non-unknown symbols (markers kept) over a corpus of text lines. Each
-    distinct word is segmented once; its counts are weighted by occurrence."""
-    counts = word_counts(corpus)
+    non-unknown symbols (markers kept) over a word table, such as
+    `corpus.word_counts` gives for a corpus of text lines. Each distinct
+    word is segmented once; its counts are weighted by occurrence."""
     encoder = encoder_for(model)
-    tokens = unk = 0
+    words = tokens = unk = 0
     produced: set = set()
     for word, count in counts.items():
         symbols = encoder.segment_word(word)
+        words += count
         tokens += count * len(symbols)
         unk += count * symbols.count(UNK_SENTINEL)
         produced.update(symbols)
     produced.discard(UNK_SENTINEL)
-    return counts.total(), tokens, unk, produced
+    return words, tokens, unk, produced
 
 
-def token_set(model: SubwordModel, corpus: Iterable[str], lang: str,
+def token_set(model: SubwordModel, counts: Mapping[str, int], lang: str,
               input_type: InputType) -> TokenSet:
     """Unique surface tokens (markers stripped, unknowns excluded) the model
-    produces over a corpus of text lines. Only the distinct words matter,
-    so a corpus's distinct words, one per line, give the same set."""
-    surface = {model.strip_marker(sym) for sym in tally(model, corpus)[3]}
+    produces over a word table. Only the distinct words matter, so the
+    counts do not change the set."""
+    surface = {model.strip_marker(sym) for sym in tally(model, counts)[3]}
     return TokenSet(lang=lang, input_type=input_type,
                     tokens=frozenset(surface - {""}))
 

@@ -144,6 +144,17 @@ class RuleTable:
     def _memo(self) -> dict[str, str]:
         return {}
 
+    @property
+    def rewrites_by_word(self) -> bool:
+        """True when rewriting a text equals rewriting each of its
+        whitespace-separated words on its own, the whitespace between them
+        kept as is. That holds when no rule's source or contexts contain
+        whitespace and the passthrough is KEEP; under DROP the whitespace
+        between words is dropped, and under ERROR it raises. A rule's
+        target may hold whitespace or be empty: the words it yields are
+        still separated by the kept whitespace."""
+        return self._word_local and self.passthrough is Passthrough.KEEP
+
 
 def apply_rules(table: RuleTable, text: str) -> str:
     """Rewrite text in a single left-to-right pass.

@@ -1,5 +1,5 @@
-"""Helpers shared by test modules: synthetic corpora, fixture models and
-the artifacts and prepared lines of pipeline runs."""
+"""Helpers shared by test modules: synthetic corpora, fixture models, the
+artifacts of pipeline runs and a line-by-line rendering of their corpora."""
 
 import random
 from pathlib import Path
@@ -8,7 +8,7 @@ from scriptshift import compose_hangul, pipeline
 from scriptshift.corpus import sample_to_budget
 from scriptshift.input_types import InputType
 from scriptshift.tokenizer import BOUNDARY_MARKER, UNK_TOKEN, SubwordModel, TokenSet
-from scriptshift.translit import default_registry
+from scriptshift.translit import caesar_encipher, default_registry
 
 CONSONANTS = "bcdfghjklmnpqrstvwxyz"
 VOWELS = "aeiou"
@@ -76,7 +76,7 @@ def the_cat_model() -> SubwordModel:
 
 
 def stored(artifacts_dir, kind: str, lang: str | None = None) -> list[Path]:
-    """The artifacts of one kind ("report", "model", "text" or
+    """The artifacts of one kind ("report", "model", "words" or
     "tokensets") under a run's artifacts dir, only those of one language
     when lang is given, sorted; their sha256 check files are left out."""
     pattern = "*" if lang is None else f"{lang}-*"
@@ -84,19 +84,38 @@ def stored(artifacts_dir, kind: str, lang: str | None = None) -> list[Path]:
                   if path.suffix != ".sha256")
 
 
-def prepared_lines(config, corpora, registry=None) -> dict[str, list[str]]:
-    """Each language's lines as run_experiment prepares them: the sampled
-    documents of a seen language, or all of an unseen one, through the
-    input type's transform, with no artifact store."""
-    registry = registry or default_registry()
-    keys = pipeline._cipher_keys(config)
-    lines = {}
+def selected_texts(config, corpora) -> dict[str, list[str]]:
+    """Each language's document texts as run_experiment selects them: the
+    sampled documents of a seen language, or all of an unseen one."""
+    texts = {}
     for lang in config.langs:
         docs = corpora[lang]
         if lang in config.seen_langs:
             docs = sample_to_budget(docs, config.budget, config.seed,
                                     config.input_type)[1]
-        lines[lang], _ = pipeline._prepare(config, registry, keys,
-                                           pipeline._StageStore(None), lang,
-                                           docs, None)
+        texts[lang] = [doc.text for doc in docs]
+    return texts
+
+
+def prepared_lines(config, corpora, registry=None) -> dict[str, list[str]]:
+    """Each language's selected texts rendered in the input type one line
+    at a time, as the reference for run_experiment's word tables: romanized
+    or g2p line by line, then enciphered for Cipher. Languages go in sorted
+    order, the order run_experiment transliterates them in, so the first
+    error raised is the one a run raises."""
+    registry = registry or default_registry()
+    texts = selected_texts(config, corpora)
+    itype = config.input_type
+    keys = pipeline._cipher_keys(config)
+    lines = {}
+    for lang in sorted(config.langs):
+        rendered = texts[lang]
+        if itype is InputType.IPA:
+            rendered = [registry.g2p(lang, line) for line in rendered]
+        elif itype in (InputType.ROM, InputType.CIPHER):
+            rendered = [registry.romanize(lang, line) for line in rendered]
+        if itype is InputType.CIPHER:
+            rendered = [caesar_encipher(keys[lang], line)
+                        for line in rendered]
+        lines[lang] = rendered
     return lines

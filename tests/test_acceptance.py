@@ -18,7 +18,7 @@ import scipy.integrate
 
 from scriptshift import metrics, pipeline, stats, tokenizer as tok
 from scriptshift.cli import main as cli_main
-from scriptshift.corpus import Document
+from scriptshift.corpus import Document, word_counts
 from scriptshift.langselect import (Regime, SelectionSpec, SimilarityMatrix,
                                     select_subset, set_objective)
 from scriptshift.metrics import OverlapVariant
@@ -174,7 +174,7 @@ def test_criterion_4_unk_collapse_and_recovery():
     model = tok.train(train_corpus, vocab_size=2_000)
 
     eval_corpus = hangul_lines(rng, 3_000, vocabulary=200)
-    ortho_unk = metrics.quality_report(model, eval_corpus, "kor",
+    ortho_unk = metrics.quality_report(model, word_counts(eval_corpus), "kor",
                                        InputType.ORTHO).unk_ratio
     if ortho_unk < Fraction(95, 100):
         problems.append(f"orthographic unk_ratio {float(ortho_unk):.4f} "
@@ -182,7 +182,7 @@ def test_criterion_4_unk_collapse_and_recovery():
 
     registry = default_registry()
     romanized = [registry.romanize("kor", line) for line in eval_corpus]
-    rom_unk = metrics.quality_report(model, romanized, "kor",
+    rom_unk = metrics.quality_report(model, word_counts(romanized), "kor",
                                      InputType.ROM).unk_ratio
     if rom_unk > Fraction(5, 100):
         problems.append(f"romanized unk_ratio {float(rom_unk):.4f} "
@@ -366,7 +366,7 @@ def test_criterion_8_coverage_and_fertility():
     problems = []
 
     model = the_cat_model()
-    report = metrics.quality_report(model, ["the cat"], "eng",
+    report = metrics.quality_report(model, word_counts(["the cat"]), "eng",
                                     InputType.ORTHO)
     if report.fertility != Fraction(3, 2):
         problems.append("hand segmentation of 'the cat' is not 1.5 "
@@ -378,7 +378,7 @@ def test_criterion_8_coverage_and_fertility():
                              vocabulary=rng.randint(10, 60),
                              words_per_line=rng.randint(3, 12))
         trained = tok.train(corpus, vocab_size=rng.randint(30, 120))
-        report = metrics.quality_report(trained, corpus, "eng",
+        report = metrics.quality_report(trained, word_counts(corpus), "eng",
                                         InputType.ORTHO)
         if sum(report.coverage_by_length.values(),
                Fraction(0)) != report.vocab_coverage:
@@ -388,8 +388,8 @@ def test_criterion_8_coverage_and_fertility():
             problems.append(f"case {case}: fertility below one")
 
     fixed_model = tok.train(["abc abc"], vocab_size=8)
-    report = metrics.quality_report(fixed_model, ["abc ab"], "eng",
-                                    InputType.ORTHO)
+    report = metrics.quality_report(fixed_model, word_counts(["abc ab"]),
+                                    "eng", InputType.ORTHO)
     if (report.vocab_coverage, report.coverage_by_length) != (
             Fraction(3, 8), {0: Fraction(1, 8), 2: Fraction(1, 8),
                              3: Fraction(1, 8)}):

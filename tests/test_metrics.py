@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scriptshift import metrics, tokenizer as tok
+from scriptshift.corpus import word_counts
 from scriptshift.input_types import InputType
 from scriptshift.metrics import (OverlapReport, OverlapVariant,
                                  TokenizerQualityReport)
@@ -250,17 +251,19 @@ class TestQualityMetrics:
         for corpus, expected in ((["abc 안"], Fraction(1, 2)),
                                  (["abc"], Fraction(0)),
                                  (["안 녕"], Fraction(1))):
-            report = metrics.quality_report(abc_model, corpus, "eng",
-                                            InputType.ORTHO)
+            report = metrics.quality_report(abc_model, word_counts(corpus),
+                                            "eng", InputType.ORTHO)
             assert report.unk_ratio == expected
 
     def test_fertility_fixture(self):
-        report = metrics.quality_report(the_cat_model(), ["the cat"], "eng",
+        report = metrics.quality_report(the_cat_model(),
+                                        word_counts(["the cat"]), "eng",
                                         InputType.ORTHO)
         assert report.fertility == Fraction(3, 2)
 
     def test_fertility_single_token_words(self, abc_model):
-        report = metrics.quality_report(abc_model, ["abc abc abc"], "eng",
+        report = metrics.quality_report(abc_model,
+                                        word_counts(["abc abc abc"]), "eng",
                                         InputType.ORTHO)
         assert report.fertility == Fraction(1)
 
@@ -271,20 +274,21 @@ class TestQualityMetrics:
             words = ["".join(rng.choice("abc한")
                              for _ in range(rng.randint(1, 8)))
                      for _ in range(rng.randint(1, 10))]
-            report = metrics.quality_report(model, [" ".join(words)], "eng",
-                                            InputType.ORTHO)
+            report = metrics.quality_report(model,
+                                            word_counts([" ".join(words)]),
+                                            "eng", InputType.ORTHO)
             assert report.fertility >= 1
 
     def test_vocab_coverage_fixture(self, abc_model):
-        report = metrics.quality_report(abc_model, ["abc 안"], "eng",
-                                        InputType.ORTHO)
+        report = metrics.quality_report(abc_model, word_counts(["abc 안"]),
+                                        "eng", InputType.ORTHO)
         assert report.vocab_coverage == Fraction(1, 8)
         assert report.coverage_by_length == {3: Fraction(1, 8)}
 
     def test_vocab_coverage_counts_distinct_tokens(self, abc_model):
         # "ab" segments to [marker, ab]: the bare marker counts as length 0
-        report = metrics.quality_report(abc_model, ["abc ab"], "eng",
-                                        InputType.ORTHO)
+        report = metrics.quality_report(abc_model, word_counts(["abc ab"]),
+                                        "eng", InputType.ORTHO)
         assert report.vocab_coverage == Fraction(3, 8)
         assert report.coverage_by_length == {0: Fraction(1, 8),
                                              2: Fraction(1, 8),
@@ -297,14 +301,15 @@ class TestQualityMetrics:
             words = ["".join(rng.choice("abcde")
                              for _ in range(rng.randint(1, 6)))
                      for _ in range(rng.randint(1, 12))]
-            report = metrics.quality_report(model, [" ".join(words)], "eng",
-                                            InputType.ORTHO)
+            report = metrics.quality_report(model,
+                                            word_counts([" ".join(words)]),
+                                            "eng", InputType.ORTHO)
             assert sum(report.coverage_by_length.values(), Fraction(0)) == \
                 report.vocab_coverage
 
     def test_quality_report_counts(self, abc_model):
-        report = metrics.quality_report(abc_model, ["abc 안"], "eng",
-                                        InputType.ORTHO)
+        report = metrics.quality_report(abc_model, word_counts(["abc 안"]),
+                                        "eng", InputType.ORTHO)
         assert report.word_count == 2
         assert report.token_count == 2
         assert report.unk_ratio == Fraction(1, 2)
@@ -312,12 +317,12 @@ class TestQualityMetrics:
     def test_quality_report_empty_corpus_rejected(self, abc_model):
         for corpus in EMPTY_CORPORA:
             with pytest.raises(ValueError, match="'eng' has no words"):
-                metrics.quality_report(abc_model, corpus, "eng",
+                metrics.quality_report(abc_model, word_counts(corpus), "eng",
                                        InputType.ORTHO)
 
     def test_quality_report_json_round_trip(self, abc_model):
-        report = metrics.quality_report(abc_model, ["abc ab"], "kor",
-                                        InputType.ROM)
+        report = metrics.quality_report(abc_model, word_counts(["abc ab"]),
+                                        "kor", InputType.ROM)
         restored = TokenizerQualityReport.from_json_dict(
             report.to_json_dict())
         # every ratio in this fixture is dyadic, so the trip is exact
@@ -329,7 +334,8 @@ class TestQualityMetrics:
     def test_quality_report_invariants(self, words):
         model = tok.train(["abc abc ab bc"], vocab_size=9)
         corpus = [" ".join(words)]
-        report = metrics.quality_report(model, corpus, "eng", InputType.ORTHO)
+        report = metrics.quality_report(model, word_counts(corpus), "eng",
+                                        InputType.ORTHO)
         assert 0 <= report.unk_ratio <= 1
         assert report.fertility >= 1
         assert 0 <= report.vocab_coverage <= 1
@@ -342,8 +348,9 @@ class TestQualityMetrics:
         corpus = ["abc ab bc ca cab abc", "cab z한 ab abc bc", "", "bc bc"]
 
         def measure(model):
-            return (tok.token_set(model, corpus, "eng", InputType.ORTHO),
-                    metrics.quality_report(model, corpus, "eng",
+            return (tok.token_set(model, word_counts(corpus), "eng",
+                                  InputType.ORTHO),
+                    metrics.quality_report(model, word_counts(corpus), "eng",
                                            InputType.ORTHO))
 
         unbounded = measure(quality_model)
@@ -359,10 +366,11 @@ class TestQualityMetrics:
         if ref["word_count"] == 0:
             # the empty-corpus errors are pinned in the tests above
             with pytest.raises(ValueError, match="eng"):
-                metrics.quality_report(quality_model, corpus, "eng",
-                                       InputType.ORTHO)
+                metrics.quality_report(quality_model, word_counts(corpus),
+                                       "eng", InputType.ORTHO)
             return
-        report = metrics.quality_report(quality_model, iter(corpus), "eng",
+        report = metrics.quality_report(quality_model,
+                                        word_counts(iter(corpus)), "eng",
                                         InputType.ORTHO)
         assert {field: getattr(report, field) for field in ref} == ref
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from scriptshift import pipeline as pl
-from scriptshift.corpus import Document, repetition_counts, sample_to_budget
+from scriptshift.corpus import (Document, repetition_counts, sample_to_budget,
+                                word_counts)
 from scriptshift.input_types import InputType
 from scriptshift.metrics import (OverlapReport, OverlapVariant,
                                  overlap_report, quality_report,
@@ -22,9 +23,12 @@ from scriptshift.pipeline import (AnalysisReport, ComparisonTable,
                                   LanguageSpec, PipelineStageError,
                                   compare_input_types, dumps_report,
                                   load_config, load_report, run_experiment)
-from scriptshift.translit import TableRegistry, packaged_table_root
+from scriptshift.translit import (LATIN_LOWER, Passthrough, RuleMode,
+                                  TableRegistry, UnmatchedCharacterError,
+                                  packaged_table_root)
 
-from support import hangul_lines, latin_lines, prepared_lines, stored
+from support import (hangul_lines, latin_lines, prepared_lines,
+                     selected_texts, stored)
 
 
 def as_documents(lang, lines):
@@ -257,7 +261,8 @@ def ref_run(config, corpora, prepared):
     """Reference for the stages after transliteration: training on counts
     summed line by line and word by word, each word weighted by its
     language's repetition count, then token_set and quality_report over the
-    prepared lines. Returns the model and report JSON."""
+    word table counted from the prepared lines. Returns the model and report
+    JSON."""
     manifests = {lang: sample_to_budget(corpora[lang], config.budget,
                                         config.seed, config.input_type)[0]
                  for lang in config.seen_langs}
@@ -270,7 +275,8 @@ def ref_run(config, corpora, prepared):
     model = train_from_word_counts(counts, config.vocab_size,
                                    config.min_char_freq)
     itype = config.input_type
-    token_sets = {lang: token_set(model, prepared[lang], lang, itype)
+    tables = {lang: word_counts(prepared[lang]) for lang in config.langs}
+    token_sets = {lang: token_set(model, tables[lang], lang, itype)
                   for lang in sorted(config.langs)}
     seen_sets = [token_sets[lang] for lang in config.seen_langs]
     overlap = {}
@@ -287,7 +293,7 @@ def ref_run(config, corpora, prepared):
         input_type=itype, seed=config.seed, vocab_size=config.vocab_size,
         seen_langs=config.seen_langs, unseen_langs=config.unseen_langs,
         manifests=manifests,
-        quality={lang: quality_report(model, prepared[lang], lang, itype)
+        quality={lang: quality_report(model, tables[lang], lang, itype)
                  for lang in sorted(config.langs)},
         overlap=overlap,
         token_lengths=token_length_histogram(token_sets.values()))
@@ -319,8 +325,9 @@ def ragged_corpora():
 
 
 class TestWordTablesMatchLinePasses:
-    """run_experiment counts each prepared corpus into one word table; its
-    model, report and token sets equal those of the per-line passes."""
+    """run_experiment counts each corpus into one word table and transforms
+    the table; its model, report and token sets equal those of rendering
+    the corpus line by line and counting the lines."""
 
     @pytest.mark.parametrize("input_type, seen, unseen", [
         (InputType.ORTHO, ("eng", "spa"), ("kor",)),
@@ -351,6 +358,74 @@ class TestWordTablesMatchLinePasses:
         assert dumps_report(run_experiment(config, corpora)) == report_json
 
 
+IDENTITY_RULES = "".join(f"{char}\t{char}\t\t\t{i}\n"
+                         for i, char in enumerate(LATIN_LOWER, start=1))
+
+
+def rom_registry(tmp_path, eng_rules, passthrough=Passthrough.KEEP):
+    """A registry whose rom table for eng holds eng_rules; the other
+    languages keep their packaged tables."""
+    root = tmp_path / "tables"
+    (root / "rom").mkdir(parents=True)
+    (root / "rom" / "eng.tsv").write_text(eng_rules, encoding="utf-8")
+    return TableRegistry([root, packaged_table_root()], passthrough)
+
+
+class TestLineUnitPath:
+    """A rule table that does not rewrite word by word is applied to each
+    distinct line; one that does, to each distinct word. Either way the
+    model and report equal those of the line-by-line rendering."""
+
+    @pytest.mark.parametrize("eng_rules, passthrough, by_word", [
+        (IDENTITY_RULES, Passthrough.DROP, False),
+        ("e\t3\t\t \t1\n", Passthrough.KEEP, False),
+        (" \t-\t\t\t1\nk\tq\t\t\t2\n", Passthrough.KEEP, False),
+        ("ba\tb a\t\t\t1\n", Passthrough.KEEP, True),
+        ("e\t\t\t\t1\nka\t\t\t\t2\n", Passthrough.KEEP, True),
+    ], ids=["drop", "space-in-context", "space-in-source", "space-in-target",
+            "empty-target"])
+    @pytest.mark.parametrize("input_type", [InputType.ROM, InputType.CIPHER])
+    def test_byte_equal_to_line_by_line(self, corpora, tmp_path,
+                                        romanize_calls, eng_rules,
+                                        passthrough, by_word, input_type):
+        registry = rom_registry(tmp_path, eng_rules, passthrough)
+        table = registry.table(RuleMode.ROMANIZE, "eng")
+        assert table.rewrites_by_word is by_word
+        config = make_config(input_type, languages=(
+            LanguageSpec("eng", True), LanguageSpec("kor", False)))
+        corpora = {lang: corpora[lang] for lang in config.langs}
+        report = run_experiment(config, corpora, registry=registry,
+                                artifacts_dir=tmp_path / "artifacts")
+        texts = selected_texts(config, corpora)["eng"]
+        assert romanize_calls["eng"] == (len(word_counts(texts)) if by_word
+                                         else len(set(texts)))
+        prepared = prepared_lines(config, corpora, registry)
+        assert word_counts(prepared["eng"]) != word_counts(texts)
+        model_json, report_json, _ = ref_run(config, corpora, prepared)
+        [model_path] = stored(tmp_path / "artifacts", "model")
+        assert model_path.read_text(encoding="utf-8") == model_json
+        assert dumps_report(report) == report_json
+        warm = run_experiment(config, corpora, registry=registry,
+                              artifacts_dir=tmp_path / "artifacts")
+        assert dumps_report(warm) == report_json
+        assert dumps_report(run_experiment(config, corpora,
+                                           registry=registry)) == report_json
+
+    def test_error_passthrough_fails_on_the_first_multi_word_line(
+            self, corpora, tmp_path):
+        registry = rom_registry(tmp_path, IDENTITY_RULES, Passthrough.ERROR)
+        config = make_config(InputType.ROM)
+        with pytest.raises(UnmatchedCharacterError) as expected:
+            prepared_lines(config, corpora, registry)
+        assert expected.value.char == " "
+        with pytest.raises(PipelineStageError) as excinfo:
+            run_experiment(config, corpora, registry=registry)
+        assert (excinfo.value.stage, excinfo.value.lang) == \
+            ("transliterate", "eng")
+        assert str(excinfo.value) == \
+            f"stage 'transliterate', language 'eng': {expected.value}"
+
+
 class TestArtifacts:
     def test_artifact_files_written(self, corpora, tmp_path):
         config = make_config(InputType.ROM)
@@ -358,9 +433,9 @@ class TestArtifacts:
         assert len(stored(tmp_path, "report")) == 1
         assert len(stored(tmp_path, "model")) == 1
         for lang in ("eng", "spa", "kor"):
-            assert len(stored(tmp_path, "text", lang)) == 1, lang
+            assert len(stored(tmp_path, "words", lang)) == 1, lang
             assert len(stored(tmp_path, "tokensets", lang)) == 1, lang
-        for kind in ("report", "model", "text", "tokensets"):
+        for kind in ("report", "model", "words", "tokensets"):
             for path in stored(tmp_path, kind):
                 assert path.is_file(), path
                 assert path.with_name(path.name + ".sha256").is_file(), path
@@ -403,10 +478,10 @@ class TestArtifacts:
         assert custom.model_digest != fresh.model_digest
         assert dumps_report(packaged) == dumps_report(fresh)
         assert len(stored(artifacts, "report")) == 2
-        # only eng's table differs, so only eng's text is stored twice
-        assert len(stored(artifacts, "text", "eng")) == 2
-        assert len(stored(artifacts, "text", "spa")) == 1
-        assert len(stored(artifacts, "text", "kor")) == 1
+        # only eng's table differs, so only eng's words are stored twice
+        assert len(stored(artifacts, "words", "eng")) == 2
+        assert len(stored(artifacts, "words", "spa")) == 1
+        assert len(stored(artifacts, "words", "kor")) == 1
 
     def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         store = pl._StageStore(tmp_path)
@@ -463,12 +538,12 @@ class TestCorruptCache:
     the fresh report's bytes, never an error or a wrong answer."""
 
     @pytest.mark.parametrize("kind, lang, damage", [
-        ("text", "eng", _truncate_to_third),
+        ("words", "eng", _truncate_to_third),
         ("model", None, _truncate_to_100_bytes),
         ("report", None, _edit_report),
         ("report", None, _drop_check),
         ("model", None, _drop_check),
-        ("text", "kor", _drop_check),
+        ("words", "kor", _drop_check),
     ])
     def test_damaged_artifact_is_recomputed(self, corpora, tmp_path, kind,
                                             lang, damage):
@@ -498,6 +573,35 @@ class TestCorruptCache:
             store.save_text(f"{kind}/{path.name}", "{}\n")
         again = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(again) == fresh
+
+    @pytest.mark.parametrize("damage", [
+        lambda row: row.split("\t")[0] + "\t1.5",
+        lambda row: row.split("\t")[0] + "\tx",
+        lambda row: row.split("\t")[0] + "\t0",
+        lambda row: row.replace("\t", " "),
+        lambda row: row.replace("\t", ""),
+        lambda row: "\t" + row.split("\t")[1],
+        lambda row: "x " + row,
+        lambda row: row + "\n" + row,
+    ], ids=["fraction", "not-a-number", "zero", "space-for-tab", "no-tab",
+            "empty-word", "two-words", "word-twice"])
+    def test_checked_word_table_that_does_not_parse_is_a_miss(
+            self, corpora, tmp_path, romanize_calls, damage):
+        config = make_config(InputType.ROM)
+        fresh = dumps_report(run_experiment(config, corpora))
+        run_experiment(config, corpora, artifacts_dir=tmp_path)
+        [path] = stored(tmp_path, "words", "eng")
+        before = path.read_text(encoding="utf-8")
+        rows = before.split("\n")
+        rows[1] = damage(rows[1])
+        pl._StageStore(tmp_path).save_text(f"words/{path.name}",
+                                           "\n".join(rows))
+        stored(tmp_path, "report")[0].unlink()
+        romanize_calls.clear()
+        again = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert dumps_report(again) == fresh
+        assert set(romanize_calls) == {"eng"}
+        assert path.read_text(encoding="utf-8") == before
 
 
 @pytest.fixture
@@ -577,14 +681,16 @@ class TestSharedStore:
                     make_config(InputType.ROM, vocab_size=size), corpora,
                     artifacts_dir=tmp_path / f"cold-{size}"))
                 for size in sizes}
-        prepared = prepared_lines(make_config(InputType.ROM), corpora)
+        texts = selected_texts(make_config(InputType.ROM), corpora)
         romanize_calls.clear()
         for size in sizes:
             warm = run_experiment(make_config(InputType.ROM, vocab_size=size),
                                   corpora, artifacts_dir=tmp_path / "shared")
             assert dumps_report(warm) == cold[size]
-        assert romanize_calls == Counter({lang: len(lines) for lang, lines
-                                          in prepared.items()})
+        # the packaged rom tables rewrite word by word, so the one cold
+        # pass romanizes each distinct word once
+        assert romanize_calls == Counter({lang: len(word_counts(lines))
+                                          for lang, lines in texts.items()})
         assert len(stored(tmp_path / "shared", "model")) == 2
 
     def test_budget_sweep_over_whole_corpora_retrains(self, corpora,
@@ -607,7 +713,7 @@ class TestSharedStore:
                             budget=budget), corpora,
                 artifacts_dir=tmp_path / "shared")
             assert dumps_report(warm) == dumps_report(cold[budget])
-        assert len(stored(tmp_path / "shared", "text", "spa")) == 1
+        assert len(stored(tmp_path / "shared", "words", "spa")) == 1
 
 
 class TestReportSerialization:

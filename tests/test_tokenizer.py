@@ -392,19 +392,22 @@ class TestDecoding:
 
 class TestTokenSet:
     def test_markers_stripped_and_unk_excluded(self, abc_model):
-        ts = tok.token_set(abc_model, ["abc a안"], "eng", InputType.ORTHO)
+        ts = tok.token_set(abc_model, word_counts(["abc a안"]), "eng",
+                           InputType.ORTHO)
         assert ts.tokens == frozenset({"abc", "a"})
         assert ts.lang == "eng"
         assert ts.input_type is InputType.ORTHO
 
     def test_set_semantics(self, abc_model):
-        once = tok.token_set(abc_model, ["abc"], "eng", InputType.ORTHO)
-        many = tok.token_set(abc_model, ["abc abc", "abc"], "eng",
+        once = tok.token_set(abc_model, word_counts(["abc"]), "eng",
                              InputType.ORTHO)
+        many = tok.token_set(abc_model, word_counts(["abc abc", "abc"]),
+                             "eng", InputType.ORTHO)
         assert once.tokens == many.tokens
 
     def test_empty_corpus_gives_empty_set(self, abc_model):
-        ts = tok.token_set(abc_model, [], "eng", InputType.ORTHO)
+        ts = tok.token_set(abc_model, word_counts([]), "eng",
+                           InputType.ORTHO)
         assert ts.tokens == frozenset()
 
     def test_matches_stripped_encode_tokens(self):
@@ -420,7 +423,8 @@ class TestTokenSet:
                     stripped = model.strip_marker(token)
                     if token != tok.UNK_TOKEN and stripped:
                         expected.add(stripped)
-            ts = tok.token_set(model, lines, "eng", InputType.ORTHO)
+            ts = tok.token_set(model, word_counts(lines), "eng",
+                               InputType.ORTHO)
             assert ts.tokens == expected, f"seed {seed}"
 
     @given(st.lists(st.one_of(
@@ -436,9 +440,11 @@ class TestTokenSet:
                 stripped = model.strip_marker(token)
                 if token != tok.UNK_TOKEN and stripped:
                     expected.add(stripped)
-        from_lines = tok.token_set(model, lines, "eng", InputType.ORTHO)
-        from_keys = tok.token_set(model, word_counts(lines).keys(), "eng",
-                                  InputType.ORTHO)
+        from_lines = tok.token_set(model, word_counts(lines), "eng",
+                                   InputType.ORTHO)
+        from_keys = tok.token_set(model,
+                                  word_counts(word_counts(lines).keys()),
+                                  "eng", InputType.ORTHO)
         assert from_keys == from_lines
         assert from_keys.tokens == expected
 
@@ -452,7 +458,8 @@ class TestTokenSet:
             len(ts.tokens)
 
     def test_json_round_trip(self, abc_model):
-        ts = tok.token_set(abc_model, ["abc ab"], "eng", InputType.ROM)
+        ts = tok.token_set(abc_model, word_counts(["abc ab"]), "eng",
+                           InputType.ROM)
         assert tok.TokenSet.from_json_dict(ts.to_json_dict()) == ts
 
 

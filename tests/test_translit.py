@@ -1,5 +1,7 @@
 """Rewrite rules, Hangul syllable arithmetic, and the Caesar cipher."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +269,28 @@ class TestApplyRules:
         table = table_of([rule])
         assert not table._word_local
         assert tr.apply_rules(table, text) == expected
+
+    @given(rule_tables(), rule_texts,
+           st.lists(st.sampled_from(["", " ", "x y", "\u3000"]),
+                    max_size=3))
+    @settings(max_examples=300)
+    def test_rewrites_by_word_matches_the_whole_text_scan(self, table, text,
+                                                          targets):
+        # Some rules get targets that are empty or hold whitespace, which
+        # leave the table rewriting word by word.
+        rules = list(table.rules)
+        for i, target in enumerate(targets[:len(rules)]):
+            rules[i] = dataclasses.replace(rules[i], target=target)
+        table = table_of(rules, passthrough=table.passthrough)
+        word_local = not any(char.isspace() for rule in rules
+                             for char in (rule.source + rule.left_context
+                                          + rule.right_context))
+        assert table.rewrites_by_word is (
+            word_local and table.passthrough is tr.Passthrough.KEEP)
+        if table.rewrites_by_word:
+            assert ref_apply_rules(table, text).split() == [
+                piece for word in text.split()
+                for piece in ref_apply_rules(table, word).split()]
 
     def test_memo_limit_does_not_change_output(self, monkeypatch):
         monkeypatch.setattr(tr, "_MEMO_LIMIT", 2)
