@@ -10,7 +10,9 @@ Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table, segmenting
 each distinct word once; token sets and the quality metrics are projections
-of it.
+of it. Training ends holding every training word's final segmentation, so a
+model trained in this process starts with an encoder whose cache already
+has its training words; a model read from disk starts with a cold one.
 Models and token sets are read and written by the one JSON codec
 (`records`); a model checks its own structure as it is built.
 """
@@ -22,7 +24,7 @@ import json
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -155,6 +157,15 @@ def _word_symbols(word: str, alphabet: frozenset[str],
     return tuple(syms)
 
 
+def _emitted(syms: list, marker: str) -> tuple:
+    """The symbols a segmented word emits: a boundary marker left
+    standalone directly before an unknown run is dropped, so a fully
+    out-of-alphabet word gives exactly one unknown token."""
+    if len(syms) > 1 and syms[0] == marker and syms[1] is UNK_SENTINEL:
+        return tuple(syms[1:])
+    return tuple(syms)
+
+
 def _mergeable_pairs(syms: Sequence) -> Iterator[tuple[str, str]]:
     for left, right in zip(syms, syms[1:]):
         if left is not UNK_SENTINEL and right is not UNK_SENTINEL:
@@ -260,6 +271,11 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     listed for its pair (a superset of the words that contain it), and at
     each merge site it moves counts from the site's old neighbour pairs to
     its new ones, so pair counts stay exact without recounting a word.
+
+    Each merge is replayed over every word holding its pair, so training
+    ends with each word's final segmentation. Those segmentations fill the
+    cache of the model's encoder (`encoder_for`), up to its limit, so the
+    training words are not segmented a second time in this process.
     """
     if min_char_freq < 1:
         raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
@@ -326,13 +342,18 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                                       changed_pair[0] + changed_pair[1],
                                       changed_pair))
 
-    return SubwordModel(
+    model = SubwordModel(
         alphabet=alphabet,
         merges=tuple(merges),
         vocab=vocab,
         vocab_size_target=vocab_size,
         boundary_marker=marker,
     )
+    encoder = Encoder(model)
+    for word, syms in zip(islice(counts, _CACHE_LIMIT), word_syms):
+        encoder._cache[word] = _emitted(syms, marker)
+    _encoders[model] = encoder
+    return model
 
 
 def train(corpus: Iterable[str], vocab_size: int,
@@ -362,7 +383,10 @@ class Encoder:
 
     Reuse one encoder across a whole corpus pass; the cache makes repeated
     words cost a dictionary lookup. It is cleared when it reaches
-    65,536 words, so its memory stays bounded on any corpus.
+    65,536 words, so its memory stays bounded on any corpus. The encoder
+    `encoder_for` gives for a model trained in this process starts with
+    the training words cached (up to that limit); a new encoder, or that
+    of a model loaded from disk, starts cold.
     """
 
     def __init__(self, model: SubwordModel):
@@ -411,10 +435,7 @@ class Encoder:
             pair = merges[rank]
             syms = _apply_merge(syms, pair, pair[0] + pair[1])
             last = rank
-        if (len(syms) > 1 and syms[0] == model.boundary_marker
-                and syms[1] is UNK_SENTINEL):
-            syms = syms[1:]
-        result = tuple(syms)
+        result = _emitted(syms, model.boundary_marker)
         if len(self._cache) >= _CACHE_LIMIT:
             self._cache.clear()
         self._cache[word] = result

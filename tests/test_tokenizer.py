@@ -5,14 +5,15 @@ every step and replay merges naively, giving an independent check of the
 incremental trainer and the cached encoder.
 """
 
+import operator
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scriptshift import tokenizer as tok
+from scriptshift import metrics, tokenizer as tok
 from scriptshift.corpus import EmptyCorpusError, word_counts
 from scriptshift.input_types import InputType
 
@@ -417,9 +418,10 @@ class TestTokenSet:
                               vocab_size=10 + rng.randint(0, 10))
             lines = random_corpus(rng, alphabet="abcde안", lines=4)
             lines += lines[:2] + [""]
+            encoder = tok.Encoder(model)
             expected = set()
             for line in lines:
-                for token in tok.encode_tokens(model, line):
+                for token in encoder.tokens(line):
                     stripped = model.strip_marker(token)
                     if token != tok.UNK_TOKEN and stripped:
                         expected.add(stripped)
@@ -434,9 +436,10 @@ class TestTokenSet:
     @settings(max_examples=100)
     def test_table_keys_give_the_lines_token_set(self, lines):
         model = tok.train(["abcd abc ab dab bcd", "cab abcd"], vocab_size=14)
+        encoder = tok.Encoder(model)
         expected = set()
         for line in lines:
-            for token in tok.encode_tokens(model, line):
+            for token in encoder.tokens(line):
                 stripped = model.strip_marker(token)
                 if token != tok.UNK_TOKEN and stripped:
                     expected.add(stripped)
@@ -461,6 +464,80 @@ class TestTokenSet:
         ts = tok.token_set(abc_model, word_counts(["abc ab"]), "eng",
                            InputType.ROM)
         assert tok.TokenSet.from_json_dict(ts.to_json_dict()) == ts
+
+
+@st.composite
+def training_tables(draw):
+    """Word tables to train on: words over a one- to three-letter alphabet,
+    often a short unit repeated so that merge sites overlap, and words
+    holding, or made only of, rarer characters that a min_char_freq of 2
+    or 3 prunes into unknown runs."""
+    alphabet = draw(st.sampled_from(["a", "ab", "abc"]))
+    plain = st.text(alphabet, min_size=1, max_size=8)
+    repeated = st.builds(operator.mul, st.text(alphabet, min_size=1,
+                                               max_size=3),
+                         st.integers(2, 6))
+    rare = st.text("xy안", min_size=1, max_size=3)
+    word = st.one_of(plain, repeated, rare,
+                     st.builds(operator.add, plain, rare),
+                     st.builds(operator.add, rare, plain))
+    return draw(st.dictionaries(word, st.integers(1, 4), min_size=1,
+                                max_size=20))
+
+
+def train_with_room(table, min_char_freq, extra):
+    """Train on table with vocab room for `extra` merges past the
+    alphabet; a small extra stops training before pairs run out."""
+    char_freqs = Counter()
+    for word, count in table.items():
+        for char in word:
+            char_freqs[char] += count
+    alphabet = [c for c, f in char_freqs.items() if f >= min_char_freq]
+    return tok.train_from_word_counts(table, len(alphabet) + 3 + extra,
+                                      min_char_freq)
+
+
+class TestPrimedEncoder:
+    @given(training_tables(), st.integers(1, 3), st.integers(0, 30))
+    # overlapping merge sites
+    @example({"aaaaaaa": 2, "aaa": 1, "ababab": 3, "aab": 2}, 1, 30)
+    # unknown runs inside words, and words made only of pruned characters
+    @example({"abab": 3, "a안b": 1, "안": 1, "xy": 1, "y안ab": 1}, 2, 30)
+    @example({"aba": 2, "x": 2, "xab": 2, "안y": 1}, 3, 30)
+    # training stopped by the vocab size
+    @example({"abcabc": 3, "bcab": 2, "cab": 2}, 1, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_training_words_match_replay_and_a_cold_encoder(
+            self, table, min_char_freq, extra):
+        model = train_with_room(table, min_char_freq, extra)
+        primed = tok.encoder_for(model)
+        assert primed._cache.keys() == table.keys()
+        fresh = tok.Encoder(model)
+        for word in table:
+            symbols = primed.segment_word(word)
+            assert symbols == fresh.segment_word(word), word
+            ids = [tok.UNK_ID if sym is tok.UNK_SENTINEL
+                   else model.vocab[sym] for sym in symbols]
+            assert ids == ref_encode_word(model, word), word
+
+    def test_cache_limit_bounds_priming(self, monkeypatch):
+        rng = random.Random(5)
+        corpus = random_corpus(rng, alphabet="abcd", lines=12)
+        table = word_counts(corpus)
+        limit = len(table) // 2
+        monkeypatch.setattr(tok, "_CACHE_LIMIT", limit)
+        model = tok.train_from_word_counts(table, vocab_size=16)
+        assert 0 < len(tok.encoder_for(model)._cache) <= limit
+        measured = word_counts(corpus + random_corpus(rng, "abcde안", 4))
+
+        def measure(model):
+            return (tok.token_set(model, measured, "eng", InputType.ORTHO),
+                    metrics.quality_report(model, measured, "eng",
+                                           InputType.ORTHO))
+
+        cold = tok.loads_model(tok.dumps_model(model))
+        assert not tok.encoder_for(cold)._cache
+        assert measure(model) == measure(cold)
 
 
 class TestSerialization:
