@@ -1,29 +1,33 @@
 """Deterministic subword tokenizer built on greedy pair merging.
 
 Training learns highest-frequency symbol-pair merges over whitespace words,
-each word prefixed with a reserved boundary-marker symbol. After each merge
-only the pair counts around the merge sites are updated. Encoding is defined
-as replaying the merge list in training order, each merge applied left to
-right over the word; the encoder reaches the same result by rank-driven
-merging, so a serialized model reproduces the same segmentation anywhere.
+each word prefixed with a reserved boundary-marker symbol. A merge rewrites
+the words that hold its pair in place and moves pair counts only at its
+sites; the candidate heap is pushed only the pairs whose count grew, and an
+entry whose count has fallen is pushed back when it is popped. Encoding is
+defined as replaying the merge list in training order, each merge applied
+left to right over the word; the encoder reaches the same result by
+rank-driven merging, so a serialized model reproduces the same
+segmentation anywhere.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table, segmenting
 each distinct word once; token sets and the quality metrics are projections
-of it. Training ends holding every training word's final segmentation, so a
-model trained in this process starts with an encoder whose cache already
-has its training words; a model read from disk starts with a cold one.
+of it. A model keeps its one encoder (`encoder_for`), so the two are freed
+together. Training ends holding every training word's final segmentation,
+so a model trained in this process starts with an encoder whose cache
+already has its training words; a model read from disk starts cold.
 Models and token sets are read and written by the one JSON codec
 (`records`); a model checks its own structure as it is built.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -115,6 +119,12 @@ class SubwordModel(Record):
             table[token_id] = token
         return table
 
+    @cached_property
+    def _encoder(self) -> Encoder:
+        """Kept on the model, outside its fields, so that the record codec
+        does not see it and the model and its cache are freed together."""
+        return Encoder(self)
+
     def strip_marker(self, token: str) -> str:
         if token.startswith(self.boundary_marker):
             return token[len(self.boundary_marker):]
@@ -142,7 +152,7 @@ class TokenSet(Record):
 
 
 def _word_symbols(word: str, alphabet: frozenset[str],
-                  marker: str) -> tuple:
+                  marker: str) -> list:
     """Initial symbol sequence: marker, then characters, with each maximal
     out-of-alphabet run collapsed to the unknown sentinel."""
     syms: list = [marker]
@@ -154,7 +164,7 @@ def _word_symbols(word: str, alphabet: frozenset[str],
         elif not in_unk_run:
             syms.append(UNK_SENTINEL)
             in_unk_run = True
-    return tuple(syms)
+    return syms
 
 
 def _emitted(syms: list, marker: str) -> tuple:
@@ -164,12 +174,6 @@ def _emitted(syms: list, marker: str) -> tuple:
     if len(syms) > 1 and syms[0] == marker and syms[1] is UNK_SENTINEL:
         return tuple(syms[1:])
     return tuple(syms)
-
-
-def _mergeable_pairs(syms: Sequence) -> Iterator[tuple[str, str]]:
-    for left, right in zip(syms, syms[1:]):
-        if left is not UNK_SENTINEL and right is not UNK_SENTINEL:
-            yield (left, right)
 
 
 def _apply_merge(syms: list, pair: tuple[str, str], merged: str) -> list:
@@ -195,68 +199,6 @@ def _apply_merge(syms: list, pair: tuple[str, str], merged: str) -> list:
     return out
 
 
-def _merge_sites(word_syms: list, index: int, freq: int,
-                 pair: tuple[str, str], merged: str, pair_counts: Counter,
-                 pair_words: dict, changed: set) -> None:
-    """Merge every occurrence of pair in word_syms[index], left to right,
-    and update the pair counts at each merge site. Every pair whose count
-    moves is added to changed; a word that no longer contains pair is left
-    as it is.
-
-    At a site the pair itself loses one occurrence. Its left neighbour pair
-    (previous symbol, left operand) becomes (previous output symbol,
-    merged); when the previous site is adjacent that output symbol is the
-    merged token too. Its right neighbour pair (right operand, next symbol)
-    becomes (merged, next symbol), unless the next symbol starts another
-    site, whose left-neighbour step then accounts for the boundary.
-    Unknown sentinels never form a counted pair.
-    """
-    syms = word_syms[index]
-    left, right = pair
-    n = len(syms)
-    out: list = []
-    i = 0
-    while True:
-        try:
-            j = syms.index(left, i)
-        except ValueError:
-            break
-        if j + 1 >= n:
-            break
-        if syms[j + 1] != right:
-            out.extend(syms[i:j + 1])
-            i = j + 1
-            continue
-        out.extend(syms[i:j])
-        pair_counts[pair] -= freq
-        if j > 0:
-            before = syms[j - 1]
-            if before is not UNK_SENTINEL:
-                old = (before, left)
-                new = (out[-1], merged)
-                pair_counts[old] -= freq
-                pair_counts[new] += freq
-                pair_words.setdefault(new, set()).add(index)
-                changed.add(old)
-                changed.add(new)
-        if j + 2 < n:
-            after = syms[j + 2]
-            if after is not UNK_SENTINEL and not (
-                    after == left and j + 3 < n and syms[j + 3] == right):
-                old = (right, after)
-                new = (merged, after)
-                pair_counts[old] -= freq
-                pair_counts[new] += freq
-                pair_words.setdefault(new, set()).add(index)
-                changed.add(old)
-                changed.add(new)
-        out.append(merged)
-        i = j + 2
-    if i:
-        out.extend(syms[i:])
-        word_syms[index] = out
-
-
 def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                            min_char_freq: int = 1,
                            marker: str = BOUNDARY_MARKER) -> SubwordModel:
@@ -265,34 +207,52 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     Greedy loop: the most frequent adjacent symbol pair is merged, ties
     broken by the lexicographically smaller concatenation and then pair.
     Merging stops when the vocabulary reaches vocab_size or no pair occurs
-    at least twice. Candidate selection uses a heap keyed by (-count,
-    concatenation, pair) with lazy invalidation; entries are revalidated
-    against current counts when popped. A merge rewrites only the words
-    listed for its pair (a superset of the words that contain it), and at
-    each merge site it moves counts from the site's old neighbour pairs to
-    its new ones, so pair counts stay exact without recounting a word.
+    at least twice.
 
-    Each merge is replayed over every word holding its pair, so training
-    ends with each word's final segmentation. Those segmentations fill the
+    Pair counts stay exact without recounting a word. A merge visits only
+    the words listed for its pair (a superset of the words that hold it)
+    and merges each site in place, left to right. At a site the left
+    neighbour pair (previous symbol, left operand) becomes (previous
+    symbol, merged); when the previous site is adjacent, its output stands
+    there and the pair given up is still (right operand, left operand).
+    The right neighbour pair (right operand, next symbol) becomes (merged,
+    next symbol), unless the next symbol starts another site, whose left
+    step then accounts for the boundary. Unknown sentinels never form a
+    counted pair.
+
+    Candidates come from a heap keyed by (-count, concatenation, pair).
+    Every pair that occurs at least twice has an entry at or above its
+    count: a merge pushes only the pairs whose count grew, and a popped
+    entry whose count has since fallen is pushed back at the current
+    count, if that is still at least 2, and skipped. The first popped
+    entry that matches its count is therefore the best pair.
+
+    Training ends with each word's final segmentation. Those fill the
     cache of the model's encoder (`encoder_for`), up to its limit, so the
     training words are not segmented a second time in this process.
     """
     if min_char_freq < 1:
         raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
     counts = {word: int(freq) for word, freq in word_counts.items()
-              if word and freq > 0}
+              if word and freq >= 1}
     if not counts:
         raise EmptyCorpusError("training corpus has no words")
+    if any(marker in word for word in counts):
+        raise ValueError(f"boundary marker {marker!r} occurs in the "
+                         f"corpus; it is reserved")
 
-    char_freqs: Counter = Counter()
-    for word, freq in counts.items():
-        if marker in word:
-            raise ValueError(f"boundary marker {marker!r} occurs in the "
-                             f"corpus; it is reserved")
-        for char in word:
-            char_freqs[char] += freq
-    alphabet = frozenset(c for c, f in char_freqs.items()
-                         if f >= min_char_freq)
+    if min_char_freq == 1:  # every character is in the alphabet
+        alphabet = frozenset("".join(counts))
+        word_syms = [[marker, *word] for word in counts]
+    else:
+        char_freqs: Counter = Counter()
+        for word, freq in counts.items():
+            for char in word:
+                char_freqs[char] += freq
+        alphabet = frozenset(c for c, f in char_freqs.items()
+                             if f >= min_char_freq)
+        word_syms = [_word_symbols(word, alphabet, marker)
+                     for word in counts]
     reserved = 2  # unknown + boundary marker
     if vocab_size <= len(alphabet) + reserved:
         raise ValueError(
@@ -304,43 +264,77 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         vocab[char] = len(vocab)
 
     freqs = list(counts.values())
-    word_syms = [list(_word_symbols(word, alphabet, marker))
-                 for word in counts]
-    pair_counts: Counter = Counter()
-    pair_words: dict[tuple[str, str], set[int]] = {}
+    pair_counts: defaultdict = defaultdict(int)
+    pair_words: defaultdict = defaultdict(set)
     for index, syms in enumerate(word_syms):
-        for pair in _mergeable_pairs(syms):
-            pair_counts[pair] += freqs[index]
-            pair_words.setdefault(pair, set()).add(index)
+        freq = freqs[index]
+        for pair in zip(syms, syms[1:]):
+            pair_counts[pair] += freq
+            pair_words[pair].add(index)
+    for pair in [pair for pair in pair_counts if UNK_SENTINEL in pair]:
+        del pair_counts[pair], pair_words[pair]
 
-    heap: list = []
-    for pair, count in pair_counts.items():
-        if count >= 2:
-            heapq.heappush(heap, (-count, pair[0] + pair[1], pair))
-
+    heap = [(-count, left + right, (left, right))
+            for (left, right), count in pair_counts.items() if count >= 2]
+    heapify(heap)
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size and heap:
-        neg_count, merged, pair = heapq.heappop(heap)
+        neg_count, merged, pair = heappop(heap)
         count = pair_counts.get(pair, 0)
-        if count != -neg_count or count < 2:
-            continue  # stale entry
+        if count != -neg_count:
+            if count >= 2:
+                heappush(heap, (-count, merged, pair))
+            continue
         merges.append(pair)
         if merged not in vocab:
             vocab[merged] = len(vocab)
 
-        changed = {pair}
-        for index in pair_words.pop(pair, ()):
-            _merge_sites(word_syms, index, freqs[index], pair, merged,
-                         pair_counts, pair_words, changed)
-        for changed_pair in changed:
-            new_count = pair_counts[changed_pair]
-            if new_count <= 0:
-                del pair_counts[changed_pair]
-                pair_words.pop(changed_pair, None)
-            elif new_count >= 2:
-                heapq.heappush(heap, (-new_count,
-                                      changed_pair[0] + changed_pair[1],
-                                      changed_pair))
+        left, right = pair
+        grown = set()
+        for index in pair_words.pop(pair):
+            syms = word_syms[index]
+            freq = freqs[index]
+            n = len(syms)
+            j = 0
+            last = -2  # where the previous site's output stands
+            while True:
+                try:
+                    j = syms.index(left, j)
+                except ValueError:
+                    break
+                if j + 1 == n:
+                    break
+                if syms[j + 1] != right:
+                    j += 1
+                    continue
+                if j:
+                    before = right if j - 1 == last else syms[j - 1]
+                    if before is not UNK_SENTINEL:
+                        pair_counts[before, left] -= freq
+                        new = (syms[j - 1], merged)
+                        pair_counts[new] += freq
+                        pair_words[new].add(index)
+                        grown.add(new)
+                if j + 2 < n:
+                    after = syms[j + 2]
+                    if after is not UNK_SENTINEL and not (
+                            after == left and j + 3 < n
+                            and syms[j + 3] == right):
+                        pair_counts[right, after] -= freq
+                        new = (merged, after)
+                        pair_counts[new] += freq
+                        pair_words[new].add(index)
+                        grown.add(new)
+                syms[j] = merged
+                del syms[j + 1]
+                n -= 1
+                last = j
+                j += 1
+        del pair_counts[pair]  # every site of pair is merged
+        for new in grown:
+            count = pair_counts[new]
+            if count >= 2:
+                heappush(heap, (-count, new[0] + new[1], new))
 
     model = SubwordModel(
         alphabet=alphabet,
@@ -349,10 +343,9 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         vocab_size_target=vocab_size,
         boundary_marker=marker,
     )
-    encoder = Encoder(model)
+    cache = encoder_for(model)._cache
     for word, syms in zip(islice(counts, _CACHE_LIMIT), word_syms):
-        encoder._cache[word] = _emitted(syms, marker)
-    _encoders[model] = encoder
+        cache[word] = _emitted(syms, marker)
     return model
 
 
@@ -420,8 +413,7 @@ class Encoder:
         model = self.model
         merges = model.merges
         first_rank = self._first_rank
-        syms = list(_word_symbols(word, model.alphabet,
-                                  model.boundary_marker))
+        syms = _word_symbols(word, model.alphabet, model.boundary_marker)
         last = -1
         while len(syms) > 1:
             # Each pair's lowest rank; if that is above the last rank
@@ -455,16 +447,9 @@ class Encoder:
                 for sym in self.iter_symbols(text)]
 
 
-_encoders: "weakref.WeakKeyDictionary[SubwordModel, Encoder]" = \
-    weakref.WeakKeyDictionary()
-
-
 def encoder_for(model: SubwordModel) -> Encoder:
-    encoder = _encoders.get(model)
-    if encoder is None:
-        encoder = Encoder(model)
-        _encoders[model] = encoder
-    return encoder
+    """The model's one encoder, made on first use."""
+    return model._encoder
 
 
 def encode(model: SubwordModel, text: str) -> list[int]:

@@ -5,8 +5,11 @@ every step and replay merges naively, giving an independent check of the
 incremental trainer and the cached encoder.
 """
 
+import gc
 import operator
 import random
+import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -497,6 +500,50 @@ def train_with_room(table, min_char_freq, extra):
                                       min_char_freq)
 
 
+@st.composite
+def weighted_tables(draw):
+    """Word tables with counts 1-50 over a one- to three-letter alphabet.
+    Many words are a short unit repeated, so ties and overlapping sites
+    (aaaa, abab) are common; a few words hold a character that occurs
+    once, which a min_char_freq of 2 prunes into an unknown run."""
+    alphabet = draw(st.sampled_from(["a", "ab", "abc"]))
+    plain = st.text(alphabet, min_size=1, max_size=8)
+    repeated = st.builds(operator.mul, st.text(alphabet, min_size=1,
+                                               max_size=3),
+                         st.integers(2, 5))
+    table = draw(st.dictionaries(st.one_of(plain, repeated),
+                                 st.integers(1, 50), min_size=1,
+                                 max_size=12))
+    holders = draw(st.lists(st.tuples(plain, st.integers(0, 8)),
+                            max_size=3))
+    for rare, (word, cut) in zip(RARE_CHARS, holders):
+        table[word[:cut] + rare + word[cut:]] = 1
+    return table
+
+
+class TestTrainingMatchesReference:
+    @given(weighted_tables(), st.sampled_from([1, 2]), st.integers(0, 40))
+    # overlapping sites
+    @example({"aaaa": 7, "abab": 12, "aaa": 3, "ab": 1}, 1, 20)
+    # ("a", "bc") and ("ab", "c") compete to make "abc"; popped counts
+    # that have fallen are pushed back
+    @example({"abc": 9, "ab": 6, "bc": 6, "abcbc": 2, "aabc": 3}, 1, 20)
+    # characters that occur once, pruned into unknown runs
+    @example({"abab": 20, "a\u0100b": 1, "\u0101": 1, "ba\u0102": 1}, 2, 20)
+    # training stopped by the vocab size
+    @example({"abcabc": 30, "bcab": 20, "cab": 20}, 1, 0)
+    @settings(deadline=None)
+    def test_weighted_tables(self, table, min_char_freq, extra):
+        model = train_with_room(table, min_char_freq, extra)
+        lines = [" ".join([word] * count) for word, count in table.items()]
+        assert (model.alphabet, model.merges, model.vocab) == ref_train(
+            lines, model.vocab_size_target, min_char_freq)
+        primed = tok.encoder_for(model)
+        fresh = tok.Encoder(model)
+        for word in table:
+            assert primed._cache[word] == fresh.segment_word(word), word
+
+
 class TestPrimedEncoder:
     @given(training_tables(), st.integers(1, 3), st.integers(0, 30))
     # overlapping merge sites
@@ -538,6 +585,34 @@ class TestPrimedEncoder:
         cold = tok.loads_model(tok.dumps_model(model))
         assert not tok.encoder_for(cold)._cache
         assert measure(model) == measure(cold)
+
+
+class TestModelLifetime:
+    def test_trained_model_is_freed(self):
+        model = tok.train(["abc abc ab"], 8)
+        assert tok.encoder_for(model)._cache
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_training_in_a_loop_keeps_memory_flat(self):
+        table = word_counts(random_corpus(random.Random(11), "abcdef",
+                                          lines=60, words_per_line=8))
+        peaks = [0] * 20
+        tracemalloc.start()
+        try:
+            for index in range(len(peaks)):
+                tracemalloc.reset_peak()
+                model = tok.train_from_word_counts(table, 60)
+                tok.token_set(model, table, "eng", InputType.ORTHO)
+                del model
+                gc.collect()
+                peaks[index] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A kept model with its cache would add tens of kilobytes a round.
+        assert peaks[-1] <= peaks[1] * 1.05, peaks
 
 
 class TestSerialization:
