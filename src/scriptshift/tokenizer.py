@@ -8,15 +8,17 @@ entry whose count has fallen is pushed back when it is popped. Encoding is
 defined as replaying the merge list in training order, each merge applied
 left to right over the word; the encoder reaches the same result by
 rank-driven merging, so a serialized model reproduces the same
-segmentation anywhere.
+segmentation anywhere. Both merge in place, looking for a left operand only
+as often as the word holds it.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
-`tally` is the one segmentation walk over a corpus's word table, segmenting
-each distinct word once; token sets and the quality metrics are projections
-of it. A model keeps its one encoder (`encoder_for`), so the two are freed
-together. Training ends holding every training word's final segmentation,
-so a model trained in this process starts with an encoder whose cache
-already has its training words; a model read from disk starts cold.
+`tally` is the one segmentation walk over a corpus's word table; it reads
+the encoder's cache itself and segments only the words that miss it. Token
+sets and the quality metrics are projections of it. A model keeps its one
+encoder (`encoder_for`), so the two are freed together. Training ends
+holding every training word's final segmentation, so a model trained in
+this process starts with an encoder whose cache already has its training
+words; a model read from disk starts cold.
 Models and token sets are read and written by the one JSON codec
 (`records`); a model checks its own structure as it is built.
 """
@@ -155,6 +157,8 @@ def _word_symbols(word: str, alphabet: frozenset[str],
                   marker: str) -> list:
     """Initial symbol sequence: marker, then characters, with each maximal
     out-of-alphabet run collapsed to the unknown sentinel."""
+    if alphabet.issuperset(word):
+        return [marker, *word]
     syms: list = [marker]
     in_unk_run = False
     for char in word:
@@ -176,29 +180,6 @@ def _emitted(syms: list, marker: str) -> tuple:
     return tuple(syms)
 
 
-def _apply_merge(syms: list, pair: tuple[str, str], merged: str) -> list:
-    """Replace every occurrence of pair, scanning left to right. Unknown
-    sentinels never compare equal to a token string, so they never merge."""
-    left, right = pair
-    out: list = []
-    i = 0
-    n = len(syms)
-    while True:
-        try:
-            j = syms.index(left, i)
-        except ValueError:
-            break
-        out.extend(syms[i:j])
-        if j + 1 < n and syms[j + 1] == right:
-            out.append(merged)
-            i = j + 2
-        else:
-            out.append(left)
-            i = j + 1
-    out.extend(syms[i:])
-    return out
-
-
 def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                            min_char_freq: int = 1,
                            marker: str = BOUNDARY_MARKER) -> SubwordModel:
@@ -209,16 +190,17 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     Merging stops when the vocabulary reaches vocab_size or no pair occurs
     at least twice.
 
-    Pair counts stay exact without recounting a word. A merge visits only
-    the words listed for its pair (a superset of the words that hold it)
-    and merges each site in place, left to right. At a site the left
-    neighbour pair (previous symbol, left operand) becomes (previous
-    symbol, merged); when the previous site is adjacent, its output stands
-    there and the pair given up is still (right operand, left operand).
-    The right neighbour pair (right operand, next symbol) becomes (merged,
-    next symbol), unless the next symbol starts another site, whose left
-    step then accounts for the boundary. Unknown sentinels never form a
-    counted pair.
+    Pair counts stay exact without recounting a word. A pair lists its
+    words once per occurrence, so its first count is the sum of their
+    frequencies. A merge visits each listed word once, finds the left
+    operand only as often as the word holds it, and merges each site in
+    place, left to right. At a site the left neighbour pair (previous
+    symbol, left operand) becomes (previous symbol, merged); when the
+    previous site is adjacent, its output stands there and the pair given
+    up is still (right operand, left operand). The right neighbour pair
+    (right operand, next symbol) becomes (merged, next symbol), unless the
+    next symbol starts another site, whose left step then accounts for the
+    boundary. Unknown sentinels never form a counted pair.
 
     Candidates come from a heap keyed by (-count, concatenation, pair).
     Every pair that occurs at least twice has an entry at or above its
@@ -264,15 +246,15 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         vocab[char] = len(vocab)
 
     freqs = list(counts.values())
-    pair_counts: defaultdict = defaultdict(int)
-    pair_words: defaultdict = defaultdict(set)
+    pair_words: defaultdict = defaultdict(list)
     for index, syms in enumerate(word_syms):
-        freq = freqs[index]
         for pair in zip(syms, syms[1:]):
-            pair_counts[pair] += freq
-            pair_words[pair].add(index)
-    for pair in [pair for pair in pair_counts if UNK_SENTINEL in pair]:
-        del pair_counts[pair], pair_words[pair]
+            pair_words[pair].append(index)
+    for pair in [pair for pair in pair_words if UNK_SENTINEL in pair]:
+        del pair_words[pair]
+    pair_counts: defaultdict = defaultdict(int, {
+        pair: sum(map(freqs.__getitem__, found))
+        for pair, found in pair_words.items()})
 
     heap = [(-count, left + right, (left, right))
             for (left, right), count in pair_counts.items() if count >= 2]
@@ -291,44 +273,41 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
 
         left, right = pair
         grown = set()
-        for index in pair_words.pop(pair):
+        for index in set(pair_words.pop(pair)):
             syms = word_syms[index]
             freq = freqs[index]
             n = len(syms)
+            todo = syms.count(left)
             j = 0
             last = -2  # where the previous site's output stands
-            while True:
-                try:
-                    j = syms.index(left, j)
-                except ValueError:
-                    break
-                if j + 1 == n:
-                    break
-                if syms[j + 1] != right:
-                    j += 1
-                    continue
-                if j:
-                    before = right if j - 1 == last else syms[j - 1]
-                    if before is not UNK_SENTINEL:
-                        pair_counts[before, left] -= freq
-                        new = (syms[j - 1], merged)
-                        pair_counts[new] += freq
-                        pair_words[new].add(index)
-                        grown.add(new)
-                if j + 2 < n:
-                    after = syms[j + 2]
-                    if after is not UNK_SENTINEL and not (
-                            after == left and j + 3 < n
-                            and syms[j + 3] == right):
-                        pair_counts[right, after] -= freq
-                        new = (merged, after)
-                        pair_counts[new] += freq
-                        pair_words[new].add(index)
-                        grown.add(new)
-                syms[j] = merged
-                del syms[j + 1]
-                n -= 1
-                last = j
+            while todo:
+                j = syms.index(left, j)
+                todo -= 1
+                if j + 1 < n and syms[j + 1] == right:
+                    if left == right:  # the right operand was a left one too
+                        todo -= 1
+                    if j:
+                        before = right if j - 1 == last else syms[j - 1]
+                        if before is not UNK_SENTINEL:
+                            pair_counts[before, left] -= freq
+                            new = (syms[j - 1], merged)
+                            pair_counts[new] += freq
+                            pair_words[new].append(index)
+                            grown.add(new)
+                    if j + 2 < n:
+                        after = syms[j + 2]
+                        if after is not UNK_SENTINEL and not (
+                                after == left and j + 3 < n
+                                and syms[j + 3] == right):
+                            pair_counts[right, after] -= freq
+                            new = (merged, after)
+                            pair_counts[new] += freq
+                            pair_words[new].append(index)
+                            grown.add(new)
+                    syms[j] = merged
+                    del syms[j + 1]
+                    n -= 1
+                    last = j
                 j += 1
         del pair_counts[pair]  # every site of pair is merged
         for new in grown:
@@ -369,10 +348,12 @@ class Encoder:
     order over the word, each merge applied left to right. Rank-driven
     merging reaches it without visiting every merge: each step takes the
     adjacent pair with the smallest rank greater than the last rank applied
-    and merges every occurrence of it, left to right. Merges of lower rank
-    already had their turn in the replay, so a pair whose ranks are all at
-    or below the last one stays unmerged; this keeps models with merges out
-    of causal order, or with a pair listed twice, equal to the replay.
+    and merges every occurrence of it in place, left to right, rewriting
+    only the kept lowest ranks of the two pairs beside each site. Merges of
+    lower rank already had their turn in the replay, so a pair whose ranks
+    are all at or below the last one stays unmerged; this keeps models with
+    merges out of causal order, or with a pair listed twice, equal to the
+    replay.
 
     Reuse one encoder across a whole corpus pass; the cache makes repeated
     words cost a dictionary lookup. It is cleared when it reaches
@@ -412,20 +393,36 @@ class Encoder:
             return cached
         model = self.model
         merges = model.merges
-        first_rank = self._first_rank
+        end = len(merges)
+        first_rank = self._first_rank.get
         syms = _word_symbols(word, model.alphabet, model.boundary_marker)
+        # ranks[i] is the lowest rank of the pair (syms[i], syms[i + 1]).
+        ranks = list(map(first_rank, zip(syms, syms[1:]), repeat(end)))
         last = -1
-        while len(syms) > 1:
-            # Each pair's lowest rank; if that is above the last rank
-            # applied, it is also the smallest rank above it.
-            rank = min(map(first_rank.get, zip(syms, syms[1:]),
-                           repeat(len(merges))))
+        while ranks:
+            # A lowest rank above the last one applied is the next to apply.
+            rank = min(ranks)
             if rank <= last:
                 rank = self._next_rank(syms, last)
-            if rank == len(merges):
+            if rank == end:
                 break
-            pair = merges[rank]
-            syms = _apply_merge(syms, pair, pair[0] + pair[1])
+            left, right = merges[rank]
+            merged = left + right
+            todo = syms.count(left)
+            j = 0
+            while todo:
+                j = syms.index(left, j)
+                todo -= 1
+                if j + 1 < len(syms) and syms[j + 1] == right:
+                    if left == right:
+                        todo -= 1
+                    syms[j] = merged
+                    del syms[j + 1], ranks[j]
+                    if j:
+                        ranks[j - 1] = first_rank((syms[j - 1], merged), end)
+                    if j < len(ranks):
+                        ranks[j] = first_rank((merged, syms[j + 1]), end)
+                j += 1
             last = rank
         result = _emitted(syms, model.boundary_marker)
         if len(self._cache) >= _CACHE_LIMIT:
@@ -491,10 +488,13 @@ def tally(model: SubwordModel, counts: Mapping[str, int],
     `corpus.word_counts` gives for a corpus of text lines. Each distinct
     word is segmented once; its counts are weighted by occurrence."""
     encoder = encoder_for(model)
+    cache = encoder._cache
     words = tokens = unk = 0
     produced: set = set()
     for word, count in counts.items():
-        symbols = encoder.segment_word(word)
+        symbols = cache.get(word)
+        if symbols is None:
+            symbols = encoder.segment_word(word)
         words += count
         tokens += count * len(symbols)
         unk += count * symbols.count(UNK_SENTINEL)

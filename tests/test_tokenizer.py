@@ -8,6 +8,7 @@ incremental trainer and the cached encoder.
 import gc
 import operator
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -149,6 +150,22 @@ def repetitive_corpus(rng, alphabet, rare_rate=0.0, lines=6,
     return out
 
 
+@st.composite
+def merge_lists(draw):
+    """Merge lists over "ab" in any order, a pair sometimes listed twice:
+    each operand is a character or the product of another merge in the
+    list, so a pair's lowest rank is often at or below the last rank the
+    encoder applied."""
+    tokens = ["a", "b"]
+    merges = []
+    for _ in range(draw(st.integers(1, 8))):
+        left = draw(st.sampled_from([MARKER, *tokens]))
+        pair = (left, draw(st.sampled_from(tokens)))
+        merges.append(pair)
+        tokens.append(pair[0] + pair[1])
+    return draw(st.permutations(merges))
+
+
 # --- training -----------------------------------------------------------------
 
 
@@ -223,6 +240,27 @@ class TestTraining:
             assert model.alphabet == ref_alpha
             assert model.merges == ref_merges
             assert model.vocab == ref_vocab
+
+    def test_a_merge_scans_each_word_once(self):
+        # The word holds ("a", "a"), the first merge, at 40 sites and is
+        # listed for it once per site, yet each merge scans it once: one
+        # list.count per word visit.
+        scans = 0
+
+        def profile(frame, event, arg):
+            nonlocal scans
+            if (event == "c_call" and getattr(arg, "__name__", "") == "count"
+                    and isinstance(getattr(arg, "__self__", None), list)):
+                scans += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            model = tok.train_from_word_counts({"aab" * 40: 1}, 12)
+        finally:
+            sys.setprofile(previous)
+        assert model.merges[:2] == (("a", "a"), ("aa", "b"))
+        assert scans == len(model.merges)
 
     @pytest.mark.parametrize("alphabet,rare_rate,min_char_freq", [
         ("ab", 0.0, 1),
@@ -343,6 +381,27 @@ class TestEncoding:
         alphabet = {c for pair in merges for part in pair for c in part
                     if c != MARKER} | set("ab")
         model = hand_model(alphabet, merges)
+        encoder = tok.Encoder(model)
+        for word in words:
+            assert encoder.encode(word) == ref_encode_word(model, word), word
+
+    @given(merge_lists(), st.lists(st.text("ab안", min_size=1, max_size=12),
+                                   min_size=1, max_size=6))
+    # odd and even runs of one character: both operands equal
+    @example([("a", "a"), ("aa", "a")], ["aaaaa", "aaaaaa", "aaa"])
+    # adjacent sites
+    @example([("a", "b"), ("b", "a"), ("ab", "ab")],
+             ["abababa", "bababab", "aabb"])
+    # unknown runs right beside merge sites
+    @example([("a", "a"), (MARKER, "aa"), ("aa", "b")],
+             ["안aa안", "aa안aab", "b안안aa"])
+    # mid-word fallback: merging ("a", "b") writes the rank of ("ab", "b"),
+    # 0, beside it; that pair merges only at its second listing
+    @example([("ab", "b"), ("a", "b"), ("b", "a"), ("ab", "b")],
+             ["babbab", "babba", "abbab"])
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_hand_built_models_match_replay(self, merges, words):
+        model = hand_model("ab", merges)
         encoder = tok.Encoder(model)
         for word in words:
             assert encoder.encode(word) == ref_encode_word(model, word), word
@@ -532,6 +591,13 @@ class TestTrainingMatchesReference:
     @example({"abab": 20, "a\u0100b": 1, "\u0101": 1, "ba\u0102": 1}, 2, 20)
     # training stopped by the vocab size
     @example({"abcabc": 30, "bcab": 20, "cab": 20}, 1, 0)
+    # odd and even runs of one character: both operands equal
+    @example({"aaaaa": 3, "aaaaaa": 2, "aaa": 1}, 1, 20)
+    # adjacent sites: a site's output stands where the next site starts
+    @example({"abababa": 4, "bababab": 3, "aab": 2}, 1, 20)
+    # unknown runs right beside merge sites
+    @example({"aa": 6, "a\u0100a": 1, "\u0101aa\u0102": 1,
+              "aa\u0103aa": 1, "ab": 2}, 2, 20)
     @settings(deadline=None)
     def test_weighted_tables(self, table, min_char_freq, extra):
         model = train_with_room(table, min_char_freq, extra)
@@ -553,6 +619,12 @@ class TestPrimedEncoder:
     @example({"aba": 2, "x": 2, "xab": 2, "안y": 1}, 3, 30)
     # training stopped by the vocab size
     @example({"abcabc": 3, "bcab": 2, "cab": 2}, 1, 0)
+    # odd and even runs of one character: both operands equal
+    @example({"aaaaa": 2, "aaaaaa": 1, "aa": 1}, 1, 30)
+    # adjacent sites
+    @example({"abababa": 2, "bababab": 2, "aab": 1}, 1, 30)
+    # unknown runs right beside merge sites
+    @example({"aa": 3, "xaay": 1, "aa안aa": 1}, 2, 30)
     @settings(max_examples=200, deadline=None)
     def test_training_words_match_replay_and_a_cold_encoder(
             self, table, min_char_freq, extra):
@@ -585,6 +657,24 @@ class TestPrimedEncoder:
         cold = tok.loads_model(tok.dumps_model(model))
         assert not tok.encoder_for(cold)._cache
         assert measure(model) == measure(cold)
+
+    def test_tally_segments_only_cache_misses(self, monkeypatch):
+        table = word_counts(random_corpus(random.Random(7), "abcd",
+                                          lines=12))
+        model = tok.train_from_word_counts(table, vocab_size=16)
+        calls = Counter()
+        segment_word = tok.Encoder.segment_word
+
+        def counted(self, word):
+            calls[word] += 1
+            return segment_word(self, word)
+
+        monkeypatch.setattr(tok.Encoder, "segment_word", counted)
+        trained = tok.tally(model, table)
+        assert not calls
+        loaded = tok.loads_model(tok.dumps_model(model))
+        assert tok.tally(loaded, table) == trained
+        assert calls == Counter(table.keys())
 
 
 class TestModelLifetime:
