@@ -31,17 +31,11 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_WRITE = 4
 
+# The package's own data errors subclass ValueError, except these two.
 DATA_ERRORS = (
-    corpus_mod.EmptyCorpusError,
-    tokenizer.ModelFormatError,
-    translit.RuleTableError,
-    translit.UnmatchedCharacterError,
     translit.UnsupportedLanguageError,
-    langselect.MissingFeatureError,
     pipeline.PipelineStageError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
+    OSError,
     ValueError,
     ArithmeticError,
 )
@@ -307,6 +301,8 @@ def _read_stats_csv(path: str, value_column: str,
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if not 0 < args.alpha < 1:
+        raise UsageError(f"--alpha must be in (0, 1), got {args.alpha}")
     scores = _read_stats_csv(args.scores, "score")
     t_tests = []
     input_types = sorted({itype for _, _, itype in scores})

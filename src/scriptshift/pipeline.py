@@ -8,14 +8,17 @@ transformed, and the transform rewrites the table's distinct words (or,
 for a rule table that does not rewrite word by word, its distinct lines),
 not every line. The table gives the training counts (scaled by repetition
 counts), the token set and the quality metrics. Runs are deterministic
-functions of the config, corpora and rule tables. With an artifacts dir,
-each stage's output is stored under a key of that stage's own inputs, so
-runs that share inputs share stages: a rerun returns its stored report,
-Cipher reuses the word table Rom romanized, and a vocabulary sweep
-transliterates once. Every artifact is stored with its sha256 and checked
-on load; a missing, corrupt or undecodable artifact is a miss and its
-stage recomputes. Configs, reports and comparison tables are JSON records
-(`records`); a config that fails to read raises ConfigError.
+functions of the config, corpora and rule tables. Every run keys each
+stage's output by that stage's own inputs; with an artifacts dir the
+output is stored under that key, so runs that share inputs share stages: a
+rerun returns its stored report, Cipher reuses the word table Rom
+romanized, and a vocabulary sweep transliterates once. Without one the
+same keys are computed and nothing is read, rendered or written. Every
+artifact is stored with its sha256 and checked on load; a missing, corrupt
+or undecodable artifact is a miss and its stage recomputes. A failure in a
+stage raises PipelineStageError naming the stage and language. Configs,
+reports and comparison tables are JSON records (`records`); a config that
+fails to read raises ConfigError.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import hashlib
 import json
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .corpus import (CorpusManifest, Document, EmptyCorpusError,
                      repetition_counts, sample_to_budget, word_counts)
@@ -123,7 +127,9 @@ class ExperimentConfig(Record):
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load a config from JSON, or TOML when a TOML parser is available."""
+    """Load a config from JSON, or TOML when a TOML parser is available.
+    Text that is not UTF-8 or does not parse or fit raises ConfigError
+    naming the file."""
     path = Path(path)
     if path.suffix != ".toml":
         return load(ExperimentConfig, path)
@@ -137,7 +143,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 "TOML configs need Python >= 3.11 or the tomli package; "
                 "use JSON instead") from None
     try:
-        with open_text(path) as handle:
+        with open_text(path, error=ConfigError) as handle:
             payload = toml_parser.loads(handle.read())
     except toml_parser.TOMLDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -256,7 +262,7 @@ def _cipher_keys(config: ExperimentConfig) -> dict[str, CipherKey] | None:
 
 
 class _StageStore:
-    """Checked artifact store; a None root disables persistence.
+    """Checked artifact store; a None root reads and renders nothing.
 
     Each artifact `<name>` is written with its sha256 in `<name>.sha256`,
     the check last. A load returns the artifact's text only when both files
@@ -281,9 +287,13 @@ class _StageStore:
             pass
         return None
 
+    def save(self, name: str, render: Callable[[], str]) -> None:
+        """Store render() under name; without a root render is not
+        called."""
+        if self.root is not None:
+            self.save_text(name, render())
+
     def save_text(self, name: str, content: str) -> None:
-        if self.root is None:
-            return
         path = self.root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         data = content.encode("utf-8")
@@ -317,6 +327,15 @@ def _decoded(text: str | None, decode: Callable[[str], object]):
         return decode(text)
     except ValueError:
         return None
+
+
+@contextmanager
+def _stage(name: str, lang: str | None = None) -> Iterator[None]:
+    """Raise a failure inside as PipelineStageError of stage name."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStageError(name, lang, exc) from exc
 
 
 def _loads_report(text: str) -> AnalysisReport:
@@ -358,12 +377,11 @@ def _converted(units: Mapping[str, int],
 
 def _prepare(config: ExperimentConfig, registry: TableRegistry,
              keys: Mapping[str, CipherKey] | None, store: _StageStore,
-             lang: str, docs: Sequence[Document], docs_digest: str | None,
-             ) -> tuple[Counter, str | None]:
+             lang: str, docs: Sequence[Document], docs_digest: str,
+             ) -> tuple[Counter, str]:
     """One language's documents rendered in the input type and counted into
-    a word table, and the key of that table (None without a docs digest,
-    which is given only with a store). The table has the keys, counts and
-    order `word_counts` gives over the rendered lines.
+    a word table, and the key of that table. The table has the keys,
+    counts and order `word_counts` gives over the rendered lines.
 
     The text is counted before it is transformed, and the table is
     transformed instead of the text: each distinct word is converted once
@@ -375,27 +393,21 @@ def _prepare(config: ExperimentConfig, registry: TableRegistry,
     texts = (doc.text for doc in docs)
     itype = config.input_type
     if itype is InputType.ORTHO:
-        return word_counts(texts), (None if docs_digest is None
-                                    else _key(itype.value, docs_digest))
+        return word_counts(texts), _key(itype.value, docs_digest)
     mode = _TABLE_MODES[itype]
-    key = name = table = None
-    if docs_digest is not None:
-        key = _key(mode.value, _table_digest(registry, mode, lang),
-                   docs_digest)
-        name = f"words/{lang}-{key}.tsv"
-        table = _decoded(store.load_text(name), _loads_word_table)
+    key = _key(mode.value, _table_digest(registry, mode, lang), docs_digest)
+    name = f"words/{lang}-{key}.tsv"
+    table = _decoded(store.load_text(name), _loads_word_table)
     if table is None:
         convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
         by_word = registry.table(mode, lang).rewrites_by_word
         table = _converted(word_counts(texts) if by_word else Counter(texts),
                            lambda unit: convert(lang, unit))
-        if key is not None:
-            store.save_text(name, _dumps_word_table(table))
+        store.save(name, lambda: _dumps_word_table(table))
     if itype is InputType.CIPHER:
         cipher = keys[lang]
         table = _converted(table, lambda word: caesar_encipher(cipher, word))
-        if key is not None:
-            key = _key(itype.value, str(cipher.shift), key)
+        key = _key(itype.value, str(cipher.shift), key)
     return table, key
 
 
@@ -407,18 +419,21 @@ def run_experiment(config: ExperimentConfig,
     """Run the full pipeline for one input type over one language set.
 
     The run is a deterministic function of config, corpora and rule tables.
-    When artifacts_dir is given, each stage's output is stored under a key
-    of that stage's own inputs and read back instead of recomputed:
+    Each stage's output is keyed by that stage's own inputs:
 
-    - the report, under the digest of config, corpora and rule tables,
+    - the report, by the digest of config, corpora and rule tables,
       looked up before anything else;
-    - the romanized or g2p word table per language, under its mode, rule
+    - the romanized or g2p word table per language, by its mode, rule
       table and selected documents (Cipher enciphers the romanized table,
       so it shares Rom's);
-    - the model, under each seen language's word-table key and repetition
+    - the model, by each seen language's word-table key and repetition
       count, vocab_size and min_char_freq;
     - token sets, written for inspection under the model key and the
       language's word-table key.
+
+    When artifacts_dir is given, each output is stored under its key and
+    read back instead of recomputed. Without it the same keys are computed
+    and nothing is read, rendered or written.
 
     Each language's word table is built once (see `_prepare`); training,
     the token sets and the quality metrics all read it, and no prepared
@@ -438,61 +453,42 @@ def run_experiment(config: ExperimentConfig,
             registry = default_registry()
 
     store = _StageStore(None if artifacts_dir is None else Path(artifacts_dir))
-    docs_digests: dict[str, str] = {}
-    report_name = None
-    if store.root is not None:
-        docs_digests = {lang: _docs_digest(corpora[lang])
-                        for lang in config.langs}
-        run_digest = _run_digest(config, registry, docs_digests)
-        report_name = f"report/{run_digest}.json"
-        report = _decoded(store.load_text(report_name), _loads_report)
-        if report is not None:
-            return report
+    docs_digests = {lang: _docs_digest(corpora[lang]) for lang in config.langs}
+    report_name = f"report/{_run_digest(config, registry, docs_digests)}.json"
+    report = _decoded(store.load_text(report_name), _loads_report)
+    if report is not None:
+        return report
 
     keys = _cipher_keys(config)
     manifests: dict[str, CorpusManifest] = {}
     tables: dict[str, Counter] = {}
-    text_keys: dict[str, str | None] = {}
+    text_keys: dict[str, str] = {}
 
     for lang in sorted(config.langs):
         seen = lang in config.seen_langs
-        try:
-            docs = corpora[lang]
+        with _stage("sample", lang):
+            selected = corpora[lang]
             if seen:
-                manifest, selected = sample_to_budget(
-                    docs, config.budget, config.seed, config.input_type)
-                manifests[lang] = manifest
-            else:
-                selected = list(docs)
-                if not selected:
-                    raise EmptyCorpusError(f"corpus for {lang!r} is empty")
-        except Exception as exc:
-            raise PipelineStageError("sample", lang, exc) from exc
-
-        docs_digest = None
-        if store.root is not None:
-            docs_digest = (_docs_digest(selected) if seen
-                           else docs_digests[lang])
-        try:
+                manifests[lang], selected = sample_to_budget(
+                    selected, config.budget, config.seed, config.input_type)
+            elif not selected:
+                raise EmptyCorpusError(f"corpus for {lang!r} is empty")
+        docs_digest = _docs_digest(selected) if seen else docs_digests[lang]
+        with _stage("transliterate", lang):
             tables[lang], text_keys[lang] = _prepare(
                 config, registry, keys, store, lang, selected, docs_digest)
-        except Exception as exc:
-            raise PipelineStageError("transliterate", lang, exc) from exc
 
-    try:
+    with _stage("train"):
         reps = repetition_counts(
             [manifests[lang] for lang in config.seen_langs], config.budget)
-    except Exception as exc:
-        raise PipelineStageError("train", None, exc) from exc
-    model_key = model = None
-    if store.root is not None:
-        model_key = _key(str(config.vocab_size), str(config.min_char_freq),
-                         *(f"{lang}:{text_keys[lang]}:{reps[lang]}"
-                           for lang in config.seen_langs))
-        model_text = store.load_text(f"model/{model_key}.json")
-        model = _decoded(model_text, loads_model)
+    model_key = _key(str(config.vocab_size), str(config.min_char_freq),
+                     *(f"{lang}:{text_keys[lang]}:{reps[lang]}"
+                       for lang in config.seen_langs))
+    model_name = f"model/{model_key}.json"
+    model_text = store.load_text(model_name)
+    model = _decoded(model_text, loads_model)
     if model is None:
-        try:
+        with _stage("train"):
             train_counts: Counter = Counter()
             for lang in config.seen_langs:
                 factor = reps[lang]
@@ -500,30 +496,23 @@ def run_experiment(config: ExperimentConfig,
                     train_counts[word] += count * factor
             model = train_from_word_counts(train_counts, config.vocab_size,
                                            config.min_char_freq)
-        except Exception as exc:
-            raise PipelineStageError("train", None, exc) from exc
         model_text = dumps_model(model)
-        if model_key is not None:
-            store.save_text(f"model/{model_key}.json", model_text)
+        store.save(model_name, lambda: model_text)
 
-    try:
+    with _stage("token-sets"):
         token_sets = {
             lang: token_set(model, tables[lang], lang, config.input_type)
             for lang in sorted(config.langs)
         }
-        if model_key is not None:
-            for lang, ts in token_sets.items():
-                store.save_text(
-                    f"tokensets/{lang}-{_key(model_key, text_keys[lang])}"
-                    ".json", dumps(ts.to_json_dict()))
-    except Exception as exc:
-        raise PipelineStageError("token-sets", None, exc) from exc
+        for lang, ts in token_sets.items():
+            store.save(f"tokensets/{lang}-{_key(model_key, text_keys[lang])}"
+                       ".json", lambda: dumps(ts.to_json_dict()))
 
     quality: dict[str, TokenizerQualityReport] = {}
     overlap: dict[str, OverlapReport] = {}
     seen_sets = [token_sets[lang] for lang in config.seen_langs]
     for lang in sorted(config.langs):
-        try:
+        with _stage("metrics", lang):
             quality[lang] = quality_report(model, tables[lang], lang,
                                            config.input_type)
             if lang in config.unseen_langs:
@@ -537,8 +526,6 @@ def run_experiment(config: ExperimentConfig,
                 else:
                     overlap[lang] = overlap_report(target, seen_sets,
                                                    config.overlap_variant)
-        except Exception as exc:
-            raise PipelineStageError("metrics", lang, exc) from exc
 
     report = AnalysisReport(
         config_digest=config.digest(),
@@ -554,8 +541,7 @@ def run_experiment(config: ExperimentConfig,
         token_lengths=token_length_histogram(
             token_sets[lang] for lang in sorted(token_sets)),
     )
-    if report_name is not None:
-        store.save_text(report_name, dumps_report(report))
+    store.save(report_name, lambda: dumps_report(report))
     return report
 
 

@@ -77,21 +77,22 @@ def decode(hint, payload):
 
 
 @contextlib.contextmanager
-def open_text(path: str | Path, newline: str | None = None):
+def open_text(path: str | Path, newline: str | None = None,
+              error: type[ValueError] = ValueError):
     """Open a UTF-8 text file for reading. Bytes that are not UTF-8, met
-    while the file is read inside the block, raise ValueError naming the
+    while the file is read inside the block, raise `error` naming the
     path."""
     with open(path, "r", encoding="utf-8", newline=newline) as handle:
         try:
             yield handle
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise error(f"{path}: {exc}") from None
 
 
 def load(cls, path: str | Path):
     """Read a record of type cls from a JSON file. Text that is not UTF-8,
-    is not JSON or does not fit raises an error naming the path."""
-    with open_text(path) as handle:
+    is not JSON or does not fit raises cls.json_error naming the path."""
+    with open_text(path, error=cls.json_error) as handle:
         text = handle.read()
     try:
         return from_json(cls, json.loads(text))

@@ -15,6 +15,7 @@ import pytest
 import scriptshift
 from scriptshift.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_WRITE,
                              main)
+from scriptshift.translit import packaged_table_root
 
 from support import hangul_lines, latin_lines, stored
 
@@ -695,6 +696,21 @@ class TestStatsCommand:
         assert not strict["significant"]
         assert loose["significant"]
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "nan", "inf"])
+    def test_alpha_outside_unit_interval_exits_2(self, monkeypatch, capsys,
+                                                 tmp_path, alpha):
+        # --alpha 2 used to mark p = 0.205 significant, and --alpha nan to
+        # fail writing the JSON; the flag is checked before any file is
+        # read, so a scores file that does not exist is never reached
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["stats", "--scores", str(tmp_path / "absent.csv"),
+             "--alpha", alpha])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == (f"error: --alpha must be in (0, 1), got "
+                       f"{float(alpha)}\n")
+
     def test_report_bytes(self, monkeypatch, capsys, tmp_path):
         # a set column, a length column, a type with one label (no t-test),
         # a constant series (no correlation) and a metric row with no score
@@ -977,6 +993,43 @@ class TestRunCommand:
             monkeypatch, capsys,
             ["run", "--config", str(bad), "--corpus-dir", str(corpus_dir)])
         assert code == EXIT_CONFIG
+
+    def test_tables_flag_overrides_config_table_root(self, monkeypatch,
+                                                     capsys, run_inputs,
+                                                     tmp_path):
+        # the config's root holds no kor table, so alone it fails; --tables
+        # replaces it with the given root over the packaged tables
+        config, corpus_dir = run_inputs
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload["input_type"] = "Rom"
+        packaged_config = tmp_path / "packaged.json"
+        packaged_config.write_text(json.dumps(payload), encoding="utf-8")
+        eng_only = tmp_path / "eng-only"
+        (eng_only / "rom").mkdir(parents=True)
+        shutil.copy(packaged_table_root() / "rom" / "eng.tsv",
+                    eng_only / "rom" / "eng.tsv")
+        payload["table_root"] = str(eng_only)
+        rooted_config = tmp_path / "rooted.json"
+        rooted_config.write_text(json.dumps(payload), encoding="utf-8")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        run = ["run", "--corpus-dir", str(corpus_dir)]
+
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 run + ["--config", str(rooted_config)])
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: stage 'transliterate', language "
+                              "'kor': no rom table for language 'kor'")
+        code, overridden, err = run_cli(
+            monkeypatch, capsys,
+            run + ["--config", str(rooted_config), "--tables", str(empty)])
+        assert (code, err) == (EXIT_OK, "")
+        _, packaged, _ = run_cli(monkeypatch, capsys,
+                                 run + ["--config", str(packaged_config)])
+        overridden, packaged = json.loads(overridden), json.loads(packaged)
+        assert overridden.pop("config_digest") != \
+            packaged.pop("config_digest")
+        assert overridden == packaged
 
 
 @pytest.fixture()
@@ -1289,7 +1342,7 @@ def _non_utf8_command(reader, request, bad):
             return ["run", "--config", str(config),
                     "--corpus-dir", str(bad.parent)], EXIT_DATA
         return ["run", "--config", str(bad),
-                "--corpus-dir", str(corpus_dir)], EXIT_DATA
+                "--corpus-dir", str(corpus_dir)], EXIT_CONFIG
     if reader == "train-input":
         return ["train-tokenizer", "--input", str(bad),
                 "--vocab-size", "8"], EXIT_DATA
@@ -1358,6 +1411,37 @@ def test_non_utf8_rule_table_names_the_file(monkeypatch, capsys, request,
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert f"{bad}: 'utf-8' codec can't decode " in err
+
+
+@pytest.mark.parametrize("case", [
+    "run-artifacts-dir-is-a-file", "quality-input-under-a-file",
+    "encode-model-under-a-file", "run-config-under-a-file"])
+def test_path_through_a_file_exits_3(monkeypatch, capsys, request, tmp_path,
+                                     case):
+    """A directory path that names a file, or an input path that runs
+    through a file, exits 3 with one error line naming it; these used to
+    end in a FileExistsError or NotADirectoryError traceback with exit
+    1."""
+    plain = tmp_path / "c.txt"
+    plain.write_text("ab ab\n", encoding="utf-8")
+    if case.startswith("run-"):
+        config, corpus_dir = request.getfixturevalue("run_inputs")
+        argv = ["run", "--corpus-dir", str(corpus_dir)] + (
+            ["--config", str(config), "--artifacts-dir", str(plain)]
+            if case == "run-artifacts-dir-is-a-file"
+            else ["--config", str(plain / "x.json")])
+    elif case == "quality-input-under-a-file":
+        argv = ["quality", "--model",
+                str(request.getfixturevalue("trained_model")),
+                "--input", str(plain / "x"), "--lang", "eng"]
+    else:
+        argv = ["encode", "--model", str(plain / "m.json")]
+    code, out, err = run_cli(monkeypatch, capsys, argv, stdin="ab\n")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert str(plain) in err
 
 
 def _output_command(name, request):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import shutil
 from collections import Counter
 from fractions import Fraction
 
@@ -714,6 +715,95 @@ class TestSharedStore:
                 artifacts_dir=tmp_path / "shared")
             assert dumps_report(warm) == dumps_report(cold[budget])
         assert len(stored(tmp_path / "shared", "words", "spa")) == 1
+
+
+class TestRunWithoutStore:
+    """A run without an artifacts dir keys its stages as a stored run does,
+    but renders and writes nothing, and gives the stored run's bytes."""
+
+    @pytest.mark.parametrize("itype", [InputType.ORTHO, InputType.ROM,
+                                       InputType.CIPHER])
+    def test_renders_nothing_and_matches_stored_run(self, corpora, tmp_path,
+                                                    monkeypatch, itype):
+        calls = Counter()
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("dumps_report", "_dumps_word_table", "dumps"):
+            monkeypatch.setattr(pl, name, counted(name, getattr(pl, name)))
+        monkeypatch.setattr(pl._StageStore, "save_text",
+                            counted("save_text", pl._StageStore.save_text))
+        config = make_config(itype)
+        unstored = run_experiment(config, corpora)
+        assert calls == Counter()
+        stored_run = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        # the same counters see every render and write of a stored run:
+        # three token sets, the report (dumps_report calls dumps too), the
+        # model and, but for Ortho, three romanized word tables
+        tables = 0 if itype is InputType.ORTHO else 3
+        assert calls == Counter({"dumps_report": 1, "dumps": 4,
+                                 "_dumps_word_table": tables,
+                                 "save_text": 5 + tables})
+        monkeypatch.undo()
+        assert dumps_report(unstored) == dumps_report(stored_run)
+
+
+@pytest.fixture
+def table_root(tmp_path):
+    """A copy of the packaged tables with eng's rom table replaced by one
+    that rewrites e as 3."""
+    root = tmp_path / "tables"
+    shutil.copytree(packaged_table_root(), root)
+    (root / "rom" / "eng.tsv").write_text("e\t3\t\t\t1\n", encoding="utf-8")
+    return root
+
+
+def _without_config_digest(report):
+    return dumps_report(dataclasses.replace(report, config_digest=""))
+
+
+class TestTableRoot:
+    """A config's table_root replaces the packaged tables for that run."""
+
+    def test_run_reads_the_roots_tables(self, corpora, tmp_path, table_root):
+        artifacts = tmp_path / "artifacts"
+        rooted = run_experiment(
+            make_config(InputType.ROM, table_root=str(table_root)), corpora,
+            artifacts_dir=artifacts)
+        explicit = run_experiment(make_config(InputType.ROM), corpora,
+                                  registry=TableRegistry([table_root]))
+        packaged = run_experiment(make_config(InputType.ROM), corpora,
+                                  artifacts_dir=artifacts)
+        assert _without_config_digest(rooted) == \
+            _without_config_digest(explicit)
+        assert rooted.model_digest != packaged.model_digest
+        # the word-table keys follow the tables: only eng's differs
+        assert len(stored(artifacts, "words", "eng")) == 2
+        assert len(stored(artifacts, "words", "spa")) == 1
+        assert len(stored(artifacts, "words", "kor")) == 1
+
+    def test_packaged_tables_are_not_consulted(self, corpora, table_root):
+        (table_root / "rom" / "kor.tsv").unlink()
+        config = make_config(InputType.ROM, table_root=str(table_root))
+        with pytest.raises(PipelineStageError) as excinfo:
+            run_experiment(config, corpora)
+        assert (excinfo.value.stage, excinfo.value.lang) == \
+            ("transliterate", "kor")
+        assert str(table_root) in str(excinfo.value)
+
+    def test_relative_root_resolves_against_working_directory(
+            self, corpora, tmp_path, table_root, monkeypatch):
+        absolute = run_experiment(
+            make_config(InputType.ROM, table_root=str(table_root)), corpora)
+        monkeypatch.chdir(tmp_path)
+        relative = run_experiment(
+            make_config(InputType.ROM, table_root="tables"), corpora)
+        assert _without_config_digest(relative) == \
+            _without_config_digest(absolute)
 
 
 class TestReportSerialization:
