@@ -120,6 +120,8 @@ def _build_transform(args: argparse.Namespace):
             raise UsageError("cipher mode needs exactly one of --shift or "
                              "--keys")
         if args.shift is not None:
+            if not 0 <= args.shift <= 25:
+                raise UsageError(f"--shift must be in 0..25, got {args.shift}")
             key = translit.CipherKey(args.lang or "und", args.shift)
         else:
             if not args.lang:
@@ -171,6 +173,13 @@ def _cmd_translit(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_tokenizer(args: argparse.Namespace) -> int:
+    # the bounds ExperimentConfig puts on the same two settings
+    if args.vocab_size < 3:
+        raise UsageError(f"--vocab-size must be >= 3, got {args.vocab_size}")
+    if args.min_char_freq < 1:
+        raise UsageError(
+            f"--min-char-freq must be >= 1, got {args.min_char_freq}")
+
     def lines():
         for path in args.input:
             with records.open_text(path) as handle:

@@ -9,16 +9,16 @@ for a rule table that does not rewrite word by word, its distinct lines),
 not every line. The table gives the training counts (scaled by repetition
 counts), the token set and the quality metrics. Runs are deterministic
 functions of the config, corpora and rule tables. Every run keys each
-stage's output by that stage's own inputs; with an artifacts dir the
-output is stored under that key, so runs that share inputs share stages: a
-rerun returns its stored report, Cipher reuses the word table Rom
-romanized, and a vocabulary sweep transliterates once. Without one the
-same keys are computed and nothing is read, rendered or written. Every
-artifact is stored with its sha256 and checked on load; a missing, corrupt
-or undecodable artifact is a miss and its stage recomputes. A failure in a
-stage raises PipelineStageError naming the stage and language. Configs,
-reports and comparison tables are JSON records (`records`); a config that
-fails to read raises ConfigError.
+stage's output by this package's code and that stage's own inputs; with an
+artifacts dir the output is stored under that key, so runs of one code
+that share inputs share stages: a rerun returns its stored report, Cipher
+reuses the word table Rom romanized, and a vocabulary sweep transliterates
+once. Without one the same keys are computed and nothing is read,
+rendered or written. Whether a stored artifact is served is decided by
+`_StageStore.load_text` alone. A failure in a stage raises
+PipelineStageError naming the stage and language. Configs, reports and
+comparison tables are JSON records (`records`); a config that fails to
+read raises ConfigError.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pkgutil
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,8 +44,7 @@ from .records import Record, dumps, load, open_text
 from .tokenizer import (dumps_model, loads_model, token_set,
                         train_from_word_counts)
 from .translit import (CipherKey, RuleMode, TableRegistry,
-                       assign_shift_keys, caesar_encipher, default_registry,
-                       format_rule_table)
+                       assign_shift_keys, caesar_encipher, default_registry)
 
 DEFAULT_SEED = 101
 DEFAULT_VOCAB_SIZE = 30_000
@@ -204,9 +205,29 @@ def load_report(path: str | Path) -> AnalysisReport:
 # --- Running ------------------------------------------------------------------
 
 
-def _key(*parts: str) -> str:
-    """Digest naming an artifact by the parts it is a function of."""
+def _code_digest() -> str:
+    """Digest of the bytes the loader reads for each module of this package:
+    `__init__`, then every module on its path by name, imported or not."""
+    package = sys.modules[__package__]
+    specs = [info.module_finder.find_spec(f"{__package__}.{info.name}")
+             for info in sorted(pkgutil.iter_modules(package.__path__),
+                                key=lambda info: info.name)]
+    if not specs:
+        raise ImportError(f"no modules of {__package__} to digest")
+    parts = []
+    for spec in [package.__spec__, *specs]:
+        data = spec.loader.get_data(spec.origin)
+        parts += [spec.name, hashlib.sha256(data).hexdigest()]
     return hashlib.sha256(json.dumps(parts).encode("ascii")).hexdigest()
+
+
+_CODE_DIGEST = _code_digest()  # once per process, as the code is loaded
+
+
+def _key(*parts: str) -> str:
+    """Digest naming an artifact by the code and the parts it is made of."""
+    return hashlib.sha256(
+        json.dumps([_CODE_DIGEST, *parts]).encode("ascii")).hexdigest()
 
 
 def _docs_digest(docs: Sequence[Document]) -> str:
@@ -224,29 +245,19 @@ _TABLE_MODES = {InputType.IPA: RuleMode.G2P,
                 InputType.CIPHER: RuleMode.ROMANIZE}
 
 
-def _table_digest(registry: TableRegistry, mode: RuleMode, lang: str) -> str:
-    """Digest of one rule table: language, mode, passthrough policy and
-    rules."""
-    table = registry.table(mode, lang)
-    return _key(lang, mode.value, table.passthrough.value,
-                format_rule_table(table))
-
-
 def _run_digest(config: ExperimentConfig, registry: TableRegistry,
                 docs_digests: Mapping[str, str]) -> str:
-    """Digest of everything a run reads: the config, each language's
-    documents and every rule table the input type uses. A table that
-    cannot be loaded records a fixed marker; the transliterate stage raises
-    its error again."""
+    """Digest of everything a run reads: the code, the config, each
+    language's documents and every rule table the input type uses. A table
+    that cannot be read fails here, in the transliterate stage of its
+    language, before anything is sampled."""
     parts = [config.digest()]
     mode = _TABLE_MODES.get(config.input_type)
     for lang in sorted(config.langs):
         parts += [lang, docs_digests[lang]]
         if mode is not None:
-            try:
-                parts.append(_table_digest(registry, mode, lang))
-            except (LookupError, ValueError, OSError):
-                parts.append("unavailable")
+            with _stage("transliterate", lang):
+                parts.append(registry.table(mode, lang).digest)
     return _key(*parts)
 
 
@@ -265,16 +276,19 @@ class _StageStore:
     """Checked artifact store; a None root reads and renders nothing.
 
     Each artifact `<name>` is written with its sha256 in `<name>.sha256`,
-    the check last. A load returns the artifact's text only when both files
-    are there and agree; anything else is a miss, so a truncated, edited or
-    half-written artifact is recomputed, never served."""
+    the check last. A load serves an artifact only when both files are
+    there, agree and the text decodes; anything else is a miss, so a
+    truncated, edited or half-written artifact is recomputed, never served.
+    Each name holds a `_key`, so what other code stored is never read."""
 
     def __init__(self, root: Path | None):
         self.root = root
         if root is not None:
             root.mkdir(parents=True, exist_ok=True)
 
-    def load_text(self, name: str) -> str | None:
+    def load_text(self, name: str, decode: Callable[[str], object] = str):
+        """decode(text) of the artifact under name, or None on a miss: a
+        missing or mismatched check, or a ValueError from decoding."""
         if self.root is None:
             return None
         path = self.root / name
@@ -282,14 +296,13 @@ class _StageStore:
             check = _check_path(path).read_text(encoding="ascii")
             data = path.read_bytes()
             if hashlib.sha256(data).hexdigest() == check:
-                return data.decode("utf-8")
+                return decode(data.decode("utf-8"))
         except (OSError, ValueError):
             pass
         return None
 
     def save(self, name: str, render: Callable[[], str]) -> None:
-        """Store render() under name; without a root render is not
-        called."""
+        """Store render() under name; without a root, render is not called."""
         if self.root is not None:
             self.save_text(name, render())
 
@@ -316,17 +329,6 @@ def _replace(path: Path, data: bytes) -> None:
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-
-
-def _decoded(text: str | None, decode: Callable[[str], object]):
-    """decode(text), or None when there is no text or it does not decode:
-    a stored artifact that no longer reads is a miss."""
-    if text is None:
-        return None
-    try:
-        return decode(text)
-    except ValueError:
-        return None
 
 
 @contextmanager
@@ -395,9 +397,9 @@ def _prepare(config: ExperimentConfig, registry: TableRegistry,
     if itype is InputType.ORTHO:
         return word_counts(texts), _key(itype.value, docs_digest)
     mode = _TABLE_MODES[itype]
-    key = _key(mode.value, _table_digest(registry, mode, lang), docs_digest)
+    key = _key(mode.value, registry.table(mode, lang).digest, docs_digest)
     name = f"words/{lang}-{key}.tsv"
-    table = _decoded(store.load_text(name), _loads_word_table)
+    table = store.load_text(name, _loads_word_table)
     if table is None:
         convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
         by_word = registry.table(mode, lang).rewrites_by_word
@@ -419,9 +421,9 @@ def run_experiment(config: ExperimentConfig,
     """Run the full pipeline for one input type over one language set.
 
     The run is a deterministic function of config, corpora and rule tables.
-    Each stage's output is keyed by that stage's own inputs:
+    Each stage's output is keyed by the code and that stage's own inputs:
 
-    - the report, by the digest of config, corpora and rule tables,
+    - the report, by the digest of code, config, corpora and rule tables,
       looked up before anything else;
     - the romanized or g2p word table per language, by its mode, rule
       table and selected documents (Cipher enciphers the romanized table,
@@ -432,15 +434,13 @@ def run_experiment(config: ExperimentConfig,
       language's word-table key.
 
     When artifacts_dir is given, each output is stored under its key and
-    read back instead of recomputed. Without it the same keys are computed
-    and nothing is read, rendered or written.
+    read back instead of recomputed, unless `_StageStore.load_text` finds
+    it a miss. Without it the same keys are computed and nothing is read,
+    rendered or written.
 
     Each language's word table is built once (see `_prepare`); training,
     the token sets and the quality metrics all read it, and no prepared
     line is kept.
-
-    Every load is checked against the artifact's stored sha256; a missing,
-    corrupt or undecodable artifact is a miss and its stage recomputes.
     """
     missing = [lang for lang in config.langs if lang not in corpora]
     if missing:
@@ -455,7 +455,7 @@ def run_experiment(config: ExperimentConfig,
     store = _StageStore(None if artifacts_dir is None else Path(artifacts_dir))
     docs_digests = {lang: _docs_digest(corpora[lang]) for lang in config.langs}
     report_name = f"report/{_run_digest(config, registry, docs_digests)}.json"
-    report = _decoded(store.load_text(report_name), _loads_report)
+    report = store.load_text(report_name, _loads_report)
     if report is not None:
         return report
 
@@ -485,8 +485,8 @@ def run_experiment(config: ExperimentConfig,
                      *(f"{lang}:{text_keys[lang]}:{reps[lang]}"
                        for lang in config.seen_langs))
     model_name = f"model/{model_key}.json"
-    model_text = store.load_text(model_name)
-    model = _decoded(model_text, loads_model)
+    model, model_text = store.load_text(
+        model_name, lambda text: (loads_model(text), text)) or (None, None)
     if model is None:
         with _stage("train"):
             train_counts: Counter = Counter()

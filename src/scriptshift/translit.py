@@ -16,6 +16,8 @@ through a str.translate table filled in as code points are first seen.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import os
 import re
 from dataclasses import dataclass
@@ -143,6 +145,15 @@ class RuleTable:
     @functools.cached_property
     def _memo(self) -> dict[str, str]:
         return {}
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of the JSON list of the language, mode, passthrough and
+        rules rendered by `format_rule_table`: what a run keys the
+        table's output by, rendered once per table."""
+        parts = [self.lang, self.mode.value, self.passthrough.value,
+                 format_rule_table(self)]
+        return hashlib.sha256(json.dumps(parts).encode("ascii")).hexdigest()
 
     @property
     def rewrites_by_word(self) -> bool:

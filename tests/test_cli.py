@@ -1444,6 +1444,31 @@ def test_path_through_a_file_exits_3(monkeypatch, capsys, request, tmp_path,
     assert str(plain) in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["translit", "--mode", "cipher", "--shift", "99"],
+     "--shift must be in 0..25, got 99"),
+    (["translit", "--mode", "cipher", "--shift", "-1", "--decipher"],
+     "--shift must be in 0..25, got -1"),
+    (["train-tokenizer", "--vocab-size", "0"],
+     "--vocab-size must be >= 3, got 0"),
+    (["train-tokenizer", "--vocab-size", "2"],
+     "--vocab-size must be >= 3, got 2"),
+    (["train-tokenizer", "--min-char-freq", "0"],
+     "--min-char-freq must be >= 1, got 0"),
+], ids=["shift-99", "decipher-shift-minus-1", "vocab-size-0", "vocab-size-2",
+        "min-char-freq-0"])
+def test_flag_value_out_of_range_exits_2(monkeypatch, capsys, tmp_path,
+                                         flags, message):
+    """A flag value outside the bounds a config or cipher key takes is a
+    usage error, raised before any file is read: the input named here does
+    not exist. These used to exit 3, after the input was opened."""
+    absent = str(tmp_path / "absent.txt")
+    code, out, err = run_cli(monkeypatch, capsys,
+                             flags + ["--input", absent], stdin="abc\n")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: {message}\n"
+
+
 def _output_command(name, request):
     """argv and stdin for one subcommand that takes --output."""
     fixture = request.getfixturevalue
@@ -1552,6 +1577,39 @@ def test_run_bytes_do_not_depend_on_hash_seed_or_cache(run_inputs,
     for itype, runs in outputs.items():
         assert len(set(runs.values())) == 1, itype
     assert len({next(iter(runs.values())) for runs in outputs.values()}) == 3
+
+
+def test_store_filled_by_other_code_is_not_served(run_inputs, tmp_path):
+    """A report stored by the package's code is not served to an edited
+    copy of it: the copy's stored run gives its own storeless bytes."""
+    config, corpus_dir = run_inputs
+    src = Path(scriptshift.__file__).resolve().parents[1]
+    edited = tmp_path / "src-edited"
+    shutil.copytree(src / "scriptshift", edited / "scriptshift",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    metrics = edited / "scriptshift" / "metrics.py"
+    code = metrics.read_text(encoding="utf-8")
+    assert "fertility=Fraction(tokens, words)" in code
+    metrics.write_text(code.replace("fertility=Fraction(tokens, words)",
+                                    "fertility=Fraction(tokens + 1, words)"),
+                       encoding="utf-8")
+
+    def run(root, *flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "scriptshift.cli", "run", "--config",
+             str(config), "--corpus-dir", str(corpus_dir), *flags],
+            env=dict(os.environ, PYTHONPATH=str(root)), capture_output=True,
+            timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    artifacts = ["--artifacts-dir", str(tmp_path / "artifacts")]
+    original = run(src, *artifacts)
+    edited_stored = run(edited, *artifacts)
+    edited_fresh = run(edited)
+    assert edited_fresh != original
+    assert edited_stored == edited_fresh
+    assert len(stored(tmp_path / "artifacts", "report")) == 2
 
 
 @pytest.mark.skipif(shutil.which("scriptshift") is None,

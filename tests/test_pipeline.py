@@ -7,10 +7,13 @@ import random
 import shutil
 from collections import Counter
 from fractions import Fraction
+from importlib.machinery import SourceFileLoader
+from pathlib import Path
 
 import pytest
 
 from scriptshift import pipeline as pl
+from scriptshift import translit
 from scriptshift.corpus import (Document, repetition_counts, sample_to_budget,
                                 word_counts)
 from scriptshift.input_types import InputType
@@ -222,11 +225,14 @@ class TestRunExperiment:
         config = make_config(
             InputType.IPA,
             languages=(LanguageSpec("spa", True), LanguageSpec("kor", False)))
-        # With an artifacts dir the table digest meets the missing table
-        # first; the error still comes from the transliterate stage.
-        for artifacts_dir in (None, tmp_path):
+        # The run digest reads every table before anything is sampled, so
+        # the missing table fails first, even where an empty corpus would
+        # fail the sample stage.
+        empty_kor = dict(corpora, kor=[])
+        for artifacts_dir, docs in ((None, corpora), (tmp_path, corpora),
+                                    (None, empty_kor)):
             with pytest.raises(PipelineStageError) as excinfo:
-                run_experiment(config, corpora, artifacts_dir=artifacts_dir)
+                run_experiment(config, docs, artifacts_dir=artifacts_dir)
             assert excinfo.value.stage == "transliterate"
             assert excinfo.value.lang == "kor"
 
@@ -715,6 +721,95 @@ class TestSharedStore:
                 artifacts_dir=tmp_path / "shared")
             assert dumps_report(warm) == dumps_report(cold[budget])
         assert len(stored(tmp_path / "shared", "words", "spa")) == 1
+
+
+@pytest.fixture
+def load_hits(monkeypatch):
+    """Records each _StageStore.load_text call as a hit (True) or a miss."""
+    hits = []
+    load_text = pl._StageStore.load_text
+
+    def recorded(self, name, *args, **kwargs):
+        result = load_text(self, name, *args, **kwargs)
+        hits.append(result is not None)
+        return result
+
+    monkeypatch.setattr(pl._StageStore, "load_text", recorded)
+    return hits
+
+
+class TestStoreLoads:
+    """What each run reads from the store, and what makes it a miss."""
+
+    def test_rom_then_cipher_cold_then_warm(self, corpora, tmp_path,
+                                            load_hits):
+        # cold Rom misses its report, three word tables and its model; cold
+        # Cipher reads Rom's word tables; warm runs read only their report
+        counts = []
+        for itype in (InputType.ROM, InputType.CIPHER) * 2:
+            load_hits.clear()
+            run_experiment(make_config(itype), corpora,
+                           artifacts_dir=tmp_path)
+            counts.append(Counter(load_hits))
+        assert counts == [Counter({False: 5}), Counter({True: 3, False: 2}),
+                          Counter({True: 1}), Counter({True: 1})]
+
+    def test_other_code_digest_misses_every_load(self, corpora, tmp_path,
+                                                 monkeypatch, load_hits):
+        config = make_config(InputType.ROM)
+        first = dumps_report(run_experiment(config, corpora,
+                                            artifacts_dir=tmp_path))
+        monkeypatch.setattr(pl, "_CODE_DIGEST", "0" * 64)
+        load_hits.clear()
+        again = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert load_hits == [False] * 5
+        assert dumps_report(again) == first
+        # the first code's entries stay beside the new ones
+        assert len(stored(tmp_path, "report")) == 2
+        assert len(stored(tmp_path, "model")) == 2
+
+    def test_code_digest_reads_every_module_in_name_order(self,
+                                                          monkeypatch):
+        read = []
+        get_data = SourceFileLoader.get_data
+
+        def recorded(self, path):
+            read.append(Path(path).name)
+            return get_data(self, path)
+
+        monkeypatch.setattr(SourceFileLoader, "get_data", recorded)
+        assert pl._code_digest() == pl._CODE_DIGEST
+        modules = sorted(path.name for path in
+                         Path(pl.__file__).parent.glob("*.py"))
+        modules.remove("__init__.py")
+        # cli is read although the package does not import it
+        assert "cli.py" in modules
+        assert read == ["__init__.py"] + modules
+
+    def test_checked_text_that_does_not_decode_is_a_miss(self, tmp_path):
+        store = pl._StageStore(tmp_path)
+        store.save_text("a.json", "{}\n")
+        assert store.load_text("a.json") == "{}\n"
+        assert store.load_text("a.json", json.loads) == {}
+
+        def reject(text):
+            raise ValueError("does not decode")
+
+        assert store.load_text("a.json", reject) is None
+
+    def test_grid_renders_each_rule_table_once(self, corpora, monkeypatch):
+        renders = Counter()
+        render = translit.format_rule_table
+
+        def counted(table):
+            renders[table.lang] += 1
+            return render(table)
+
+        monkeypatch.setattr(translit, "format_rule_table", counted)
+        registry = TableRegistry([packaged_table_root()])
+        for itype in (InputType.ORTHO, InputType.ROM, InputType.CIPHER):
+            run_experiment(make_config(itype), corpora, registry=registry)
+        assert renders == Counter({"eng": 1, "spa": 1, "kor": 1})
 
 
 class TestRunWithoutStore:
