@@ -7,7 +7,7 @@ how well they cover unseen ones, and which selection of training languages
 makes the effects visible.
 """
 
-from .corpus import (CorpusManifest, Document, EmptyCorpusError,
+from .corpus import (Corpus, CorpusManifest, Document, EmptyCorpusError,
                      count_words, oversampling_weights, repetition_counts,
                      sample_to_budget, word_counts)
 from .input_types import InputType

@@ -371,7 +371,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 # --- whole runs ---------------------------------------------------------------
 
 
-def _load_corpora(corpus_dir: str, langs) -> dict[str, list]:
+def _load_corpora(corpus_dir: str, langs) -> dict[str, corpus_mod.Corpus]:
     corpora = {}
     for lang in langs:
         path = Path(corpus_dir) / f"{lang}.txt"

@@ -1,22 +1,28 @@
 """Corpus containers, budgeted sampling, and corpus file I/O.
 
-Corpora are plain-text files with one document per line. Sampling selects a
-seeded, word-budgeted subset of one language's documents and records what it
-took in a manifest (a JSON record, see `records`); oversampling weights level
-the seen languages' sizes.
+Corpora are plain-text files with one document per line, read into a
+`Corpus` that holds the kept lines' texts and line numbers and makes a
+Document only on access. Sampling selects a seeded, word-budgeted subset of
+one language's documents and records what it took in a manifest (a JSON
+record, see `records`); oversampling weights level the seen languages'
+sizes.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .input_types import InputType
 from .records import Record, open_text
@@ -67,46 +73,146 @@ def word_counts(lines: Iterable[str]) -> Counter:
     return Counter(chain.from_iterable(map(str.split, lines)))
 
 
+class Corpus(Sequence[Document]):
+    """An immutable sequence of one collection's documents, held as their
+    texts.
+
+    A corpus read from a file (`read_documents`) keeps its language and
+    each text's line number, and makes a Document only when one is indexed
+    or iterated; `Corpus.of` keeps any other documents as given. A corpus
+    digests itself once and keeps its latest `(budget, seed)` selection, so
+    runs that share it in one process digest and sample it once."""
+
+    __slots__ = ("texts", "_lang", "_linenos", "_docs", "_digest",
+                 "_selection")
+
+    def __init__(self, texts: tuple[str, ...], lang: str | None = None,
+                 linenos: array | None = None,
+                 docs: tuple[Document, ...] | None = None) -> None:
+        self.texts = texts
+        self._lang = lang
+        self._linenos = linenos
+        self._docs = docs
+        self._digest: str | None = None
+        self._selection: tuple | None = None
+
+    @classmethod
+    def of(cls, docs: Sequence[Document]) -> Corpus:
+        """docs itself when it is a Corpus, else a Corpus of its documents."""
+        if isinstance(docs, Corpus):
+            return docs
+        docs = tuple(docs)
+        return cls(tuple(doc.text for doc in docs), docs=docs)
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._take(range(len(self))[index])
+        if self._docs is not None:
+            return self._docs[index]
+        return Document(self._id_format() % self._linenos[index],
+                        self._lang, self.texts[index])
+
+    def __iter__(self) -> Iterator[Document]:
+        if self._docs is not None:
+            return iter(self._docs)
+        return map(Document, self._ids(), repeat(self._lang), self.texts)
+
+    def _id_format(self) -> str:
+        """The %-format of a doc_id read from a file, given its line
+        number: `f"{lang}-{lineno:08d}"`."""
+        return self._lang.replace("%", "%%") + "-%08d"
+
+    def _ids(self) -> Iterable[str]:
+        if self._docs is not None:
+            return [doc.doc_id for doc in self._docs]
+        return map(self._id_format().__mod__, self._linenos)
+
+    def _take(self, indices: Sequence[int]) -> Corpus:
+        """The documents at indices, in that order."""
+        if self._docs is not None:
+            return Corpus.of([self._docs[i] for i in indices])
+        return Corpus(tuple([self.texts[i] for i in indices]), self._lang,
+                      array(self._linenos.typecode,
+                            [self._linenos[i] for i in indices]))
+
+    def digest(self) -> str:
+        """Digest of the documents' ids and texts, in order: the JSON list
+        of ids, then the texts joined by newlines, which no text contains,
+        so no two sequences share a digest."""
+        if self._digest is None:
+            digest = hashlib.sha256(
+                json.dumps(list(self._ids())).encode("ascii"))
+            digest.update("\n".join(self.texts).encode("utf-8"))
+            self._digest = digest.hexdigest()
+        return self._digest
+
+    def _id_order(self) -> list[int]:
+        """Indices in doc_id order, for a corpus that is not empty. One read
+        from a file is in that order while its line numbers rise and stay
+        below 10**8, the width of the zero padding; documents kept as given
+        must be of one language with distinct ids."""
+        linenos = self._linenos
+        if (linenos is not None and linenos[-1] < 10 ** 8
+                and all(map(lt, linenos, islice(linenos, 1, None)))):
+            return list(range(len(linenos)))
+        ids = list(self._ids())
+        if self._docs is not None:
+            langs = {doc.lang for doc in self._docs}
+            if len(langs) != 1:
+                raise ValueError(f"documents span multiple languages: "
+                                 f"{sorted(langs)}")
+            if len(set(ids)) != len(ids):
+                raise ValueError("duplicate doc_id in corpus")
+        return sorted(range(len(ids)), key=ids.__getitem__)
+
+    def _select(self, budget: int, seed: int) -> tuple[Corpus, int]:
+        """The selection `sample_to_budget` makes from this non-empty
+        corpus, and its word count; the latest one is kept."""
+        kept = self._selection
+        if kept is None or kept[:2] != (budget, seed):
+            order = self._id_order()
+            random.Random(seed).shuffle(order)
+            texts = self.texts
+            total = taken = 0
+            for index in order:
+                taken += 1
+                total += len(texts[index].split())
+                if total >= budget:
+                    break
+            kept = self._selection = (budget, seed,
+                                      self._take(order[:taken]), total)
+        return kept[2], kept[3]
+
+
 def sample_to_budget(docs: Sequence[Document], budget: int, seed: int,
                      input_type: InputType = InputType.ORTHO,
-                     ) -> tuple[CorpusManifest, list[Document]]:
+                     ) -> tuple[CorpusManifest, Sequence[Document]]:
     """Select a word-budgeted subset of one language's documents.
 
     Documents are put in a canonical order (sorted by doc_id), shuffled with
     a seeded Fisher-Yates pass, and accumulated until the word budget is
     reached. The document that crosses the budget is included, so the
     selection always holds at least budget words when the collection does.
+    The selection is a Corpus when docs is one, and a list otherwise.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    if not docs:
+    corpus = Corpus.of(docs)
+    if not corpus:
         raise EmptyCorpusError("cannot sample from an empty corpus")
-    langs = {doc.lang for doc in docs}
-    if len(langs) != 1:
-        raise ValueError(f"documents span multiple languages: {sorted(langs)}")
-    ids = [doc.doc_id for doc in docs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate doc_id in corpus")
-
-    ordered = sorted(docs, key=lambda d: d.doc_id)
-    random.Random(seed).shuffle(ordered)
-
-    selected: list[Document] = []
-    total = 0
-    for doc in ordered:
-        selected.append(doc)
-        total += count_words(doc)
-        if total >= budget:
-            break
+    selected, total = corpus._select(budget, seed)
     manifest = CorpusManifest(
-        lang=docs[0].lang,
+        lang=selected[0].lang,
         input_type=input_type,
         doc_count=len(selected),
         word_count=total,
         sampling_seed=seed,
         under_budget=total < budget,
     )
-    return manifest, selected
+    return manifest, selected if corpus is docs else list(selected)
 
 
 def oversampling_weights(manifests: Sequence[CorpusManifest],
@@ -138,18 +244,19 @@ def repetition_counts(manifests: Sequence[CorpusManifest],
 # --- File I/O ---------------------------------------------------------------
 
 
-def read_documents(path: str | Path, lang: str) -> list[Document]:
+def read_documents(path: str | Path, lang: str) -> Corpus:
     """Read a one-document-per-line corpus; blank lines are skipped and
     doc_ids are derived from line numbers. Text that is not UTF-8 raises
     ValueError naming the path."""
-    docs = []
+    texts = []
+    linenos = array("L")
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.rstrip("\n")
-            if not text.strip():
-                continue
-            docs.append(Document(f"{lang}-{lineno:08d}", lang, text))
-    return docs
+            if text and not text.isspace():
+                texts.append(text)
+                linenos.append(lineno)
+    return Corpus(tuple(texts), lang, linenos)
 
 
 class TidyRow(dict):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .corpus import (CorpusManifest, Document, EmptyCorpusError,
+from .corpus import (Corpus, CorpusManifest, Document, EmptyCorpusError,
                      repetition_counts, sample_to_budget, word_counts)
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
@@ -230,16 +230,6 @@ def _key(*parts: str) -> str:
         json.dumps([_CODE_DIGEST, *parts]).encode("ascii")).hexdigest()
 
 
-def _docs_digest(docs: Sequence[Document]) -> str:
-    """Digest of documents' ids and texts, in order: the JSON list of ids,
-    then the texts joined by newlines, which no text contains, so no two
-    sequences share a digest."""
-    digest = hashlib.sha256(
-        json.dumps([doc.doc_id for doc in docs]).encode("ascii"))
-    digest.update("\n".join([doc.text for doc in docs]).encode("utf-8"))
-    return digest.hexdigest()
-
-
 _TABLE_MODES = {InputType.IPA: RuleMode.G2P,
                 InputType.ROM: RuleMode.ROMANIZE,
                 InputType.CIPHER: RuleMode.ROMANIZE}
@@ -379,8 +369,7 @@ def _converted(units: Mapping[str, int],
 
 def _prepare(config: ExperimentConfig, registry: TableRegistry,
              keys: Mapping[str, CipherKey] | None, store: _StageStore,
-             lang: str, docs: Sequence[Document], docs_digest: str,
-             ) -> tuple[Counter, str]:
+             lang: str, docs: Corpus) -> tuple[Counter, str]:
     """One language's documents rendered in the input type and counted into
     a word table, and the key of that table. The table has the keys,
     counts and order `word_counts` gives over the rendered lines.
@@ -392,12 +381,12 @@ def _prepare(config: ExperimentConfig, registry: TableRegistry,
     language's rule table and the documents. Cipher enciphers the
     romanized table, so it reads and writes Rom's artifact; Ortho counts
     the texts."""
-    texts = (doc.text for doc in docs)
+    texts = docs.texts
     itype = config.input_type
     if itype is InputType.ORTHO:
-        return word_counts(texts), _key(itype.value, docs_digest)
+        return word_counts(texts), _key(itype.value, docs.digest())
     mode = _TABLE_MODES[itype]
-    key = _key(mode.value, registry.table(mode, lang).digest, docs_digest)
+    key = _key(mode.value, registry.table(mode, lang).digest, docs.digest())
     name = f"words/{lang}-{key}.tsv"
     table = store.load_text(name, _loads_word_table)
     if table is None:
@@ -440,7 +429,9 @@ def run_experiment(config: ExperimentConfig,
 
     Each language's word table is built once (see `_prepare`); training,
     the token sets and the quality metrics all read it, and no prepared
-    line is kept.
+    line is kept. A corpus that is not a `Corpus` is wrapped in one for
+    the call; a `Corpus` passed to several runs is digested and sampled
+    once.
     """
     missing = [lang for lang in config.langs if lang not in corpora]
     if missing:
@@ -453,7 +444,8 @@ def run_experiment(config: ExperimentConfig,
             registry = default_registry()
 
     store = _StageStore(None if artifacts_dir is None else Path(artifacts_dir))
-    docs_digests = {lang: _docs_digest(corpora[lang]) for lang in config.langs}
+    corpora = {lang: Corpus.of(corpora[lang]) for lang in config.langs}
+    docs_digests = {lang: corpora[lang].digest() for lang in config.langs}
     report_name = f"report/{_run_digest(config, registry, docs_digests)}.json"
     report = store.load_text(report_name, _loads_report)
     if report is not None:
@@ -465,18 +457,16 @@ def run_experiment(config: ExperimentConfig,
     text_keys: dict[str, str] = {}
 
     for lang in sorted(config.langs):
-        seen = lang in config.seen_langs
         with _stage("sample", lang):
             selected = corpora[lang]
-            if seen:
+            if lang in config.seen_langs:
                 manifests[lang], selected = sample_to_budget(
                     selected, config.budget, config.seed, config.input_type)
             elif not selected:
                 raise EmptyCorpusError(f"corpus for {lang!r} is empty")
-        docs_digest = _docs_digest(selected) if seen else docs_digests[lang]
         with _stage("transliterate", lang):
             tables[lang], text_keys[lang] = _prepare(
-                config, registry, keys, store, lang, selected, docs_digest)
+                config, registry, keys, store, lang, selected)
 
     with _stage("train"):
         reps = repetition_counts(

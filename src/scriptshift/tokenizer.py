@@ -15,7 +15,8 @@ into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table; it reads
 the encoder's cache itself and segments only the words that miss it. Token
 sets and the quality metrics are projections of it. A model keeps its one
-encoder (`encoder_for`), so the two are freed together. Training ends
+encoder (`encoder_for`), which holds the model's parts but not the model,
+so the two are freed together as soon as the model is dropped. Training ends
 holding every training word's final segmentation, so a model trained in
 this process starts with an encoder whose cache already has its training
 words; a model read from disk starts cold.
@@ -364,7 +365,12 @@ class Encoder:
     """
 
     def __init__(self, model: SubwordModel):
-        self.model = model
+        # The model's parts, not the model: the model keeps its encoder, so
+        # a reference back would hold both until a cyclic collection.
+        self.merges = model.merges
+        self.alphabet = model.alphabet
+        self.marker = model.boundary_marker
+        self.vocab = model.vocab
         self._cache: dict[str, tuple] = {}
         ranks: dict[tuple[str, str], list[int]] = {}
         for rank, pair in enumerate(model.merges):
@@ -375,7 +381,7 @@ class Encoder:
     def _next_rank(self, syms: list, last: int) -> int:
         """Smallest rank above last among the adjacent pairs of syms, or
         len(merges) when there is none."""
-        best = len(self.model.merges)
+        best = len(self.merges)
         for pair in zip(syms, syms[1:]):
             for rank in self._ranks.get(pair, ()):
                 if rank > last:
@@ -391,11 +397,10 @@ class Encoder:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        model = self.model
-        merges = model.merges
+        merges = self.merges
         end = len(merges)
         first_rank = self._first_rank.get
-        syms = _word_symbols(word, model.alphabet, model.boundary_marker)
+        syms = _word_symbols(word, self.alphabet, self.marker)
         # ranks[i] is the lowest rank of the pair (syms[i], syms[i + 1]).
         ranks = list(map(first_rank, zip(syms, syms[1:]), repeat(end)))
         last = -1
@@ -424,7 +429,7 @@ class Encoder:
                         ranks[j] = first_rank((merged, syms[j + 1]), end)
                 j += 1
             last = rank
-        result = _emitted(syms, model.boundary_marker)
+        result = _emitted(syms, self.marker)
         if len(self._cache) >= _CACHE_LIMIT:
             self._cache.clear()
         self._cache[word] = result
@@ -435,7 +440,7 @@ class Encoder:
             yield from self.segment_word(word)
 
     def encode(self, text: str) -> list[int]:
-        vocab = self.model.vocab
+        vocab = self.vocab
         return [UNK_ID if sym is UNK_SENTINEL else vocab[sym]
                 for sym in self.iter_symbols(text)]
 

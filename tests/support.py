@@ -1,11 +1,15 @@
 """Helpers shared by test modules: synthetic corpora, fixture models, the
-artifacts of pipeline runs and a line-by-line rendering of their corpora."""
+artifacts of pipeline runs, a line-by-line rendering of their corpora, and
+the per-line corpus reader and digest that `corpus.Corpus` replaced."""
 
+import hashlib
+import json
 import random
 from pathlib import Path
 
 from scriptshift import compose_hangul, pipeline
-from scriptshift.corpus import sample_to_budget
+from scriptshift.corpus import Document, sample_to_budget
+from scriptshift.records import open_text
 from scriptshift.input_types import InputType
 from scriptshift.tokenizer import BOUNDARY_MARKER, UNK_TOKEN, SubwordModel, TokenSet
 from scriptshift.translit import caesar_encipher, default_registry
@@ -119,3 +123,39 @@ def prepared_lines(config, corpora, registry=None) -> dict[str, list[str]]:
                         for line in rendered]
         lines[lang] = rendered
     return lines
+
+
+def read_documents_per_line(path, lang: str) -> list[Document]:
+    """The reference reader: one Document per kept line, blank and
+    whitespace-only lines skipped, ids from line numbers."""
+    docs = []
+    with open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.rstrip("\n")
+            if not text.strip():
+                continue
+            docs.append(Document(f"{lang}-{lineno:08d}", lang, text))
+    return docs
+
+
+def sample_sorted_docs(docs, budget: int, seed: int) -> list[Document]:
+    """The reference selection: the documents sorted by doc_id, shuffled
+    with the seed, taken until their words reach the budget."""
+    ordered = sorted(docs, key=lambda doc: doc.doc_id)
+    random.Random(seed).shuffle(ordered)
+    selected, total = [], 0
+    for doc in ordered:
+        selected.append(doc)
+        total += len(doc.text.split())
+        if total >= budget:
+            break
+    return selected
+
+
+def docs_digest(docs) -> str:
+    """The reference digest: the JSON list of ids, then the texts joined
+    by newlines."""
+    digest = hashlib.sha256(
+        json.dumps([doc.doc_id for doc in docs]).encode("ascii"))
+    digest.update("\n".join([doc.text for doc in docs]).encode("utf-8"))
+    return digest.hexdigest()

@@ -1,13 +1,21 @@
 """Corpus sampling, oversampling weights, and corpus file I/O."""
 
+import gc
+import random
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptshift import corpus as cp
 from scriptshift.input_types import InputType
+from scriptshift.pipeline import (ExperimentConfig, LanguageSpec,
+                                  dumps_report, run_experiment)
+from support import (docs_digest, latin_lines, read_documents_per_line,
+                     sample_sorted_docs)
 
 
 def docs_of(*texts, lang="eng"):
@@ -207,6 +215,144 @@ class TestDocumentIO:
     def test_manifest_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             cp.CorpusManifest("kor", InputType.ORTHO, -1, 0, 0, True)
+
+
+@st.composite
+def corpus_files(draw):
+    """Bytes of a corpus file: blank and whitespace-only lines, LF or CRLF
+    endings, a final newline or none, and in-line characters that
+    str.splitlines would split on (U+2028, U+0085, \\x0b) but a file's
+    lines do not."""
+    lines = draw(st.lists(
+        st.text(alphabet="ab\u00e9 \t\u3000\u2028\x85\x0b", max_size=8),
+        max_size=12))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines)
+    if lines and draw(st.booleans()):
+        text += ending
+    return text.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "eng.txt"
+
+
+def selection_of(corpus, budget, seed):
+    manifest, selected = cp.sample_to_budget(corpus, budget, seed)
+    return manifest, list(selected)
+
+
+class TestCorpus:
+    @given(corpus_files())
+    @settings(max_examples=200)
+    def test_reads_the_per_line_documents(self, corpus_path, data):
+        corpus_path.write_bytes(data)
+        corpus = cp.read_documents(corpus_path, "eng")
+        expected = read_documents_per_line(corpus_path, "eng")
+        assert isinstance(corpus, cp.Corpus)
+        assert list(corpus) == expected
+        assert [corpus[i] for i in range(-len(corpus), len(corpus))] == \
+            expected * 2
+        assert corpus.texts == tuple(doc.text for doc in expected)
+        assert corpus.digest() == docs_digest(expected)
+
+    @given(corpus_files(), st.integers(1, 12), st.integers(0, 1000),
+           st.integers(1, 12), st.integers(0, 1000))
+    @settings(max_examples=200)
+    def test_sampling_matches_a_list(self, corpus_path, data, budget, seed,
+                                     other_budget, other_seed):
+        corpus_path.write_bytes(data)
+        corpus = cp.read_documents(corpus_path, "eng")
+        assume(corpus)
+        docs = list(corpus)
+        for b, s in ((budget, seed), (other_budget, other_seed),
+                     (budget, seed), (budget, seed)):
+            manifest, selected = cp.sample_to_budget(corpus, b, s)
+            assert isinstance(selected, cp.Corpus)
+            assert (manifest, list(selected)) == selection_of(docs, b, s)
+            assert list(selected) == sample_sorted_docs(docs, b, s)
+            assert selected.digest() == docs_digest(list(selected))
+
+    @given(corpus_files(), st.integers(1, 12), st.integers(0, 1000))
+    @settings(max_examples=25, deadline=None)
+    def test_run_reports_the_bytes_of_a_list(self, corpus_path, data,
+                                             budget, seed):
+        corpus_path.write_bytes(data)
+        corpora = {lang: cp.read_documents(corpus_path, lang)
+                   for lang in ("eng", "spa")}
+        assume(corpora["eng"])
+        config = ExperimentConfig(
+            languages=(LanguageSpec("eng", True), LanguageSpec("spa", False)),
+            input_type=InputType.ORTHO, vocab_size=12, budget=budget,
+            seed=seed)
+        lists = {lang: list(docs) for lang, docs in corpora.items()}
+        assert dumps_report(run_experiment(config, corpora)) == \
+            dumps_report(run_experiment(config, lists))
+
+    def test_selection_is_kept_for_the_latest_budget_and_seed(self):
+        corpus = cp.Corpus(("a b", "c", "d e f", "g"), "eng",
+                           array("L", [1, 2, 4, 5]))
+        first = cp.sample_to_budget(corpus, 3, 1)[1]
+        assert cp.sample_to_budget(corpus, 3, 1)[1] is first
+        assert cp.sample_to_budget(corpus, 3, 2)[1] is not first
+        assert cp.sample_to_budget(corpus, 3, 1)[1] is not first
+
+    def test_of_keeps_a_corpus_and_wraps_documents(self):
+        docs = docs_of("a b", "c", lang="kor")
+        corpus = cp.Corpus.of(docs)
+        assert cp.Corpus.of(corpus) is corpus
+        assert list(corpus) == docs and corpus[1] is docs[1]
+        assert list(corpus[::-1]) == docs[::-1]
+        assert corpus.digest() == docs_digest(docs)
+
+    def test_ids_past_eight_digits_sort_as_text(self):
+        linenos = [99_999_998, 99_999_999, 100_000_000, 100_000_001]
+        corpus = cp.Corpus(tuple(f"w{n % 7} x" for n in linenos), "eng",
+                           array("L", linenos))
+        docs = list(corpus)
+        assert [doc.doc_id for doc in docs][-1] == "eng-100000001"
+        for seed in range(8):
+            assert selection_of(corpus, 3, seed) == selection_of(docs, 3,
+                                                                 seed)
+            assert selection_of(corpus, 3, seed)[1] == \
+                sample_sorted_docs(docs, 3, seed)
+
+    def test_a_shuffled_selection_samples_like_a_list(self):
+        texts = tuple(f"w{i} " * (i % 3 + 1) for i in range(30))
+        corpus = cp.Corpus(texts, "eng", array("L", range(1, 31)))
+        selected = cp.sample_to_budget(corpus, 20, 5)[1]
+        assert [doc.doc_id for doc in selected] != \
+            sorted(doc.doc_id for doc in selected)
+        assert selection_of(selected, 9, 3) == \
+            selection_of(list(selected), 9, 3)
+
+    def test_reading_retains_under_half_the_per_line_documents(
+            self, tmp_path, monkeypatch):
+        lines = latin_lines(random.Random(3), 24_000, vocabulary=300,
+                            words_per_line=6)
+        lines[5::7] = [""] * len(lines[5::7])
+        path = tmp_path / "eng.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        built = []
+        monkeypatch.setattr(cp.Document, "__post_init__",
+                            lambda doc: built.append(doc.doc_id))
+
+        def retained(read):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                docs = read(path, "eng")
+                return tracemalloc.get_traced_memory()[0] - before, docs
+            finally:
+                tracemalloc.stop()
+
+        new, corpus = retained(cp.read_documents)
+        assert built == []
+        old, docs = retained(read_documents_per_line)
+        assert len(built) == len(docs) == len(corpus)
+        assert new <= old / 2, (new, old)
 
 
 class TestTidyCsv:

@@ -14,7 +14,8 @@ import pytest
 
 from scriptshift import pipeline as pl
 from scriptshift import translit
-from scriptshift.corpus import (Document, repetition_counts, sample_to_budget,
+from scriptshift.corpus import (Corpus, Document, read_documents,
+                                repetition_counts, sample_to_budget,
                                 word_counts)
 from scriptshift.input_types import InputType
 from scriptshift.metrics import (OverlapReport, OverlapVariant,
@@ -845,6 +846,46 @@ class TestRunWithoutStore:
                                  "save_text": 5 + tables})
         monkeypatch.undo()
         assert dumps_report(unstored) == dumps_report(stored_run)
+
+
+class TestSharedCorpora:
+    """Runs given the same Corpus per language digest and sample each
+    corpus once, and give the bytes of runs given lists of its
+    documents."""
+
+    def test_grid_digests_and_samples_each_corpus_once(self, corpora,
+                                                       tmp_path,
+                                                       monkeypatch):
+        files = {}
+        for lang, docs in corpora.items():
+            path = tmp_path / f"{lang}.txt"
+            path.write_text("".join(f"{doc.text}\n\n" for doc in docs),
+                            encoding="utf-8")
+            files[lang] = read_documents(path, lang)
+        itypes = (InputType.ORTHO, InputType.ROM, InputType.CIPHER)
+        expected = [dumps_report(run_experiment(
+                        make_config(itype),
+                        {lang: list(docs) for lang, docs in files.items()}))
+                    for itype in itypes]
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(Corpus, name)
+
+            def call(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return call
+
+        # every digest made lists the ids; every selection made orders them
+        for name in ("_ids", "_id_order"):
+            monkeypatch.setattr(Corpus, name, counted(name))
+        for store in (None, tmp_path / "artifacts"):
+            for itype, report in zip(itypes, expected):
+                assert dumps_report(run_experiment(
+                    make_config(itype), files, artifacts_dir=store)) == report
+        # three corpora and two selections, each digested once
+        assert calls == Counter({"_ids": 5, "_id_order": 2})
 
 
 @pytest.fixture

@@ -686,6 +686,19 @@ class TestModelLifetime:
         gc.collect()
         assert ref() is None
 
+    def test_trained_model_is_freed_without_a_collection(self):
+        # the encoder holds the model's parts, not the model, so no cycle
+        # keeps a dropped model and its cache alive
+        gc.disable()
+        try:
+            model = tok.train(["abc abc ab"], 8)
+            assert tok.encoder_for(model)._cache
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_training_in_a_loop_keeps_memory_flat(self):
         table = word_counts(random_corpus(random.Random(11), "abcdef",
                                           lines=60, words_per_line=8))
