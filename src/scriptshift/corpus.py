@@ -135,8 +135,7 @@ class Corpus(Sequence[Document]):
         if self._docs is not None:
             return Corpus.of([self._docs[i] for i in indices])
         return Corpus(tuple([self.texts[i] for i in indices]), self._lang,
-                      array(self._linenos.typecode,
-                            [self._linenos[i] for i in indices]))
+                      array("L", [self._linenos[i] for i in indices]))
 
     def digest(self) -> str:
         """Digest of the documents' ids and texts, in order: the JSON list
