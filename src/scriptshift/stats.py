@@ -11,7 +11,8 @@ series, so the centered moments times a positive factor are exact Python
 ints. Where float cancellation, underflow or overflow spoils the
 compensated float moments, r is the exact moment ratio rounded once. The
 paired t-test rescales both sides by one power of two when a step of it
-overflows; t does not change under a common scale.
+overflows, and squares each deviation through its mantissa, so t is the
+same, bit for bit, under any common power-of-two scale.
 """
 
 from __future__ import annotations
@@ -279,12 +280,20 @@ def _difference_moments(a: Sequence[float], b: Sequence[float],
     n = len(diffs)
     try:
         mean = math.fsum(diffs) / n
-        var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+        var = math.fsum(_square(d - mean) for d in diffs) / (n - 1)
     except OverflowError:
         return None
     if var == math.inf:
         return None
     return mean, math.sqrt(var)
+
+
+def _square(d: float) -> float:
+    """d ** 2 with the exponent taken out: C pow's last bit can depend on
+    d's exponent, its mantissa's square does not, so a power-of-two scale
+    of d scales the result exactly. OverflowError past the float range."""
+    mantissa, exponent = math.frexp(d)
+    return math.ldexp(mantissa ** 2, 2 * exponent)
 
 
 def significance_mask(p_values: Mapping, alpha: float = SIGNIFICANCE_LEVEL,

@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scriptshift import stats
@@ -349,11 +349,17 @@ def fraction_pearson_core(x, y, method):
 
 
 def reference_paired_t_test(sample):
-    """paired_t_test before overflowing steps were rescaled."""
+    """paired_t_test before overflowing steps were rescaled. Each square is
+    the mantissa's square times the exponent's, as in paired_t_test, so the
+    two agree bit for bit; `d ** 2` differs in the last bit on some d."""
     diffs = [ai - bi for ai, bi in zip(sample.a, sample.b)]
     n = len(diffs)
     mean = math.fsum(diffs) / n
-    var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    squares = []
+    for d in diffs:
+        mantissa, exponent = math.frexp(d - mean)
+        squares.append(math.ldexp(mantissa ** 2, 2 * exponent))
+    var = math.fsum(squares) / (n - 1)
     sd = math.sqrt(var)
     if sd == 0.0:
         if mean == 0.0:
@@ -501,6 +507,21 @@ class TestPairedTTestOverflow:
     @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
                     min_size=2, max_size=12), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
+    # `(d - mean) ** 2` gave t one ulp apart at the two scales on these
+    @example([(16.041925570025423, -790.0440282733862),
+              (169.0070801159771, -83.76599453470646),
+              (362.3405696203681, -611.8963268557093),
+              (573.4505946815888, 0.05)]
+             + [(578.0696394692178, -277.5244552559876)] * 3
+             + [(737.1388563072312, 0.0), (0.001, 1000.0)], 0)
+    @example([(2.0, 0.05)] * 2 + [(14.706935620529377, 2.0)]
+             + [(14.706935620529377, 698.3964224165359)] * 2
+             + [(439.5852456712828, 749.8096699547166)] * 2
+             + [(0.3333333333333333, -812.032748913257)] * 2, 0)
+    @example([(1.9, 661.8862211193086),
+              (473.45978296270766, -161.93309000374234),
+              (668.2810366726073, 508.6948857022246), (0.5, 0.0),
+              (0.5, 523.9969706872207), (0.001, 0.5)], 0)
     def test_power_of_two_scale_keeps_t(self, pairs, headroom):
         labels = tuple(str(i) for i in range(len(pairs)))
         a = tuple(v for v, _ in pairs)
