@@ -73,6 +73,10 @@ def word_counts(lines: Iterable[str]) -> Counter:
     return Counter(chain.from_iterable(map(str.split, lines)))
 
 
+# Documents a digest encodes at a time.
+_DIGEST_CHUNK = 256
+
+
 class Corpus(Sequence[Document]):
     """An immutable sequence of one collection's documents, held as their
     texts.
@@ -140,11 +144,23 @@ class Corpus(Sequence[Document]):
     def digest(self) -> str:
         """Digest of the documents' ids and texts, in order: the JSON list
         of ids, then the texts joined by newlines, which no text contains,
-        so no two sequences share a digest."""
+        so no two sequences share a digest. Both are fed to the hash a
+        chunk of documents at a time, so no copy of the whole is made."""
         if self._digest is None:
-            digest = hashlib.sha256(
-                json.dumps(list(self._ids())).encode("ascii"))
-            digest.update("\n".join(self.texts).encode("utf-8"))
+            ids = iter(self._ids())
+            starts = range(0, len(self), _DIGEST_CHUNK)
+            digest = hashlib.sha256(b"[")
+            for start in starts:
+                if start:
+                    digest.update(b", ")
+                chunk = json.dumps(list(islice(ids, _DIGEST_CHUNK)))
+                digest.update(chunk[1:-1].encode("ascii"))
+            digest.update(b"]")
+            for start in starts:
+                if start:
+                    digest.update(b"\n")
+                chunk = "\n".join(self.texts[start:start + _DIGEST_CHUNK])
+                digest.update(chunk.encode("utf-8"))
             self._digest = digest.hexdigest()
         return self._digest
 

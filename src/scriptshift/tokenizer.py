@@ -1,10 +1,11 @@
 """Deterministic subword tokenizer built on greedy pair merging.
 
 Training learns highest-frequency symbol-pair merges over whitespace words,
-each word prefixed with a reserved boundary-marker symbol. A merge rewrites
-the words that hold its pair in place and moves pair counts only at its
-sites; the candidate heap is pushed only the pairs whose count grew, and an
-entry whose count has fallen is pushed back when it is popped. Encoding is
+each word prefixed with a reserved boundary-marker symbol. Training holds
+symbols as ids and a pair as one int. A merge rewrites the words that hold
+its pair in place and moves pair counts only at its sites, dropping pairs
+whose count falls to 0; candidates wait in per-count buckets, and only the
+best count's bucket is ordered, in a small heap. Encoding is
 defined as replaying the merge list in training order, each merge applied
 left to right over the word; the encoder reaches the same result by
 rank-driven merging, so a serialized model reproduces the same
@@ -191,6 +192,11 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     Merging stops when the vocabulary reaches vocab_size or no pair occurs
     at least twice.
 
+    Symbols are ids: the unknown sentinel is UNK_ID, the boundary marker 1,
+    the alphabet from 2 by codepoint, then each new merge product in turn,
+    as in the vocab (a product spelled UNK_TOKEN gets an id of its own).
+    A pair is one int, left * width + right.
+
     Pair counts stay exact without recounting a word. A pair lists its
     words once per occurrence, so its first count is the sum of their
     frequencies. A merge visits each listed word once, finds the left
@@ -201,14 +207,24 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     up is still (right operand, left operand). The right neighbour pair
     (right operand, next symbol) becomes (merged, next symbol), unless the
     next symbol starts another site, whose left step then accounts for the
-    boundary. Unknown sentinels never form a counted pair.
+    boundary. Unknowns never form a counted pair. A pair whose count falls
+    to 0 is dropped from the counts and from the word lists.
 
-    Candidates come from a heap keyed by (-count, concatenation, pair).
-    Every pair that occurs at least twice has an entry at or above its
-    count: a merge pushes only the pairs whose count grew, and a popped
-    entry whose count has since fallen is pushed back at the current
-    count, if that is still at least 2, and skipped. The first popped
-    entry that matches its count is therefore the best pair.
+    Candidates wait in buckets keyed by count. Every pair that occurs at
+    least twice has an entry at or above its count: a merge files only
+    the pairs whose count grew, and an entry whose count has fallen is
+    filed again at the new count, if that is still at least 2, when its
+    bucket is reached. The highest bucket is emptied into a heap of the
+    pairs still at its count, keyed by (concatenation, length of the left
+    operand). The left operands of one concatenation are its prefixes, so
+    this orders ties as (concatenation, pair) does, and the heap's first
+    entry still at its count is the best pair. A merge adds at most one
+    site per merged site to a pair holding its product, so it can raise a
+    count past the heap's only if an earlier merge of another pair made
+    the same string. That appears not to happen, as a string whose ends
+    no merge has crossed is segmented alike wherever it stands, but if it
+    did, the heap would go back into its bucket and the higher bucket
+    would be taken first.
 
     Training ends with each word's final segmentation. Those fill the
     cache of the model's encoder (`encoder_for`), up to its limit, so the
@@ -226,7 +242,6 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
 
     if min_char_freq == 1:  # every character is in the alphabet
         alphabet = frozenset("".join(counts))
-        word_syms = [[marker, *word] for word in counts]
     else:
         char_freqs: Counter = Counter()
         for word, freq in counts.items():
@@ -234,45 +249,88 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                 char_freqs[char] += freq
         alphabet = frozenset(c for c, f in char_freqs.items()
                              if f >= min_char_freq)
-        word_syms = [_word_symbols(word, alphabet, marker)
-                     for word in counts]
     reserved = 2  # unknown + boundary marker
     if vocab_size <= len(alphabet) + reserved:
         raise ValueError(
             f"vocab_size {vocab_size} leaves no merge room: alphabet has "
             f"{len(alphabet)} symbols plus {reserved} reserved tokens")
 
-    vocab: dict[str, int] = {UNK_TOKEN: 0, marker: 1}
+    vocab: dict[str, int] = {UNK_TOKEN: UNK_ID, marker: 1}
     for char in sorted(alphabet):
         vocab[char] = len(vocab)
+    names: list = [UNK_SENTINEL, *islice(vocab, 1, None)]  # id -> symbol
+    ids = {name: index for index, name in enumerate(names)}
+    symbol_id = ids.__getitem__
+    if min_char_freq == 1:
+        word_syms = [[1, *map(symbol_id, word)] for word in counts]
+    else:
+        word_syms = [list(map(symbol_id,
+                              _word_symbols(word, alphabet, marker)))
+                     for word in counts]
+    # above every id: ids outnumber the vocab by at most one, a product
+    # spelled UNK_TOKEN
+    width = vocab_size + 1
 
     freqs = list(counts.values())
     pair_words: defaultdict = defaultdict(list)
     for index, syms in enumerate(word_syms):
-        for pair in zip(syms, syms[1:]):
-            pair_words[pair].append(index)
-    for pair in [pair for pair in pair_words if UNK_SENTINEL in pair]:
+        for left, right in zip(syms, islice(syms, 1, None)):
+            pair_words[left * width + right].append(index)
+    for pair in [pair for pair in pair_words
+                 if pair < width or not pair % width]:
         del pair_words[pair]
     pair_counts: defaultdict = defaultdict(int, {
         pair: sum(map(freqs.__getitem__, found))
         for pair, found in pair_words.items()})
 
-    heap = [(-count, left + right, (left, right))
-            for (left, right), count in pair_counts.items() if count >= 2]
-    heapify(heap)
-    merges: list[tuple[str, str]] = []
-    while len(vocab) < vocab_size and heap:
-        neg_count, merged, pair = heappop(heap)
-        count = pair_counts.get(pair, 0)
-        if count != -neg_count:
-            if count >= 2:
-                heappush(heap, (-count, merged, pair))
-            continue
-        merges.append(pair)
-        if merged not in vocab:
-            vocab[merged] = len(vocab)
+    buckets: dict[int, list[int]] = {}
+    levels: list[int] = []  # the bucket counts, negated: a heap
 
-        left, right = pair
+    def wait(pair: int, count: int) -> None:
+        bucket = buckets.get(count)
+        if bucket is None:
+            buckets[count] = [pair]
+            heappush(levels, -count)
+        else:
+            bucket.append(pair)
+
+    def candidate(pair: int) -> tuple[str, int, int]:
+        left = names[pair // width]
+        return left + names[pair % width], len(left), pair
+
+    for pair, count in pair_counts.items():
+        if count >= 2:
+            wait(pair, count)
+    heap: list[tuple[str, int, int]] = []  # pairs counted top
+    top = 0
+    merges: list[tuple[str, str]] = []
+    while len(vocab) < vocab_size:
+        if not heap:
+            if not levels:
+                break
+            top = -heappop(levels)
+            for pair in set(buckets.pop(top)):
+                count = pair_counts.get(pair, 0)
+                if count == top:
+                    heap.append(candidate(pair))
+                elif count >= 2:
+                    wait(pair, count)
+            heapify(heap)
+            continue
+        product, _, pair = heappop(heap)
+        count = pair_counts.get(pair, 0)
+        if count != top:
+            if count >= 2:
+                wait(pair, count)
+            continue
+        left, right = divmod(pair, width)
+        merges.append((names[left], names[right]))
+        merged = ids.get(product)
+        if merged is None:
+            merged = ids[product] = len(names)
+            names.append(product)
+            vocab.setdefault(product, len(vocab))
+
         grown = set()
         for index in set(pair_words.pop(pair)):
             syms = word_syms[index]
@@ -289,19 +347,29 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                         todo -= 1
                     if j:
                         before = right if j - 1 == last else syms[j - 1]
-                        if before is not UNK_SENTINEL:
-                            pair_counts[before, left] -= freq
-                            new = (syms[j - 1], merged)
+                        if before:  # UNK_ID never pairs
+                            lost = before * width + left
+                            count = pair_counts[lost] - freq
+                            if count:
+                                pair_counts[lost] = count
+                            else:
+                                del pair_counts[lost], pair_words[lost]
+                            new = syms[j - 1] * width + merged
                             pair_counts[new] += freq
                             pair_words[new].append(index)
                             grown.add(new)
                     if j + 2 < n:
                         after = syms[j + 2]
-                        if after is not UNK_SENTINEL and not (
+                        if after and not (
                                 after == left and j + 3 < n
                                 and syms[j + 3] == right):
-                            pair_counts[right, after] -= freq
-                            new = (merged, after)
+                            lost = right * width + after
+                            count = pair_counts[lost] - freq
+                            if count:
+                                pair_counts[lost] = count
+                            else:
+                                del pair_counts[lost], pair_words[lost]
+                            new = merged * width + after
                             pair_counts[new] += freq
                             pair_words[new].append(index)
                             grown.add(new)
@@ -311,10 +379,19 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                     last = j
                 j += 1
         del pair_counts[pair]  # every site of pair is merged
+        rise = top
         for new in grown:
             count = pair_counts[new]
-            if count >= 2:
-                heappush(heap, (-count, new[0] + new[1], new))
+            if count == top:
+                heappush(heap, candidate(new))
+            elif count >= 2:
+                wait(new, count)
+                rise = max(rise, count)
+        if rise > top:  # see the docstring: the higher bucket comes first
+            for entry in heap:
+                wait(entry[2], top)
+            heap = []
+    del pair_words, pair_counts, buckets, heap  # before the cache fills
 
     model = SubwordModel(
         alphabet=alphabet,
@@ -324,8 +401,11 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         boundary_marker=marker,
     )
     cache = encoder_for(model)._cache
+    symbol = names.__getitem__
     for word, syms in zip(islice(counts, _CACHE_LIMIT), word_syms):
-        cache[word] = _emitted(syms, marker)
+        if syms[0] == 1 and len(syms) > 1 and syms[1] == UNK_ID:
+            del syms[0]  # a marker standing before an unknown run
+        cache[word] = tuple(map(symbol, syms))
     return model
 
 

@@ -10,6 +10,12 @@ from scriptshift import translit
 # seed each run and no per-example deadline.
 settings.register_profile("ci", max_examples=1000, derandomize=False,
                           deadline=None)
+# Any other run draws the same examples each time and replays no stored
+# failure, so its result is a function of the commit. Loaded here, as
+# Hypothesis loads its own ci profile by itself under a CI environment.
+settings.register_profile("default", settings.get_profile("default"),
+                          derandomize=True)
+settings.load_profile("default")
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,23 @@
 """Helpers shared by test modules: synthetic corpora, fixture models, the
-artifacts of pipeline runs, a line-by-line rendering of their corpora, and
-the per-line corpus reader and digest that `corpus.Corpus` replaced."""
+artifacts of pipeline runs, a line-by-line rendering of their corpora, the
+per-line corpus reader and digest that `corpus.Corpus` replaced, and the
+heap trainer that the compact `tokenizer.train_from_word_counts`
+replaced."""
 
 import hashlib
 import json
 import random
+from collections import Counter, defaultdict
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from pathlib import Path
 
-from scriptshift import compose_hangul, pipeline
-from scriptshift.corpus import Document, sample_to_budget
+from scriptshift import compose_hangul, pipeline, tokenizer
+from scriptshift.corpus import Document, EmptyCorpusError, sample_to_budget
 from scriptshift.records import open_text
 from scriptshift.input_types import InputType
-from scriptshift.tokenizer import BOUNDARY_MARKER, UNK_TOKEN, SubwordModel, TokenSet
+from scriptshift.tokenizer import (BOUNDARY_MARKER, UNK_SENTINEL, UNK_TOKEN,
+                                   SubwordModel, TokenSet, encoder_for)
 from scriptshift.translit import caesar_encipher, default_registry
 
 CONSONANTS = "bcdfghjklmnpqrstvwxyz"
@@ -159,3 +165,125 @@ def docs_digest(docs) -> str:
         json.dumps([doc.doc_id for doc in docs]).encode("ascii"))
     digest.update("\n".join([doc.text for doc in docs]).encode("utf-8"))
     return digest.hexdigest()
+
+
+def train_heap(word_counts, vocab_size: int, min_char_freq: int = 1,
+               marker: str = BOUNDARY_MARKER) -> SubwordModel:
+    """The reference trainer that `tokenizer.train_from_word_counts`
+    replaced: string symbols, tuple pairs, dead pairs kept at count 0, and
+    every candidate in one heap keyed by (-count, concatenation, pair). A
+    popped entry whose count has fallen is pushed back at its count if
+    that is still at least 2. It primes the model's encoder the same way."""
+    if min_char_freq < 1:
+        raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
+    counts = {word: int(freq) for word, freq in word_counts.items()
+              if word and freq >= 1}
+    if not counts:
+        raise EmptyCorpusError("training corpus has no words")
+    if any(marker in word for word in counts):
+        raise ValueError(f"boundary marker {marker!r} occurs in the "
+                         f"corpus; it is reserved")
+
+    if min_char_freq == 1:  # every character is in the alphabet
+        alphabet = frozenset("".join(counts))
+        word_syms = [[marker, *word] for word in counts]
+    else:
+        char_freqs: Counter = Counter()
+        for word, freq in counts.items():
+            for char in word:
+                char_freqs[char] += freq
+        alphabet = frozenset(c for c, f in char_freqs.items()
+                             if f >= min_char_freq)
+        word_syms = [tokenizer._word_symbols(word, alphabet, marker)
+                     for word in counts]
+    reserved = 2  # unknown + boundary marker
+    if vocab_size <= len(alphabet) + reserved:
+        raise ValueError(
+            f"vocab_size {vocab_size} leaves no merge room: alphabet has "
+            f"{len(alphabet)} symbols plus {reserved} reserved tokens")
+
+    vocab: dict[str, int] = {UNK_TOKEN: 0, marker: 1}
+    for char in sorted(alphabet):
+        vocab[char] = len(vocab)
+
+    freqs = list(counts.values())
+    pair_words: defaultdict = defaultdict(list)
+    for index, syms in enumerate(word_syms):
+        for pair in zip(syms, syms[1:]):
+            pair_words[pair].append(index)
+    for pair in [pair for pair in pair_words if UNK_SENTINEL in pair]:
+        del pair_words[pair]
+    pair_counts: defaultdict = defaultdict(int, {
+        pair: sum(map(freqs.__getitem__, found))
+        for pair, found in pair_words.items()})
+
+    heap = [(-count, left + right, (left, right))
+            for (left, right), count in pair_counts.items() if count >= 2]
+    heapify(heap)
+    merges: list[tuple[str, str]] = []
+    while len(vocab) < vocab_size and heap:
+        neg_count, merged, pair = heappop(heap)
+        count = pair_counts.get(pair, 0)
+        if count != -neg_count:
+            if count >= 2:
+                heappush(heap, (-count, merged, pair))
+            continue
+        merges.append(pair)
+        if merged not in vocab:
+            vocab[merged] = len(vocab)
+
+        left, right = pair
+        grown = set()
+        for index in set(pair_words.pop(pair)):
+            syms = word_syms[index]
+            freq = freqs[index]
+            n = len(syms)
+            todo = syms.count(left)
+            j = 0
+            last = -2  # where the previous site's output stands
+            while todo:
+                j = syms.index(left, j)
+                todo -= 1
+                if j + 1 < n and syms[j + 1] == right:
+                    if left == right:  # the right operand was a left one too
+                        todo -= 1
+                    if j:
+                        before = right if j - 1 == last else syms[j - 1]
+                        if before is not UNK_SENTINEL:
+                            pair_counts[before, left] -= freq
+                            new = (syms[j - 1], merged)
+                            pair_counts[new] += freq
+                            pair_words[new].append(index)
+                            grown.add(new)
+                    if j + 2 < n:
+                        after = syms[j + 2]
+                        if after is not UNK_SENTINEL and not (
+                                after == left and j + 3 < n
+                                and syms[j + 3] == right):
+                            pair_counts[right, after] -= freq
+                            new = (merged, after)
+                            pair_counts[new] += freq
+                            pair_words[new].append(index)
+                            grown.add(new)
+                    syms[j] = merged
+                    del syms[j + 1]
+                    n -= 1
+                    last = j
+                j += 1
+        del pair_counts[pair]  # every site of pair is merged
+        for new in grown:
+            count = pair_counts[new]
+            if count >= 2:
+                heappush(heap, (-count, new[0] + new[1], new))
+
+    model = SubwordModel(
+        alphabet=alphabet,
+        merges=tuple(merges),
+        vocab=vocab,
+        vocab_size_target=vocab_size,
+        boundary_marker=marker,
+    )
+    cache = encoder_for(model)._cache
+    for word, syms in zip(islice(counts, tokenizer._CACHE_LIMIT), word_syms):
+        cache[word] = tokenizer._emitted(syms, marker)
+    return model

@@ -355,6 +355,25 @@ class TestCorpus:
         assert list(corpus) == docs
         assert new <= old / 2, (new, old)
 
+    def test_digest_hashes_a_chunk_at_a_time(self, tmp_path):
+        lines = latin_lines(random.Random(5), 60_000, vocabulary=300,
+                            words_per_line=12)
+        path = tmp_path / "eng.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        corpus = cp.read_documents(path, "eng")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            digest = corpus.digest()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 5001  # many chunks
+        assert digest == docs_digest(list(corpus))
+        # Hashing the whole id list and text in one piece peaked at more
+        # than twice the file's size.
+        assert peak <= path.stat().st_size / 4, (peak, path.stat().st_size)
+
 
 class TestTidyCsv:
     def test_rows_by_column_skipping_blank_lines(self, tmp_path):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scriptshift import metrics, tokenizer as tok
 from scriptshift.corpus import EmptyCorpusError, word_counts
 from scriptshift.input_types import InputType
+from support import hangul_lines, latin_lines, train_heap
 
 MARKER = tok.BOUNDARY_MARKER
 
@@ -547,7 +548,8 @@ def training_tables(draw):
                                 max_size=20))
 
 
-def train_with_room(table, min_char_freq, extra):
+def train_with_room(table, min_char_freq, extra,
+                    trainer=tok.train_from_word_counts):
     """Train on table with vocab room for `extra` merges past the
     alphabet; a small extra stops training before pairs run out."""
     char_freqs = Counter()
@@ -555,8 +557,7 @@ def train_with_room(table, min_char_freq, extra):
         for char in word:
             char_freqs[char] += count
     alphabet = [c for c, f in char_freqs.items() if f >= min_char_freq]
-    return tok.train_from_word_counts(table, len(alphabet) + 3 + extra,
-                                      min_char_freq)
+    return trainer(table, len(alphabet) + 3 + extra, min_char_freq)
 
 
 @st.composite
@@ -608,6 +609,36 @@ class TestTrainingMatchesReference:
         fresh = tok.Encoder(model)
         for word in table:
             assert primed._cache[word] == fresh.segment_word(word), word
+
+
+class TestTrainingMatchesHeapTrainer:
+    """The trainer against the heap trainer it replaced, kept as
+    `support.train_heap`: the same model bytes and the same primed
+    encoder cache, on weighted tables, on unknown runs under a
+    min_char_freq of 2 or 3, and from stops after a few merges to tables
+    whose pairs all run out."""
+
+    @given(st.one_of(weighted_tables(), training_tables()),
+           st.integers(1, 3), st.integers(0, 60))
+    # no pair occurs twice: training stops before a merge
+    @example({"ab": 1, "cd": 1, "e": 1}, 1, 10)
+    # words made only of pruned characters
+    @example({"abab": 3, "a안b": 1, "안": 1, "xy": 1, "y안ab": 1}, 2, 60)
+    @settings(deadline=None)
+    def test_same_model_bytes_and_primed_cache(self, table, min_char_freq,
+                                               extra):
+        model = train_with_room(table, min_char_freq, extra)
+        heap = train_with_room(table, min_char_freq, extra, train_heap)
+        assert tok.dumps_model(model) == tok.dumps_model(heap)
+        assert tok.encoder_for(model)._cache == tok.encoder_for(heap)._cache
+
+    def test_a_product_spelled_like_the_unknown_token(self):
+        model = tok.train_from_word_counts({"<unk>": 5, "<unk>s": 3}, 30)
+        assert "<unk>" in [left + right for left, right in model.merges]
+        assert model.vocab[tok.UNK_TOKEN] == tok.UNK_ID
+        assert tok.encoder_for(model)._cache["<unk>"] == (MARKER + "<unk>",)
+        assert tok.dumps_model(model) == tok.dumps_model(
+            train_heap({"<unk>": 5, "<unk>s": 3}, 30))
 
 
 class TestPrimedEncoder:
@@ -716,6 +747,27 @@ class TestModelLifetime:
             tracemalloc.stop()
         # A kept model with its cache would add tens of kilobytes a round.
         assert peaks[-1] <= peaks[1] * 1.05, peaks
+
+
+class TestTrainingMemory:
+    def test_working_state_per_word_type(self):
+        # 2,913 word types over 1,156 characters; the heap trainer's state
+        # peaked at about 1,200 bytes a type here, the compact one's at
+        # about 560.
+        rng = random.Random(4)
+        table = word_counts(latin_lines(rng, 30_000, vocabulary=3000)
+                            + hangul_lines(rng, 6_000, vocabulary=600))
+        vocab_size = len(set("".join(table))) + 2 + 1000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = tok.train_from_word_counts(table, vocab_size)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.merges) == 1000
+        # the model and its primed cache are kept; the rest was training's
+        assert (peak - kept) / len(table) <= 850, (peak, kept, len(table))
 
 
 class TestSerialization:
