@@ -244,6 +244,11 @@ def _cmd_quality(args: argparse.Namespace) -> int:
 
 
 def _cmd_select_langs(args: argparse.Namespace) -> int:
+    try:  # the spec's bounds on the flags, before any file is read
+        spec = langselect.SelectionSpec(langselect.Regime(args.regime),
+                                        args.set_size, args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     features = langselect.load_feature_csv(args.features)
     scripts = langselect.load_script_map(args.scripts)
     if args.pool:
@@ -265,12 +270,7 @@ def _cmd_select_langs(args: argparse.Namespace) -> int:
             if len(paths) > 1 and not any(map(str.split, corpora[lang])):
                 raise ValueError(f"{path}: the corpus of {lang!r} has no "
                                  f"words")
-    spec = langselect.SelectionSpec(
-        regime=langselect.Regime(args.regime),
-        set_size=args.set_size,
-        alpha=args.alpha,
-        script_map=scripts,
-    )
+    spec = replace(spec, script_map=scripts)
     sims = langselect.SimilarityMatrix.build(pool, features, corpora)
     chosen, objective = langselect.select_subset(pool, spec, sims)
     payload = {

@@ -5,12 +5,12 @@ each word prefixed with a reserved boundary-marker symbol. Training holds
 symbols as ids and a pair as one int. A merge rewrites the words that hold
 its pair in place and moves pair counts only at its sites, dropping pairs
 whose count falls to 0; candidates wait in per-count buckets, and only the
-best count's bucket is ordered, in a small heap. Encoding is
-defined as replaying the merge list in training order, each merge applied
-left to right over the word; the encoder reaches the same result by
-rank-driven merging, so a serialized model reproduces the same
-segmentation anywhere. Both merge in place, looking for a left operand only
-as often as the word holds it.
+best count's bucket is ordered, in a small heap. No product is made twice, so
+ties go by concatenation alone. Encoding is defined as replaying the merge
+list in training order, each merge applied left to right over the word; the
+encoder reaches the same result by rank-driven merging, so a serialized
+model reproduces the same segmentation anywhere. Both merge in place, looking
+for a left operand only as often as the word holds it.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table; it reads
@@ -183,19 +183,36 @@ def _emitted(syms: list, marker: str) -> tuple:
 
 
 def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
-                           min_char_freq: int = 1,
-                           marker: str = BOUNDARY_MARKER) -> SubwordModel:
+                           min_char_freq: int = 1) -> SubwordModel:
     """Train a model from word frequencies.
 
     Greedy loop: the most frequent adjacent symbol pair is merged, ties
-    broken by the lexicographically smaller concatenation and then pair.
-    Merging stops when the vocabulary reaches vocab_size or no pair occurs
-    at least twice.
+    broken by the lexicographically smaller concatenation, which no two
+    live pairs share (below). Merging stops when the vocabulary reaches
+    vocab_size or no pair occurs at least twice.
 
     Symbols are ids: the unknown sentinel is UNK_ID, the boundary marker 1,
-    the alphabet from 2 by codepoint, then each new merge product in turn,
-    as in the vocab (a product spelled UNK_TOKEN gets an id of its own).
+    the alphabet from 2 by codepoint, then each merge product in turn, as
+    in the vocab (a product spelled UNK_TOKEN gets an id of its own).
     A pair is one int, left * width + right.
+
+    Lemma: at every step, a span of a word whose two ends no merge has
+    crossed is covered by the same symbols wherever it stands. Proof by
+    induction over merges. At the start the symbols are characters, the
+    marker one of them, and maximal unknown runs, set by the span's text. A
+    merge (l, r) with l != r acts on each adjacent l r on its own; one with
+    l == r pairs each run of l from the run's left end, as the site loop
+    does. A run that enters the span with an odd number of l pairs across its
+    left end; with an even number, the span's part pairs as if alone; the
+    span's last l pairs across its right end only if left unpaired. So a
+    merge that crosses neither end acts on the span as if it stood alone.
+
+    Hence two live pairs never share a concatenation: both would be uncrossed
+    spans of one string. Merging (a, b) makes every uncrossed span of a + b
+    one symbol, so no later merge makes it again. A product has 2 or more
+    characters, the marker and alphabet symbols 1, so each product is a new
+    symbol with the next id. A new pair occurs only at the merge's sites, at
+    most once at each, so none counts more than the merged pair did.
 
     Pair counts stay exact without recounting a word. A pair lists its
     words once per occurrence, so its first count is the sum of their
@@ -215,16 +232,9 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     the pairs whose count grew, and an entry whose count has fallen is
     filed again at the new count, if that is still at least 2, when its
     bucket is reached. The highest bucket is emptied into a heap of the
-    pairs still at its count, keyed by (concatenation, length of the left
-    operand). The left operands of one concatenation are its prefixes, so
-    this orders ties as (concatenation, pair) does, and the heap's first
-    entry still at its count is the best pair. A merge adds at most one
-    site per merged site to a pair holding its product, so it can raise a
-    count past the heap's only if an earlier merge of another pair made
-    the same string. That appears not to happen, as a string whose ends
-    no merge has crossed is segmented alike wherever it stands, but if it
-    did, the heap would go back into its bucket and the higher bucket
-    would be taken first.
+    pairs still at its count, keyed by concatenation; the heap's first
+    entry still at its count is the best pair, and no merge files a pair
+    above it.
 
     Training ends with each word's final segmentation. Those fill the
     cache of the model's encoder (`encoder_for`), up to its limit, so the
@@ -236,9 +246,9 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
               if word and freq >= 1}
     if not counts:
         raise EmptyCorpusError("training corpus has no words")
-    if any(marker in word for word in counts):
-        raise ValueError(f"boundary marker {marker!r} occurs in the "
-                         f"corpus; it is reserved")
+    if any(BOUNDARY_MARKER in word for word in counts):
+        raise ValueError(f"boundary marker {BOUNDARY_MARKER!r} occurs in "
+                         f"the corpus; it is reserved")
 
     if min_char_freq == 1:  # every character is in the alphabet
         alphabet = frozenset("".join(counts))
@@ -255,20 +265,20 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
             f"vocab_size {vocab_size} leaves no merge room: alphabet has "
             f"{len(alphabet)} symbols plus {reserved} reserved tokens")
 
-    vocab: dict[str, int] = {UNK_TOKEN: UNK_ID, marker: 1}
+    vocab: dict[str, int] = {UNK_TOKEN: UNK_ID, BOUNDARY_MARKER: 1}
     for char in sorted(alphabet):
         vocab[char] = len(vocab)
     names: list = [UNK_SENTINEL, *islice(vocab, 1, None)]  # id -> symbol
-    ids = {name: index for index, name in enumerate(names)}
-    symbol_id = ids.__getitem__
+    symbol_id = {name: index for index, name in enumerate(names)}.__getitem__
     if min_char_freq == 1:
         word_syms = [[1, *map(symbol_id, word)] for word in counts]
     else:
         word_syms = [list(map(symbol_id,
-                              _word_symbols(word, alphabet, marker)))
+                              _word_symbols(word, alphabet,
+                                            BOUNDARY_MARKER)))
                      for word in counts]
-    # above every id: ids outnumber the vocab by at most one, a product
-    # spelled UNK_TOKEN
+    # above every id: ids outnumber the vocab by at most one, as products
+    # are distinct and only one spelled UNK_TOKEN has no vocab entry
     width = vocab_size + 1
 
     freqs = list(counts.values())
@@ -294,14 +304,13 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         else:
             bucket.append(pair)
 
-    def candidate(pair: int) -> tuple[str, int, int]:
-        left = names[pair // width]
-        return left + names[pair % width], len(left), pair
+    def candidate(pair: int) -> tuple[str, int]:
+        return names[pair // width] + names[pair % width], pair
 
     for pair, count in pair_counts.items():
         if count >= 2:
             wait(pair, count)
-    heap: list[tuple[str, int, int]] = []  # pairs counted top
+    heap: list[tuple[str, int]] = []  # pairs counted top
     top = 0
     merges: list[tuple[str, str]] = []
     while len(vocab) < vocab_size:
@@ -317,7 +326,7 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                     wait(pair, count)
             heapify(heap)
             continue
-        product, _, pair = heappop(heap)
+        product, pair = heappop(heap)
         count = pair_counts.get(pair, 0)
         if count != top:
             if count >= 2:
@@ -325,11 +334,9 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
             continue
         left, right = divmod(pair, width)
         merges.append((names[left], names[right]))
-        merged = ids.get(product)
-        if merged is None:
-            merged = ids[product] = len(names)
-            names.append(product)
-            vocab.setdefault(product, len(vocab))
+        merged = len(names)  # a new symbol, by the lemma
+        names.append(product)
+        vocab.setdefault(product, len(vocab))
 
         grown = set()
         for index in set(pair_words.pop(pair)):
@@ -379,18 +386,12 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                     last = j
                 j += 1
         del pair_counts[pair]  # every site of pair is merged
-        rise = top
-        for new in grown:
+        for new in grown:  # none counts above top, by the lemma
             count = pair_counts[new]
             if count == top:
                 heappush(heap, candidate(new))
             elif count >= 2:
                 wait(new, count)
-                rise = max(rise, count)
-        if rise > top:  # see the docstring: the higher bucket comes first
-            for entry in heap:
-                wait(entry[2], top)
-            heap = []
     del pair_words, pair_counts, buckets, heap  # before the cache fills
 
     model = SubwordModel(
@@ -398,14 +399,11 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         merges=tuple(merges),
         vocab=vocab,
         vocab_size_target=vocab_size,
-        boundary_marker=marker,
     )
     cache = encoder_for(model)._cache
     symbol = names.__getitem__
     for word, syms in zip(islice(counts, _CACHE_LIMIT), word_syms):
-        if syms[0] == 1 and len(syms) > 1 and syms[1] == UNK_ID:
-            del syms[0]  # a marker standing before an unknown run
-        cache[word] = tuple(map(symbol, syms))
+        cache[word] = _emitted(list(map(symbol, syms)), BOUNDARY_MARKER)
     return model
 
 

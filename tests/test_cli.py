@@ -532,7 +532,7 @@ class TestSelectLangsCommand:
         assert code == EXIT_DATA  # default set size 8 exceeds the pool
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
-    def test_non_finite_alpha_exits_3(self, monkeypatch, capsys,
+    def test_non_finite_alpha_exits_2(self, monkeypatch, capsys,
                                       selection_files, alpha):
         # used to exit 0 and print "objective": NaN, which is not JSON
         features, scripts = selection_files
@@ -541,9 +541,26 @@ class TestSelectLangsCommand:
             ["select-langs", "--features", str(features),
              "--scripts", str(scripts), "--regime", "sim-div",
              "--set-size", "2", "--alpha", alpha])
-        assert code == EXIT_DATA
+        assert code == EXIT_CONFIG
         assert out == ""
         assert err == f"error: alpha must be finite, got {float(alpha)}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--set-size", "1", "set_size must be >= 2, got 1"),
+        ("--alpha", "-1", "alpha must be >= 0, got -1.0"),
+        ("--alpha", "nan", "alpha must be finite, got nan"),
+    ])
+    def test_flag_out_of_bounds_exits_2_before_any_file_is_read(
+            self, monkeypatch, capsys, tmp_path, flag, value, message):
+        # used to exit 3, and to report the missing file first
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["select-langs", "--features", str(tmp_path / "missing.csv"),
+             "--scripts", str(tmp_path / "missing.csv"),
+             "--regime", "sim-div", flag, value])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("regime, objective", [("sim-div", "inf"),
                                                    ("dissim-div", "-inf")])

@@ -585,8 +585,7 @@ class TestTrainingMatchesReference:
     @given(weighted_tables(), st.sampled_from([1, 2]), st.integers(0, 40))
     # overlapping sites
     @example({"aaaa": 7, "abab": 12, "aaa": 3, "ab": 1}, 1, 20)
-    # ("a", "bc") and ("ab", "c") compete to make "abc"; popped counts
-    # that have fallen are pushed back
+    # popped counts that have fallen are filed again
     @example({"abc": 9, "ab": 6, "bc": 6, "abcbc": 2, "aabc": 3}, 1, 20)
     # characters that occur once, pruned into unknown runs
     @example({"abab": 20, "a\u0100b": 1, "\u0101": 1, "ba\u0102": 1}, 2, 20)
@@ -639,6 +638,22 @@ class TestTrainingMatchesHeapTrainer:
         assert tok.encoder_for(model)._cache["<unk>"] == (MARKER + "<unk>",)
         assert tok.dumps_model(model) == tok.dumps_model(
             train_heap({"<unk>": 5, "<unk>s": 3}, 30))
+
+
+class TestMergeProducts:
+    """The invariant `train_from_word_counts` rests on: no product is made
+    twice, and none is the marker or an alphabet symbol, so every merge
+    makes a new symbol."""
+
+    @given(st.one_of(weighted_tables(), training_tables()),
+           st.integers(1, 3), st.integers(0, 60))
+    @settings(deadline=None)
+    def test_every_product_is_a_new_symbol(self, table, min_char_freq,
+                                           extra):
+        model = train_with_room(table, min_char_freq, extra)
+        products = [left + right for left, right in model.merges]
+        assert len(set(products)) == len(products)
+        assert not set(products) & (model.alphabet | {MARKER})
 
 
 class TestPrimedEncoder:
