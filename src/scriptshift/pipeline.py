@@ -12,13 +12,15 @@ functions of the config, corpora and rule tables. Every run keys each
 stage's output by this package's code and that stage's own inputs; with an
 artifacts dir the output is stored under that key, so runs of one code
 that share inputs share stages: a rerun returns its stored report, Cipher
-reuses the word table Rom romanized, and a vocabulary sweep transliterates
-once. Without one the same keys are computed and nothing is read,
-rendered or written. Whether a stored artifact is served is decided by
-`_StageStore.load_text` alone. A failure in a stage raises
-PipelineStageError naming the stage and language. Configs, reports and
-comparison tables are JSON records (`records`); a config that fails to
-read raises ConfigError.
+reuses the word table Rom romanized, a vocabulary sweep transliterates
+once, and runs whose merged training tables are equal (Ortho and Rom over
+Latin-script training languages) share one model. Without one the same
+keys are computed and nothing is read, rendered or written, but the last
+such run's model is kept in this process for the next run of its key.
+Whether a stored artifact is served is decided by `_StageStore.load_text`
+alone. A failure in a stage raises PipelineStageError naming the stage
+and language. Configs, reports and comparison tables are JSON records
+(`records`); a config that fails to read raises ConfigError.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
 from .records import Record, dumps, load, open_text
-from .tokenizer import (dumps_model, loads_model, token_set,
+from .tokenizer import (SubwordModel, dumps_model, loads_model, token_set,
                         train_from_word_counts)
 from .translit import (CipherKey, RuleMode, TableRegistry,
                        assign_shift_keys, caesar_encipher, default_registry)
@@ -355,14 +357,34 @@ def _loads_word_table(text: str) -> Counter:
     return table
 
 
-def _converted(units: Mapping[str, int],
-               convert: Callable[[str], str]) -> Counter:
+def _table_digest(table: Mapping[str, int]) -> str:
+    """sha256 of the table's `word<TAB>count` rows in table order, hashed
+    row by row, so no rendering of the whole table is made."""
+    digest = hashlib.sha256()
+    for word, count in table.items():
+        digest.update(f"{word}\t{count}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _converted(units: Mapping[str, int], convert: Callable[[str], str],
+               by_word: bool = True) -> Counter:
     """The word table of converted text: each unit (a word or a line) is
-    converted once, and its count is added to every word of the result,
-    in order of first occurrence."""
+    converted, and its count is added to every word of the result, in
+    order of first occurrence.
+
+    Words (by_word) are converted in one call: joined by newlines, which
+    a by-word conversion keeps as they are, and split on them after. Only
+    a rule target can add a newline, so when the parts do not number the
+    words, each word is converted in a call of its own, as each line
+    always is."""
+    converted = None
+    if by_word and units:
+        parts = convert("\n".join(units)).split("\n")
+        if len(parts) == len(units):
+            converted = parts
     table: Counter = Counter()
-    for unit, count in units.items():
-        for word in convert(unit).split():
+    for text, count in zip(converted or map(convert, units), units.values()):
+        for word in text.split():
             table[word] += count
     return table
 
@@ -375,12 +397,12 @@ def _prepare(config: ExperimentConfig, registry: TableRegistry,
     counts and order `word_counts` gives over the rendered lines.
 
     The text is counted before it is transformed, and the table is
-    transformed instead of the text: each distinct word is converted once
-    when the rule table rewrites word by word, and each distinct line
-    otherwise. Romanized and g2p tables are stored under their mode, the
-    language's rule table and the documents. Cipher enciphers the
-    romanized table, so it reads and writes Rom's artifact; Ortho counts
-    the texts."""
+    transformed instead of the text: its distinct words in one call when
+    the rule table rewrites word by word (see `_converted`), and each
+    distinct line otherwise. Romanized and g2p tables are stored under
+    their mode, the language's rule table and the documents. Cipher
+    enciphers the romanized table, so it reads and writes Rom's artifact;
+    Ortho counts the texts."""
     texts = docs.texts
     itype = config.input_type
     if itype is InputType.ORTHO:
@@ -393,13 +415,19 @@ def _prepare(config: ExperimentConfig, registry: TableRegistry,
         convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
         by_word = registry.table(mode, lang).rewrites_by_word
         table = _converted(word_counts(texts) if by_word else Counter(texts),
-                           lambda unit: convert(lang, unit))
+                           lambda unit: convert(lang, unit), by_word)
         store.save(name, lambda: _dumps_word_table(table))
     if itype is InputType.CIPHER:
         cipher = keys[lang]
         table = _converted(table, lambda word: caesar_encipher(cipher, word))
         key = _key(itype.value, str(cipher.shift), key)
     return table, key
+
+
+# (model key, model, model text) of the last run without a store. Only such
+# a run reads it; any other run drops it before preparing its unseen
+# languages, so no stale model is alive while a run trains.
+_last_model: tuple[str, SubwordModel, str] | None = None
 
 
 def run_experiment(config: ExperimentConfig,
@@ -417,15 +445,19 @@ def run_experiment(config: ExperimentConfig,
     - the romanized or g2p word table per language, by its mode, rule
       table and selected documents (Cipher enciphers the romanized table,
       so it shares Rom's);
-    - the model, by each seen language's word-table key and repetition
-      count, vocab_size and min_char_freq;
+    - the model, by vocab_size, min_char_freq and the content of the
+      merged training table (each seen word table weighted by its
+      language's repetition count), so runs that train on equal tables
+      share one model;
     - token sets, written for inspection under the model key and the
       language's word-table key.
 
     When artifacts_dir is given, each output is stored under its key and
     read back instead of recomputed, unless `_StageStore.load_text` finds
     it a miss. Without it the same keys are computed and nothing is read,
-    rendered or written.
+    rendered or written, but the model of the last such run in this
+    process is reused when the model key matches, and dropped before
+    training when it does not.
 
     Each language's word table is built once (see `_prepare`); training,
     the token sets and the quality metrics all read it, and no prepared
@@ -451,43 +483,55 @@ def run_experiment(config: ExperimentConfig,
     if report is not None:
         return report
 
+    global _last_model
     keys = _cipher_keys(config)
     manifests: dict[str, CorpusManifest] = {}
     tables: dict[str, Counter] = {}
     text_keys: dict[str, str] = {}
 
-    for lang in sorted(config.langs):
-        with _stage("sample", lang):
-            selected = corpora[lang]
-            if lang in config.seen_langs:
-                manifests[lang], selected = sample_to_budget(
-                    selected, config.budget, config.seed, config.input_type)
-            elif not selected:
-                raise EmptyCorpusError(f"corpus for {lang!r} is empty")
-        with _stage("transliterate", lang):
-            tables[lang], text_keys[lang] = _prepare(
-                config, registry, keys, store, lang, selected)
+    def prepare(langs: Sequence[str]) -> None:
+        for lang in langs:
+            with _stage("sample", lang):
+                selected = corpora[lang]
+                if lang in config.seen_langs:
+                    manifests[lang], selected = sample_to_budget(
+                        selected, config.budget, config.seed,
+                        config.input_type)
+                elif not selected:
+                    raise EmptyCorpusError(f"corpus for {lang!r} is empty")
+            with _stage("transliterate", lang):
+                tables[lang], text_keys[lang] = _prepare(
+                    config, registry, keys, store, lang, selected)
 
+    prepare(config.seen_langs)
     with _stage("train"):
         reps = repetition_counts(
             [manifests[lang] for lang in config.seen_langs], config.budget)
+        train_counts: Counter = Counter()
+        for lang in config.seen_langs:
+            factor = reps[lang]
+            for word, count in tables[lang].items():
+                train_counts[word] += count * factor
     model_key = _key(str(config.vocab_size), str(config.min_char_freq),
-                     *(f"{lang}:{text_keys[lang]}:{reps[lang]}"
-                       for lang in config.seen_langs))
+                     _table_digest(train_counts))
+    held = _last_model
+    if held is not None and (store.root is not None or held[0] != model_key):
+        held = _last_model = None
+    prepare(config.unseen_langs)
     model_name = f"model/{model_key}.json"
-    model, model_text = store.load_text(
-        model_name, lambda text: (loads_model(text), text)) or (None, None)
+    if held is not None:
+        _, model, model_text = held
+    else:
+        model, model_text = store.load_text(
+            model_name, lambda text: (loads_model(text), text)) or (None, None)
     if model is None:
         with _stage("train"):
-            train_counts: Counter = Counter()
-            for lang in config.seen_langs:
-                factor = reps[lang]
-                for word, count in tables[lang].items():
-                    train_counts[word] += count * factor
             model = train_from_word_counts(train_counts, config.vocab_size,
                                            config.min_char_freq)
         model_text = dumps_model(model)
         store.save(model_name, lambda: model_text)
+    if store.root is None:
+        _last_model = model_key, model, model_text
 
     with _stage("token-sets"):
         token_sets = {

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import settings
 
-from scriptshift import translit
+from scriptshift import pipeline, translit
 
 # `pytest --hypothesis-profile=ci` searches harder than a local run: more
 # examples for every test that does not fix its own count, a new random
@@ -21,3 +21,10 @@ settings.load_profile("default")
 @pytest.fixture(scope="session")
 def registry():
     return translit.default_registry()
+
+
+@pytest.fixture(autouse=True)
+def no_model_in_memory(monkeypatch):
+    """Each test starts without the model a run without a store keeps in
+    the process, so what a test trains does not depend on earlier tests."""
+    monkeypatch.setattr(pipeline, "_last_model", None)

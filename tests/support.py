@@ -110,15 +110,16 @@ def selected_texts(config, corpora) -> dict[str, list[str]]:
 def prepared_lines(config, corpora, registry=None) -> dict[str, list[str]]:
     """Each language's selected texts rendered in the input type one line
     at a time, as the reference for run_experiment's word tables: romanized
-    or g2p line by line, then enciphered for Cipher. Languages go in sorted
-    order, the order run_experiment transliterates them in, so the first
-    error raised is the one a run raises."""
+    or g2p line by line, then enciphered for Cipher. The seen languages go
+    first and then the unseen ones, each in sorted order: the order
+    run_experiment transliterates them in, so the first error raised is the
+    one a run raises."""
     registry = registry or default_registry()
     texts = selected_texts(config, corpora)
     itype = config.input_type
     keys = pipeline._cipher_keys(config)
     lines = {}
-    for lang in sorted(config.langs):
+    for lang in config.seen_langs + config.unseen_langs:
         rendered = texts[lang]
         if itype is InputType.IPA:
             rendered = [registry.g2p(lang, line) for line in rendered]

@@ -5,12 +5,15 @@ import hashlib
 import json
 import random
 import shutil
+import weakref
 from collections import Counter
 from fractions import Fraction
 from importlib.machinery import SourceFileLoader
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scriptshift import pipeline as pl
 from scriptshift import translit
@@ -28,9 +31,10 @@ from scriptshift.pipeline import (AnalysisReport, ComparisonTable,
                                   LanguageSpec, PipelineStageError,
                                   compare_input_types, dumps_report,
                                   load_config, load_report, run_experiment)
-from scriptshift.translit import (LATIN_LOWER, Passthrough, RuleMode,
+from scriptshift.translit import (LATIN_LOWER, CipherKey, Passthrough,
+                                  RewriteRule, RuleMode, RuleTable,
                                   TableRegistry, UnmatchedCharacterError,
-                                  packaged_table_root)
+                                  caesar_encipher, packaged_table_root)
 
 from support import (hangul_lines, latin_lines, prepared_lines,
                      selected_texts, stored)
@@ -405,8 +409,8 @@ class TestLineUnitPath:
         report = run_experiment(config, corpora, registry=registry,
                                 artifacts_dir=tmp_path / "artifacts")
         texts = selected_texts(config, corpora)["eng"]
-        assert romanize_calls["eng"] == (len(word_counts(texts)) if by_word
-                                         else len(set(texts)))
+        # a by-word table converts the whole word table in one call
+        assert romanize_calls["eng"] == (1 if by_word else len(set(texts)))
         prepared = prepared_lines(config, corpora, registry)
         assert word_counts(prepared["eng"]) != word_counts(texts)
         model_json, report_json, _ = ref_run(config, corpora, prepared)
@@ -432,6 +436,79 @@ class TestLineUnitPath:
             ("transliterate", "eng")
         assert str(excinfo.value) == \
             f"stage 'transliterate', language 'eng': {expected.value}"
+
+
+def converted_per_unit(units, convert):
+    """The reference for `_converted`: one call per unit."""
+    table = Counter()
+    for unit, count in units.items():
+        for word in convert(unit).split():
+            table[word] += count
+    return table
+
+
+@st.composite
+def by_word_tables(draw):
+    """Rule tables that rewrite word by word, over Latin letters and the
+    jamo of 가 and 각, whose targets may hold a newline or a space or be
+    empty."""
+    jamo = "ab\u1100\u1161\u11a8"
+    specs = draw(st.lists(
+        st.tuples(st.text(jamo, min_size=1, max_size=2),
+                  st.text("xy \n", max_size=3),
+                  st.text(jamo, max_size=1), st.text(jamo, max_size=1)),
+        max_size=6, unique_by=lambda spec: (spec[0], spec[2], spec[3])))
+    rules = tuple(RewriteRule(source, target, left, right, priority)
+                  for priority, (source, target, left, right)
+                  in enumerate(specs))
+    return RuleTable("xx", RuleMode.ROMANIZE, rules)
+
+
+# word tables: words over Latin letters and Hangul syllables, in the
+# order drawn, each with a positive count
+word_tables = st.dictionaries(st.text("abc가각", min_size=1, max_size=4),
+                              st.integers(min_value=1, max_value=9),
+                              max_size=12)
+
+
+class TestConvertedInOneCall:
+    """`_converted` converts a word table in one call and gives the table,
+    in its order, that converting each word on its own gives."""
+
+    @given(by_word_tables(), word_tables)
+    def test_romanized_table_equals_per_word(self, table, units):
+        assert table.rewrites_by_word
+        registry = TableRegistry([])
+        registry._cache[RuleMode.ROMANIZE, "xx"] = table
+        calls = []
+
+        def convert(text):
+            calls.append(text)
+            return registry.romanize("xx", text)
+
+        expected = converted_per_unit(units, convert)
+        newline_made = any("\n" in out for out in map(convert, units))
+        calls.clear()
+        result = pl._converted(units, convert)
+        assert list(result.items()) == list(expected.items())
+        # one call, and one more per word when a target made a newline
+        assert len(calls) == (1 + len(units) if newline_made
+                              else min(1, len(units)))
+
+    @given(st.integers(min_value=0, max_value=25), word_tables)
+    def test_enciphered_table_equals_per_word(self, shift, units):
+        key = CipherKey("xx", shift)
+        calls = []
+
+        def convert(text):
+            calls.append(text)
+            return caesar_encipher(key, text)
+
+        expected = converted_per_unit(units, convert)
+        calls.clear()
+        result = pl._converted(units, convert)
+        assert list(result.items()) == list(expected.items())
+        assert len(calls) == min(1, len(units))
 
 
 class TestArtifacts:
@@ -696,9 +773,8 @@ class TestSharedStore:
                                   corpora, artifacts_dir=tmp_path / "shared")
             assert dumps_report(warm) == cold[size]
         # the packaged rom tables rewrite word by word, so the one cold
-        # pass romanizes each distinct word once
-        assert romanize_calls == Counter({lang: len(word_counts(lines))
-                                          for lang, lines in texts.items()})
+        # pass romanizes each word table in one call
+        assert romanize_calls == Counter({lang: 1 for lang in texts})
         assert len(stored(tmp_path / "shared", "model")) == 2
 
     def test_budget_sweep_over_whole_corpora_retrains(self, corpora,
@@ -737,6 +813,68 @@ def load_hits(monkeypatch):
 
     monkeypatch.setattr(pl._StageStore, "load_text", recorded)
     return hits
+
+
+class TestModelKeyedByTable:
+    """The model is keyed by the merged training table. The packaged eng
+    and spa rom tables rewrite nothing, so Ortho and Rom over them train
+    the same model: once in a store, and once in memory for runs without
+    one."""
+
+    ITYPES = (InputType.ORTHO, InputType.ROM, InputType.CIPHER)
+
+    def test_grid_without_store_trains_twice(self, corpora, monkeypatch):
+        fresh = []
+        for itype in self.ITYPES:
+            monkeypatch.setattr(pl, "_last_model", None)
+            fresh.append(run_experiment(make_config(itype), corpora))
+        assert fresh[0].model_digest == fresh[1].model_digest
+        monkeypatch.setattr(pl, "_last_model", None)
+        rom_model = []
+        trainings = []
+        train = pl.train_from_word_counts
+
+        def counted(*args, **kwargs):
+            # whether Rom's model is freed when this training starts
+            trainings.append([ref() is None for ref in rom_model])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "train_from_word_counts", counted)
+        for itype, expected in zip(self.ITYPES, fresh):
+            report = run_experiment(make_config(itype), corpora)
+            assert dumps_report(report) == dumps_report(expected)
+            if itype is InputType.ROM:
+                rom_model.append(weakref.ref(pl._last_model[1]))
+        # Ortho trains, Rom reuses its model, Cipher trains with Rom's
+        # model already freed
+        assert trainings == [[], [True]]
+
+    def test_stored_run_after_runs_without_store_writes_its_model(
+            self, corpora, tmp_path):
+        unstored = [run_experiment(make_config(itype), corpora)
+                    for itype in self.ITYPES[:2]]
+        rom = run_experiment(make_config(InputType.ROM), corpora,
+                             artifacts_dir=tmp_path)
+        assert dumps_report(rom) == dumps_report(unstored[1])
+        [model_path] = stored(tmp_path, "model")
+        assert hashlib.sha256(model_path.read_bytes()).hexdigest() == \
+            rom.model_digest
+        assert pl._last_model is None
+
+    def test_ortho_and_rom_share_one_stored_model(self, corpora, tmp_path,
+                                                  load_hits):
+        ortho = run_experiment(make_config(InputType.ORTHO), corpora,
+                               artifacts_dir=tmp_path)
+        load_hits.clear()
+        rom = run_experiment(make_config(InputType.ROM), corpora,
+                             artifacts_dir=tmp_path)
+        # Rom misses its report and its three word tables, and reads
+        # Ortho's model
+        assert load_hits == [False] * 4 + [True]
+        assert rom.model_digest == ortho.model_digest
+        assert len(stored(tmp_path, "model")) == 1
+        assert dumps_report(rom) == dumps_report(
+            run_experiment(make_config(InputType.ROM), corpora))
 
 
 class TestStoreLoads:
