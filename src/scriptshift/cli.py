@@ -200,9 +200,17 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _input_type(name: str) -> InputType:
+    """The --input-type flag's value; an unknown name is a usage error."""
+    try:
+        return InputType.parse(name)
+    except ValueError as exc:
+        raise UsageError(f"--input-type: {exc}") from None
+
+
 def _cmd_token_set(args: argparse.Namespace) -> int:
+    input_type = _input_type(args.input_type)
     model = tokenizer.load_model(args.model)
-    input_type = InputType.parse(args.input_type)
     with _open_in(args.input) as src:
         ts = tokenizer.token_set(model, corpus_mod.word_counts(src),
                                  args.lang, input_type)
@@ -211,11 +219,11 @@ def _cmd_token_set(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    target = records.load(tokenizer.TokenSet, args.target)
-    sources = [records.load(tokenizer.TokenSet, path)
-               for path in args.sources.split(",") if path]
-    if not sources:
+    paths = [path for path in args.sources.split(",") if path]
+    if not paths:
         raise UsageError("--sources needs at least one file")
+    target = records.load(tokenizer.TokenSet, args.target)
+    sources = [records.load(tokenizer.TokenSet, path) for path in paths]
     variant = metrics.OverlapVariant(args.variant)
     report = metrics.overlap_report(target, sources, variant)
     rows = [["target_lang", "variant", "best_source", "metric", "length",
@@ -230,8 +238,8 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_quality(args: argparse.Namespace) -> int:
+    input_type = _input_type(args.input_type)
     model = tokenizer.load_model(args.model)
-    input_type = InputType.parse(args.input_type)
     with records.open_text(args.input) as handle:
         report = metrics.quality_report(
             model, corpus_mod.word_counts(handle), args.lang, input_type)
@@ -402,6 +410,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if len(args.reports) < 2:
+        raise UsageError("--reports needs at least two files")
     reports = [pipeline.load_report(path) for path in args.reports]
     table = pipeline.compare_input_types(reports)
     _emit_report(args, table.to_json_dict(), table.to_csv_rows())

@@ -9,9 +9,9 @@ for a rule table that does not rewrite word by word, its distinct lines),
 not every line. The table gives the training counts (scaled by repetition
 counts), the token set and the quality metrics. Runs are deterministic
 functions of the config, corpora and rule tables. Every run keys each
-stage's output by this package's code and that stage's own inputs; with an
-artifacts dir the output is stored under that key, so runs of one code
-that share inputs share stages: a rerun returns its stored report, Cipher
+stage's output by its own inputs; with an artifacts dir the output is
+stored under that key in the directory of the code that ran, so runs of one
+code that share inputs share stages: a rerun returns its stored report, Cipher
 reuses the word table Rom romanized, a vocabulary sweep transliterates
 once, and runs whose merged training tables are equal (Ortho and Rom over
 Latin-script training languages) share one model. Without one the same
@@ -227,9 +227,8 @@ _CODE_DIGEST = _code_digest()  # once per process, as the code is loaded
 
 
 def _key(*parts: str) -> str:
-    """Digest naming an artifact by the code and the parts it is made of."""
-    return hashlib.sha256(
-        json.dumps([_CODE_DIGEST, *parts]).encode("ascii")).hexdigest()
+    """Digest naming an artifact by the parts it is made of."""
+    return hashlib.sha256(json.dumps(parts).encode("ascii")).hexdigest()
 
 
 _TABLE_MODES = {InputType.IPA: RuleMode.G2P,
@@ -239,7 +238,7 @@ _TABLE_MODES = {InputType.IPA: RuleMode.G2P,
 
 def _run_digest(config: ExperimentConfig, registry: TableRegistry,
                 docs_digests: Mapping[str, str]) -> str:
-    """Digest of everything a run reads: the code, the config, each
+    """Digest of everything a run reads but the code: the config, each
     language's documents and every rule table the input type uses. A table
     that cannot be read fails here, in the transliterate stage of its
     language, before anything is sampled."""
@@ -271,12 +270,12 @@ class _StageStore:
     the check last. A load serves an artifact only when both files are
     there, agree and the text decodes; anything else is a miss, so a
     truncated, edited or half-written artifact is recomputed, never served.
-    Each name holds a `_key`, so what other code stored is never read."""
+    Artifacts sit in `<root>/<code digest>/`; other code's are never read."""
 
     def __init__(self, root: Path | None):
-        self.root = root
-        if root is not None:
-            root.mkdir(parents=True, exist_ok=True)
+        self.root = None if root is None else root / _CODE_DIGEST
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
 
     def load_text(self, name: str, decode: Callable[[str], object] = str):
         """decode(text) of the artifact under name, or None on a miss: a
@@ -438,9 +437,9 @@ def run_experiment(config: ExperimentConfig,
     """Run the full pipeline for one input type over one language set.
 
     The run is a deterministic function of config, corpora and rule tables.
-    Each stage's output is keyed by the code and that stage's own inputs:
+    Each stage's output is keyed by that stage's own inputs alone:
 
-    - the report, by the digest of code, config, corpora and rule tables,
+    - the report, by the digest of config, corpora and rule tables,
       looked up before anything else;
     - the romanized or g2p word table per language, by its mode, rule
       table and selected documents (Cipher enciphers the romanized table,

@@ -1109,10 +1109,12 @@ class TestCompareCommand:
 
     def test_single_report_rejected(self, monkeypatch, capsys,
                                     report_files):
-        code, _, _ = run_cli(
+        # a usage error, as one report is too few whatever it holds
+        code, out, err = run_cli(
             monkeypatch, capsys,
             ["compare", "--reports", str(report_files[0])])
-        assert code == EXIT_DATA
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: --reports needs at least two files\n"
 
 
 class TestMalformedCsv:
@@ -1461,6 +1463,10 @@ def test_path_through_a_file_exits_3(monkeypatch, capsys, request, tmp_path,
     assert str(plain) in err
 
 
+_UNKNOWN_INPUT_TYPE = ("--input-type: unknown input type 'Bogus'; expected "
+                       "one of ['Ortho', 'IPA', 'Rom', 'Cipher']")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["translit", "--mode", "cipher", "--shift", "99"],
      "--shift must be in 0..25, got 99"),
@@ -1472,18 +1478,40 @@ def test_path_through_a_file_exits_3(monkeypatch, capsys, request, tmp_path,
      "--vocab-size must be >= 3, got 2"),
     (["train-tokenizer", "--min-char-freq", "0"],
      "--min-char-freq must be >= 1, got 0"),
+    (["token-set", "--model", "{absent}", "--lang", "eng",
+      "--input-type", "Bogus"], _UNKNOWN_INPUT_TYPE),
+    (["quality", "--model", "{absent}", "--lang", "eng",
+      "--input-type", "Bogus"], _UNKNOWN_INPUT_TYPE),
 ], ids=["shift-99", "decipher-shift-minus-1", "vocab-size-0", "vocab-size-2",
-        "min-char-freq-0"])
+        "min-char-freq-0", "token-set-input-type", "quality-input-type"])
 def test_flag_value_out_of_range_exits_2(monkeypatch, capsys, tmp_path,
                                          flags, message):
-    """A flag value outside the bounds a config or cipher key takes is a
-    usage error, raised before any file is read: the input named here does
-    not exist. These used to exit 3, after the input was opened."""
+    """A flag value outside the bounds a config or cipher key takes, or an
+    unknown input type, is a usage error, raised before any file is read:
+    the input and model named here do not exist. These used to exit 3,
+    after a file was opened."""
     absent = str(tmp_path / "absent.txt")
+    argv = [flag.format(absent=absent) for flag in flags]
     code, out, err = run_cli(monkeypatch, capsys,
-                             flags + ["--input", absent], stdin="abc\n")
+                             argv + ["--input", absent], stdin="abc\n")
     assert (code, out) == (EXIT_CONFIG, "")
     assert err == f"error: {message}\n"
+
+
+def test_too_few_files_exits_2_before_any_is_read(monkeypatch, capsys,
+                                                  tmp_path):
+    """`compare` with one report and `overlap` with no source are usage
+    errors, raised before the files named here (which do not exist) are
+    read. These used to exit 3, after a file was read."""
+    absent = str(tmp_path / "absent.json")
+    for argv, message in [
+            (["compare", "--reports", absent],
+             "--reports needs at least two files"),
+            (["overlap", "--target", absent, "--sources", ","],
+             "--sources needs at least one file")]:
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert (code, out) == (EXIT_CONFIG, ""), argv
+        assert err == f"error: {message}\n"
 
 
 def _output_command(name, request):

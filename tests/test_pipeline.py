@@ -575,7 +575,7 @@ class TestArtifacts:
         # is written, which must then be removed.
         with pytest.raises(UnicodeEncodeError):
             store.save_text("prepared/eng.txt", "abc\ud800")
-        assert list((tmp_path / "prepared").iterdir()) == []
+        assert list((store.root / "prepared").iterdir()) == []
         store.save_text("model.json", "whole\n")
         with pytest.raises(UnicodeEncodeError):
             store.save_text("model.json", "abc\ud800")
@@ -588,7 +588,7 @@ class TestArtifacts:
             with pytest.raises(OSError, match="rename refused"):
                 store.save_text("model.json", "other\n")
         assert store.load_text("model.json") == "whole\n"
-        assert sorted(path.name for path in tmp_path.iterdir()) == \
+        assert sorted(path.name for path in store.root.iterdir()) == \
             ["model.json", "model.json.sha256", "prepared"]
 
     def test_different_configs_use_distinct_digests(self, corpora, tmp_path):
@@ -898,14 +898,26 @@ class TestStoreLoads:
         config = make_config(InputType.ROM)
         first = dumps_report(run_experiment(config, corpora,
                                             artifacts_dir=tmp_path))
-        monkeypatch.setattr(pl, "_CODE_DIGEST", "0" * 64)
+        code, other = pl._CODE_DIGEST, "0" * 64
+        monkeypatch.setattr(pl, "_CODE_DIGEST", other)
         load_hits.clear()
         again = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert load_hits == [False] * 5
         assert dumps_report(again) == first
-        # the first code's entries stay beside the new ones
+        # the first code's entries stay beside the new ones, each code's in
+        # its own directory and nothing else at the top
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            sorted([code, other])
         assert len(stored(tmp_path, "report")) == 2
         assert len(stored(tmp_path, "model")) == 2
+        # pruning is deleting the other code's directory; the first code's
+        # entries are then all that a warm run of it reads
+        shutil.rmtree(tmp_path / other)
+        monkeypatch.setattr(pl, "_CODE_DIGEST", code)
+        load_hits.clear()
+        warm = run_experiment(config, corpora, artifacts_dir=tmp_path)
+        assert load_hits == [True]
+        assert dumps_report(warm) == first
 
     def test_code_digest_reads_every_module_in_name_order(self,
                                                           monkeypatch):
