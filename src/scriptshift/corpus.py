@@ -84,11 +84,12 @@ class Corpus(Sequence[Document]):
     A corpus read from a file (`read_documents`) keeps its language and
     each text's line number, and makes a Document only when one is indexed
     or iterated; `Corpus.of` keeps any other documents as given. A corpus
-    digests itself once and keeps its latest `(budget, seed)` selection, so
-    runs that share it in one process digest and sample it once."""
+    digests and counts itself once and keeps its latest `(budget, seed)`
+    selection, so runs that share it in one process digest, count and
+    sample it once."""
 
     __slots__ = ("texts", "_lang", "_linenos", "_docs", "_digest",
-                 "_selection")
+                 "_counts", "_selection")
 
     def __init__(self, texts: tuple[str, ...], lang: str | None = None,
                  linenos: array | None = None,
@@ -98,6 +99,7 @@ class Corpus(Sequence[Document]):
         self._linenos = linenos
         self._docs = docs
         self._digest: str | None = None
+        self._counts: Counter | None = None
         self._selection: tuple | None = None
 
     @classmethod
@@ -163,6 +165,13 @@ class Corpus(Sequence[Document]):
                 digest.update(chunk.encode("utf-8"))
             self._digest = digest.hexdigest()
         return self._digest
+
+    def word_counts(self) -> Counter:
+        """`word_counts` over the texts, counted once and kept. The table is
+        shared by every caller, so none may change it."""
+        if self._counts is None:
+            self._counts = word_counts(self.texts)
+        return self._counts
 
     def _id_order(self) -> list[int]:
         """Indices in doc_id order, for a corpus that is not empty. One read
@@ -287,16 +296,20 @@ def read_tidy_csv(path: str | Path,
                   required: Iterable[str]) -> list[TidyRow]:
     """Rows of a CSV file with a header line, as dicts keyed by column.
 
-    The header must name every required column and every row must have as
-    many fields as the header; either fault, or text that is not UTF-8,
-    raises ValueError naming the path, and for a row its line. Blank lines
-    are skipped."""
+    The header must name every required column and no column twice, and
+    every row must have as many fields as the header; any of these faults,
+    or text that is not UTF-8, raises ValueError naming the path, and for a
+    row its line. Blank lines are skipped."""
     required = sorted(required)
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         columns = next(reader, None)
         if columns is None or not set(required) <= set(columns):
             raise ValueError(f"{path}: expected columns {required}")
+        repeated = sorted({name for name in columns
+                           if columns.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{path}: repeated columns {repeated}")
         rows = []
         for fields in reader:
             if not fields:

@@ -3,20 +3,20 @@
 A run takes per-language document collections, samples seen languages to a
 word budget, renders every corpus in the configured input type, trains one
 tokenizer on the oversampling-weighted seen corpora, and reports quality and
-overlap metrics. Each corpus is counted once into a word table before it is
-transformed, and the transform rewrites the table's distinct words (or,
-for a rule table that does not rewrite word by word, its distinct lines),
-not every line. The table gives the training counts (scaled by repetition
-counts), the token set and the quality metrics. Runs are deterministic
-functions of the config, corpora and rule tables. Every run keys each
-stage's output by its own inputs; with an artifacts dir the output is
-stored under that key in the directory of the code that ran, so runs of one
-code that share inputs share stages: a rerun returns its stored report, Cipher
-reuses the word table Rom romanized, a vocabulary sweep transliterates
-once, and runs whose merged training tables are equal (Ortho and Rom over
-Latin-script training languages) share one model. Without one the same
-keys are computed and nothing is read, rendered or written, but the last
-such run's model is kept in this process for the next run of its key.
+overlap metrics. Each corpus is counted into a word table once per process
+(`Corpus.word_counts`) before it is transformed, and the transform rewrites
+the table's distinct words (or, for a rule table that does not rewrite
+word by word, its distinct lines), not every line. The table gives the
+training counts (scaled by repetition counts), the token set and the
+quality metrics. Runs are deterministic functions of the config, corpora
+and rule tables. Every run keys its report and model by their own inputs;
+with an artifacts dir each is stored under that key in the directory of
+the code that ran, so runs of one code that share inputs share them: a
+rerun returns its stored report, and runs whose merged training tables are
+equal (Ortho and Rom over Latin-script training languages) share one model.
+Without one the same keys are computed and nothing is read, rendered or
+written, but the last such run's model is kept in this process for the
+next run of its key.
 Whether a stored artifact is served is decided by `_StageStore.load_text`
 alone. A failure in a stage raises PipelineStageError naming the stage
 and language. Configs, reports and comparison tables are JSON records
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .corpus import (Corpus, CorpusManifest, Document, EmptyCorpusError,
-                     repetition_counts, sample_to_budget, word_counts)
+                     repetition_counts, sample_to_budget)
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
@@ -170,6 +170,12 @@ class AnalysisReport(Record):
     token_lengths: dict[str, dict[int, int]]
 
     def __post_init__(self) -> None:
+        langs = self.seen_langs + self.unseen_langs
+        if len(set(langs)) != len(langs):
+            raise ValueError(f"seen and unseen languages repeat: {langs}")
+        if set(self.quality) != set(langs):
+            raise ValueError("quality reports must cover exactly the seen "
+                             "and unseen languages")
         if set(self.overlap) != set(self.unseen_langs):
             raise ValueError("overlap reports must cover exactly the unseen "
                              "languages")
@@ -335,27 +341,6 @@ def _loads_report(text: str) -> AnalysisReport:
     return AnalysisReport.from_json_dict(json.loads(text))
 
 
-def _dumps_word_table(table: Mapping[str, int]) -> str:
-    return "".join(f"{word}\t{count}\n" for word, count in table.items())
-
-
-def _loads_word_table(text: str) -> Counter:
-    """A stored word table: one `word<TAB>count` row per word, in order of
-    first occurrence. A row that is not one word, a tab and a positive
-    count, or a word listed twice, does not decode."""
-    table: Counter = Counter()
-    rows = text.split("\n")
-    if rows.pop():
-        raise ValueError("word table does not end with a newline")
-    for row in rows:
-        word, count = row.split("\t")
-        if (word.split() != [word] or word in table
-                or not count.isdigit() or int(count) < 1):
-            raise ValueError(f"bad word table row {row!r}")
-        table[word] = int(count)
-    return table
-
-
 def _table_digest(table: Mapping[str, int]) -> str:
     """sha256 of the table's `word<TAB>count` rows in table order, hashed
     row by row, so no rendering of the whole table is made."""
@@ -389,43 +374,36 @@ def _converted(units: Mapping[str, int], convert: Callable[[str], str],
 
 
 def _prepare(config: ExperimentConfig, registry: TableRegistry,
-             keys: Mapping[str, CipherKey] | None, store: _StageStore,
-             lang: str, docs: Corpus) -> tuple[Counter, str]:
+             keys: Mapping[str, CipherKey] | None, lang: str,
+             docs: Corpus) -> Counter:
     """One language's documents rendered in the input type and counted into
-    a word table, and the key of that table. The table has the keys,
-    counts and order `word_counts` gives over the rendered lines.
+    a word table, with the keys, counts and order `word_counts` gives over
+    the rendered lines.
 
-    The text is counted before it is transformed, and the table is
+    The corpus is counted once (`Corpus.word_counts`), and the table is
     transformed instead of the text: its distinct words in one call when
     the rule table rewrites word by word (see `_converted`), and each
-    distinct line otherwise. Romanized and g2p tables are stored under
-    their mode, the language's rule table and the documents. Cipher
-    enciphers the romanized table, so it reads and writes Rom's artifact;
-    Ortho counts the texts."""
-    texts = docs.texts
+    distinct line otherwise. Cipher romanizes and enciphers in that call.
+    Ortho returns the corpus's own table, which no caller may change."""
     itype = config.input_type
     if itype is InputType.ORTHO:
-        return word_counts(texts), _key(itype.value, docs.digest())
+        return docs.word_counts()
     mode = _TABLE_MODES[itype]
-    key = _key(mode.value, registry.table(mode, lang).digest, docs.digest())
-    name = f"words/{lang}-{key}.tsv"
-    table = store.load_text(name, _loads_word_table)
-    if table is None:
-        convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
-        by_word = registry.table(mode, lang).rewrites_by_word
-        table = _converted(word_counts(texts) if by_word else Counter(texts),
-                           lambda unit: convert(lang, unit), by_word)
-        store.save(name, lambda: _dumps_word_table(table))
-    if itype is InputType.CIPHER:
-        cipher = keys[lang]
-        table = _converted(table, lambda word: caesar_encipher(cipher, word))
-        key = _key(itype.value, str(cipher.shift), key)
-    return table, key
+    convert = registry.g2p if mode is RuleMode.G2P else registry.romanize
+    cipher = keys[lang] if itype is InputType.CIPHER else None
+
+    def render(unit: str) -> str:
+        text = convert(lang, unit)
+        return text if cipher is None else caesar_encipher(cipher, text)
+
+    by_word = registry.table(mode, lang).rewrites_by_word
+    return _converted(docs.word_counts() if by_word else Counter(docs.texts),
+                      render, by_word)
 
 
 # (model key, model, model text) of the last run without a store. Only such
-# a run reads it; any other run drops it before preparing its unseen
-# languages, so no stale model is alive while a run trains.
+# a run reads it; any other run drops it before training, so no stale model
+# is alive while a run trains.
 _last_model: tuple[str, SubwordModel, str] | None = None
 
 
@@ -441,15 +419,12 @@ def run_experiment(config: ExperimentConfig,
 
     - the report, by the digest of config, corpora and rule tables,
       looked up before anything else;
-    - the romanized or g2p word table per language, by its mode, rule
-      table and selected documents (Cipher enciphers the romanized table,
-      so it shares Rom's);
     - the model, by vocab_size, min_char_freq and the content of the
       merged training table (each seen word table weighted by its
       language's repetition count), so runs that train on equal tables
       share one model;
-    - token sets, written for inspection under the model key and the
-      language's word-table key.
+    - token sets, written for inspection under the language and the
+      report's digest, beside the report.
 
     When artifacts_dir is given, each output is stored under its key and
     read back instead of recomputed, unless `_StageStore.load_text` finds
@@ -458,11 +433,12 @@ def run_experiment(config: ExperimentConfig,
     process is reused when the model key matches, and dropped before
     training when it does not.
 
-    Each language's word table is built once (see `_prepare`); training,
-    the token sets and the quality metrics all read it, and no prepared
-    line is kept. A corpus that is not a `Corpus` is wrapped in one for
-    the call; a `Corpus` passed to several runs is digested and sampled
-    once.
+    Each language's word table is built once per run (see `_prepare`);
+    training, the token sets and the quality metrics all read it, and no
+    prepared line is kept. A corpus that is not a `Corpus` is wrapped in
+    one for the call; a `Corpus` passed to several runs is digested,
+    sampled and counted once, so only the conversion of its table is
+    redone per run.
     """
     missing = [lang for lang in config.langs if lang not in corpora]
     if missing:
@@ -477,7 +453,8 @@ def run_experiment(config: ExperimentConfig,
     store = _StageStore(None if artifacts_dir is None else Path(artifacts_dir))
     corpora = {lang: Corpus.of(corpora[lang]) for lang in config.langs}
     docs_digests = {lang: corpora[lang].digest() for lang in config.langs}
-    report_name = f"report/{_run_digest(config, registry, docs_digests)}.json"
+    run_digest = _run_digest(config, registry, docs_digests)
+    report_name = f"report/{run_digest}.json"
     report = store.load_text(report_name, _loads_report)
     if report is not None:
         return report
@@ -486,23 +463,17 @@ def run_experiment(config: ExperimentConfig,
     keys = _cipher_keys(config)
     manifests: dict[str, CorpusManifest] = {}
     tables: dict[str, Counter] = {}
-    text_keys: dict[str, str] = {}
+    for lang in config.seen_langs + config.unseen_langs:
+        with _stage("sample", lang):
+            selected = corpora[lang]
+            if lang in config.seen_langs:
+                manifests[lang], selected = sample_to_budget(
+                    selected, config.budget, config.seed, config.input_type)
+            elif not selected:
+                raise EmptyCorpusError(f"corpus for {lang!r} is empty")
+        with _stage("transliterate", lang):
+            tables[lang] = _prepare(config, registry, keys, lang, selected)
 
-    def prepare(langs: Sequence[str]) -> None:
-        for lang in langs:
-            with _stage("sample", lang):
-                selected = corpora[lang]
-                if lang in config.seen_langs:
-                    manifests[lang], selected = sample_to_budget(
-                        selected, config.budget, config.seed,
-                        config.input_type)
-                elif not selected:
-                    raise EmptyCorpusError(f"corpus for {lang!r} is empty")
-            with _stage("transliterate", lang):
-                tables[lang], text_keys[lang] = _prepare(
-                    config, registry, keys, store, lang, selected)
-
-    prepare(config.seen_langs)
     with _stage("train"):
         reps = repetition_counts(
             [manifests[lang] for lang in config.seen_langs], config.budget)
@@ -516,7 +487,6 @@ def run_experiment(config: ExperimentConfig,
     held = _last_model
     if held is not None and (store.root is not None or held[0] != model_key):
         held = _last_model = None
-    prepare(config.unseen_langs)
     model_name = f"model/{model_key}.json"
     if held is not None:
         _, model, model_text = held
@@ -538,8 +508,8 @@ def run_experiment(config: ExperimentConfig,
             for lang in sorted(config.langs)
         }
         for lang, ts in token_sets.items():
-            store.save(f"tokensets/{lang}-{_key(model_key, text_keys[lang])}"
-                       ".json", lambda: dumps(ts.to_json_dict()))
+            store.save(f"tokensets/{lang}-{run_digest}.json",
+                       lambda: dumps(ts.to_json_dict()))
 
     quality: dict[str, TokenizerQualityReport] = {}
     overlap: dict[str, OverlapReport] = {}

@@ -4,13 +4,13 @@
 name, an enum its value, a Fraction a float, mapping keys strings, a set a
 sorted list, and a tuple or list a list. `from_json` is the inverse, read
 from the record's type hints: every value must have its field's JSON type,
-mapping keys are parsed to the key type, and only a field with a default
-may be absent. A failed read raises the record's `json_error`, naming the
-record and the field; `decode` reads a value of a field type by the same
-rule. The reader of each field type is built once, from its hint, and
-kept. `dumps` is the one canonical JSON text. `open_text` opens every
-UTF-8 input file the package reads, so bytes that are not UTF-8 raise an
-error naming the file.
+mapping keys are parsed to the key type (an int key only as `str` writes
+it), and only a field with a default may be absent. A failed read raises
+the record's `json_error`, naming the record and the field; `decode` reads
+a value of a field type by the same rule. The reader of each field type
+is built once, from its hint, and kept. `dumps` is the one canonical JSON
+text. `open_text` opens every UTF-8 input file the package reads, so bytes
+that are not UTF-8 raise an error naming the file.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def _decoder(hint):
         read = _decoder(args[0])
         return lambda value: origin(map(read, _check(value, (list,))))
     if origin in (dict, Mapping):
-        key, read = args[0], _decoder(args[1])
+        key = _int_key if args[0] is int else args[0]
+        read = _decoder(args[1])
         return lambda value: {key(_check(name, (str,))): read(item) for
                               name, item in _check(value, (dict,)).items()}
     if dataclasses.is_dataclass(hint):
@@ -126,6 +127,15 @@ def _decoder(hint):
     if issubclass(hint, Enum):
         return lambda value: hint(_check(value, (str,)))
     return lambda value: _check(value, (hint,))  # str, int or bool as is
+
+
+def _int_key(name: str) -> int:
+    """An int mapping key, read only in the form `str(int)` writes, so no
+    two keys of one mapping read as the same int."""
+    number = int(name)
+    if str(number) != name:
+        raise ValueError(f"expected an integer key, got {name!r:.60}")
+    return number
 
 
 def _check(value, accepts: tuple):

@@ -86,10 +86,10 @@ def the_cat_model() -> SubwordModel:
 
 
 def stored(artifacts_dir, kind: str, lang: str | None = None) -> list[Path]:
-    """The artifacts of one kind ("report", "model", "words" or
-    "tokensets") under a run's artifacts dir, in the directories of every
-    code version, only those of one language when lang is given, sorted;
-    their sha256 check files are left out."""
+    """The artifacts of one kind ("report", "model" or "tokensets") under
+    a run's artifacts dir, in the directories of every code version, only
+    the token sets of one language when lang is given, sorted; their
+    sha256 check files are left out."""
     pattern = f"*/{kind}/" + ("*" if lang is None else f"{lang}-*")
     return sorted(path for path in Path(artifacts_dir).glob(pattern)
                   if path.suffix != ".sha256")

@@ -1239,6 +1239,30 @@ class TestMalformedCsv:
         assert code == EXIT_DATA
         assert err.startswith(f"error: {path}:{len(lines)}: duplicate ")
 
+    @pytest.mark.parametrize("kind", ["scores", "features"])
+    def test_repeated_column_exits_3(self, monkeypatch, capsys, stats_files,
+                                     selection_files, kind):
+        # the last of two columns of one name used to be read silently
+        scores, _ = stats_files
+        features, scripts = selection_files
+        path, column, cell = {"scores": (scores, "score", "0.1"),
+                              "features": (features, "values", "0 0")}[kind]
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(f"{line},{value}\n" for line, value in
+                                zip([header, *rows],
+                                    [column] + [cell] * len(rows))),
+                        encoding="utf-8")
+        if kind == "scores":
+            argv = ["stats", "--scores", str(scores)]
+        else:
+            argv = ["select-langs", "--features", str(features),
+                    "--scripts", str(scripts), "--regime", "sim-div",
+                    "--set-size", "2"]
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {path}: repeated columns [{column!r}]\n"
+
     @pytest.mark.parametrize("row, message", [
         ("bbb,syntax,2 1", "unknown component 'syntax'"),
         ("bbb,syntactic,", "empty vector for bbb")],
@@ -1272,9 +1296,12 @@ def _set(*path_and_value):
     return mutate
 
 
-def _drop(key):
+def _drop(*path):
     def mutate(payload):
-        del payload[key]
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
         return payload
     return mutate
 
@@ -1291,6 +1318,10 @@ MALFORMED_JSON = {
     "report-ratio-string": ("report",
                             _set("quality", "eng", "unk_ratio", "0.0")),
     "report-not-object": ("report", _not_object),
+    "report-quality-without-lang": ("report", _drop("quality", "kor")),
+    "report-lang-seen-and-unseen": ("report",
+                                    _set("seen_langs", ["eng", "kor"])),
+    "report-seen-lang-twice": ("report", _set("seen_langs", ["eng", "eng"])),
     "model-vocab-list": ("model", _set("vocab", [1])),
     "model-not-object": ("model", _not_object),
     "model-vocab-size-float": ("model", _set("vocab_size_target", 1.7)),

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scriptshift import corpus as corpus_module
 from scriptshift import pipeline as pl
 from scriptshift import translit
 from scriptshift.corpus import (Corpus, Document, read_documents,
@@ -38,6 +39,10 @@ from scriptshift.translit import (LATIN_LOWER, CipherKey, Passthrough,
 
 from support import (hangul_lines, latin_lines, prepared_lines,
                      selected_texts, stored)
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def as_documents(lang, lines):
@@ -515,12 +520,15 @@ class TestArtifacts:
     def test_artifact_files_written(self, corpora, tmp_path):
         config = make_config(InputType.ROM)
         run_experiment(config, corpora, artifacts_dir=tmp_path)
-        assert len(stored(tmp_path, "report")) == 1
+        [report_path] = stored(tmp_path, "report")
         assert len(stored(tmp_path, "model")) == 1
-        for lang in ("eng", "spa", "kor"):
-            assert len(stored(tmp_path, "words", lang)) == 1, lang
-            assert len(stored(tmp_path, "tokensets", lang)) == 1, lang
-        for kind in ("report", "model", "words", "tokensets"):
+        # each token set takes its report's digest; nothing else is stored
+        assert sorted(path.name for path in stored(tmp_path, "tokensets")) \
+            == [f"{lang}-{report_path.name}" for lang in ("eng", "kor", "spa")]
+        [code_dir] = tmp_path.iterdir()
+        assert sorted(path.name for path in code_dir.iterdir()) == \
+            ["model", "report", "tokensets"]
+        for kind in ("report", "model", "tokensets"):
             for path in stored(tmp_path, kind):
                 assert path.is_file(), path
                 assert path.with_name(path.name + ".sha256").is_file(), path
@@ -563,10 +571,11 @@ class TestArtifacts:
         assert custom.model_digest != fresh.model_digest
         assert dumps_report(packaged) == dumps_report(fresh)
         assert len(stored(artifacts, "report")) == 2
-        # only eng's table differs, so only eng's words are stored twice
-        assert len(stored(artifacts, "words", "eng")) == 2
-        assert len(stored(artifacts, "words", "spa")) == 1
-        assert len(stored(artifacts, "words", "kor")) == 1
+        # each run stored the model it reports, and neither read the other's
+        assert sorted(sha256_of(path) for path in stored(artifacts, "model")) \
+            == sorted([custom.model_digest, fresh.model_digest])
+        assert dumps_report(run_experiment(
+            config, corpora, registry=custom_registry)) == dumps_report(custom)
 
     def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         store = pl._StageStore(tmp_path)
@@ -623,12 +632,10 @@ class TestCorruptCache:
     the fresh report's bytes, never an error or a wrong answer."""
 
     @pytest.mark.parametrize("kind, lang, damage", [
-        ("words", "eng", _truncate_to_third),
         ("model", None, _truncate_to_100_bytes),
         ("report", None, _edit_report),
         ("report", None, _drop_check),
         ("model", None, _drop_check),
-        ("words", "kor", _drop_check),
     ])
     def test_damaged_artifact_is_recomputed(self, corpora, tmp_path, kind,
                                             lang, damage):
@@ -658,35 +665,6 @@ class TestCorruptCache:
             store.save_text(f"{kind}/{path.name}", "{}\n")
         again = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(again) == fresh
-
-    @pytest.mark.parametrize("damage", [
-        lambda row: row.split("\t")[0] + "\t1.5",
-        lambda row: row.split("\t")[0] + "\tx",
-        lambda row: row.split("\t")[0] + "\t0",
-        lambda row: row.replace("\t", " "),
-        lambda row: row.replace("\t", ""),
-        lambda row: "\t" + row.split("\t")[1],
-        lambda row: "x " + row,
-        lambda row: row + "\n" + row,
-    ], ids=["fraction", "not-a-number", "zero", "space-for-tab", "no-tab",
-            "empty-word", "two-words", "word-twice"])
-    def test_checked_word_table_that_does_not_parse_is_a_miss(
-            self, corpora, tmp_path, romanize_calls, damage):
-        config = make_config(InputType.ROM)
-        fresh = dumps_report(run_experiment(config, corpora))
-        run_experiment(config, corpora, artifacts_dir=tmp_path)
-        [path] = stored(tmp_path, "words", "eng")
-        before = path.read_text(encoding="utf-8")
-        rows = before.split("\n")
-        rows[1] = damage(rows[1])
-        pl._StageStore(tmp_path).save_text(f"words/{path.name}",
-                                           "\n".join(rows))
-        stored(tmp_path, "report")[0].unlink()
-        romanize_calls.clear()
-        again = run_experiment(config, corpora, artifacts_dir=tmp_path)
-        assert dumps_report(again) == fresh
-        assert set(romanize_calls) == {"eng"}
-        assert path.read_text(encoding="utf-8") == before
 
 
 @pytest.fixture
@@ -745,38 +723,6 @@ class TestSharedStore:
         warm = run_experiment(config, corpora, artifacts_dir=tmp_path)
         assert dumps_report(warm) == cold
 
-    def test_cipher_after_rom_romanizes_nothing(self, corpora, tmp_path,
-                                                romanize_calls):
-        cipher = make_config(InputType.CIPHER)
-        cold = dumps_report(run_experiment(cipher, corpora,
-                                           artifacts_dir=tmp_path / "cold"))
-        shared = tmp_path / "shared"
-        run_experiment(make_config(InputType.ROM), corpora,
-                       artifacts_dir=shared)
-        romanize_calls.clear()
-        warm = dumps_report(run_experiment(cipher, corpora,
-                                           artifacts_dir=shared))
-        assert warm == cold
-        assert romanize_calls == Counter()
-
-    def test_vocab_sweep_transliterates_once(self, corpora, tmp_path,
-                                             romanize_calls):
-        sizes = (60, 70)
-        cold = {size: dumps_report(run_experiment(
-                    make_config(InputType.ROM, vocab_size=size), corpora,
-                    artifacts_dir=tmp_path / f"cold-{size}"))
-                for size in sizes}
-        texts = selected_texts(make_config(InputType.ROM), corpora)
-        romanize_calls.clear()
-        for size in sizes:
-            warm = run_experiment(make_config(InputType.ROM, vocab_size=size),
-                                  corpora, artifacts_dir=tmp_path / "shared")
-            assert dumps_report(warm) == cold[size]
-        # the packaged rom tables rewrite word by word, so the one cold
-        # pass romanizes each word table in one call
-        assert romanize_calls == Counter({lang: 1 for lang in texts})
-        assert len(stored(tmp_path / "shared", "model")) == 2
-
     def test_budget_sweep_over_whole_corpora_retrains(self, corpora,
                                                       tmp_path):
         # Both seen corpora are under either budget, so each selection and
@@ -797,7 +743,7 @@ class TestSharedStore:
                             budget=budget), corpora,
                 artifacts_dir=tmp_path / "shared")
             assert dumps_report(warm) == dumps_report(cold[budget])
-        assert len(stored(tmp_path / "shared", "words", "spa")) == 1
+        assert len(stored(tmp_path / "shared", "model")) == 2
 
 
 @pytest.fixture
@@ -868,9 +814,8 @@ class TestModelKeyedByTable:
         load_hits.clear()
         rom = run_experiment(make_config(InputType.ROM), corpora,
                              artifacts_dir=tmp_path)
-        # Rom misses its report and its three word tables, and reads
-        # Ortho's model
-        assert load_hits == [False] * 4 + [True]
+        # Rom misses its report and reads Ortho's model
+        assert load_hits == [False, True]
         assert rom.model_digest == ortho.model_digest
         assert len(stored(tmp_path, "model")) == 1
         assert dumps_report(rom) == dumps_report(
@@ -882,15 +827,15 @@ class TestStoreLoads:
 
     def test_rom_then_cipher_cold_then_warm(self, corpora, tmp_path,
                                             load_hits):
-        # cold Rom misses its report, three word tables and its model; cold
-        # Cipher reads Rom's word tables; warm runs read only their report
+        # a cold run misses its report and its model; a warm run reads only
+        # its report
         counts = []
         for itype in (InputType.ROM, InputType.CIPHER) * 2:
             load_hits.clear()
             run_experiment(make_config(itype), corpora,
                            artifacts_dir=tmp_path)
             counts.append(Counter(load_hits))
-        assert counts == [Counter({False: 5}), Counter({True: 3, False: 2}),
+        assert counts == [Counter({False: 2}), Counter({False: 2}),
                           Counter({True: 1}), Counter({True: 1})]
 
     def test_other_code_digest_misses_every_load(self, corpora, tmp_path,
@@ -902,7 +847,7 @@ class TestStoreLoads:
         monkeypatch.setattr(pl, "_CODE_DIGEST", other)
         load_hits.clear()
         again = run_experiment(config, corpora, artifacts_dir=tmp_path)
-        assert load_hits == [False] * 5
+        assert load_hits == [False] * 2
         assert dumps_report(again) == first
         # the first code's entries stay beside the new ones, each code's in
         # its own directory and nothing else at the top
@@ -979,7 +924,7 @@ class TestRunWithoutStore:
                 return original(*args, **kwargs)
             return call
 
-        for name in ("dumps_report", "_dumps_word_table", "dumps"):
+        for name in ("dumps_report", "dumps"):
             monkeypatch.setattr(pl, name, counted(name, getattr(pl, name)))
         monkeypatch.setattr(pl._StageStore, "save_text",
                             counted("save_text", pl._StageStore.save_text))
@@ -988,35 +933,43 @@ class TestRunWithoutStore:
         assert calls == Counter()
         stored_run = run_experiment(config, corpora, artifacts_dir=tmp_path)
         # the same counters see every render and write of a stored run:
-        # three token sets, the report (dumps_report calls dumps too), the
-        # model and, but for Ortho, three romanized word tables
-        tables = 0 if itype is InputType.ORTHO else 3
+        # three token sets, the report (dumps_report calls dumps too) and
+        # the model
         assert calls == Counter({"dumps_report": 1, "dumps": 4,
-                                 "_dumps_word_table": tables,
-                                 "save_text": 5 + tables})
+                                 "save_text": 5})
         monkeypatch.undo()
         assert dumps_report(unstored) == dumps_report(stored_run)
 
 
+GRID = (InputType.ORTHO, InputType.ROM, InputType.CIPHER)
+
+
+@pytest.fixture
+def corpus_files(corpora, tmp_path):
+    """The corpora read back from files, as one Corpus per language, and
+    the grid's reports from runs given lists of their documents."""
+    files = {}
+    for lang, docs in corpora.items():
+        path = tmp_path / f"{lang}.txt"
+        path.write_text("".join(f"{doc.text}\n\n" for doc in docs),
+                        encoding="utf-8")
+        files[lang] = read_documents(path, lang)
+    expected = [dumps_report(run_experiment(
+                    make_config(itype),
+                    {lang: list(docs) for lang, docs in files.items()}))
+                for itype in GRID]
+    return files, expected
+
+
 class TestSharedCorpora:
-    """Runs given the same Corpus per language digest and sample each
-    corpus once, and give the bytes of runs given lists of its
+    """Runs given the same Corpus per language digest, sample and count
+    each corpus once, and give the bytes of runs given lists of its
     documents."""
 
-    def test_grid_digests_and_samples_each_corpus_once(self, corpora,
+    def test_grid_digests_and_samples_each_corpus_once(self, corpus_files,
                                                        tmp_path,
                                                        monkeypatch):
-        files = {}
-        for lang, docs in corpora.items():
-            path = tmp_path / f"{lang}.txt"
-            path.write_text("".join(f"{doc.text}\n\n" for doc in docs),
-                            encoding="utf-8")
-            files[lang] = read_documents(path, lang)
-        itypes = (InputType.ORTHO, InputType.ROM, InputType.CIPHER)
-        expected = [dumps_report(run_experiment(
-                        make_config(itype),
-                        {lang: list(docs) for lang, docs in files.items()}))
-                    for itype in itypes]
+        files, expected = corpus_files
         calls = Counter()
 
         def counted(name):
@@ -1031,11 +984,29 @@ class TestSharedCorpora:
         for name in ("_ids", "_id_order"):
             monkeypatch.setattr(Corpus, name, counted(name))
         for store in (None, tmp_path / "artifacts"):
-            for itype, report in zip(itypes, expected):
+            for itype, report in zip(GRID, expected):
                 assert dumps_report(run_experiment(
                     make_config(itype), files, artifacts_dir=store)) == report
-        # three corpora and two selections, each digested once
-        assert calls == Counter({"_ids": 5, "_id_order": 2})
+        # three corpora digested once each; two selections made once each
+        assert calls == Counter({"_ids": 3, "_id_order": 2})
+
+    def test_grid_without_store_counts_each_corpus_once(self, corpus_files,
+                                                        monkeypatch):
+        files, expected = corpus_files
+        counted = []
+        count = corpus_module.word_counts
+
+        def recorded(lines):
+            counted.append(lines)
+            return count(lines)
+
+        monkeypatch.setattr(corpus_module, "word_counts", recorded)
+        for itype, report in zip(GRID, expected):
+            assert dumps_report(run_experiment(make_config(itype),
+                                               files)) == report
+        # two seen selections and one unseen corpus, each counted by the
+        # first run and read from the corpus by the other two
+        assert len(counted) == 3
 
 
 @pytest.fixture
@@ -1067,10 +1038,10 @@ class TestTableRoot:
         assert _without_config_digest(rooted) == \
             _without_config_digest(explicit)
         assert rooted.model_digest != packaged.model_digest
-        # the word-table keys follow the tables: only eng's differs
-        assert len(stored(artifacts, "words", "eng")) == 2
-        assert len(stored(artifacts, "words", "spa")) == 1
-        assert len(stored(artifacts, "words", "kor")) == 1
+        # each run stored its own report and model under the one store
+        assert len(stored(artifacts, "report")) == 2
+        assert sorted(sha256_of(path) for path in stored(artifacts, "model")) \
+            == sorted([rooted.model_digest, packaged.model_digest])
 
     def test_packaged_tables_are_not_consulted(self, corpora, table_root):
         (table_root / "rom" / "kor.tsv").unlink()

@@ -78,6 +78,17 @@ def test_reads_parse_keys_and_fill_defaults():
                                       InputType.ROM)
 
 
+@pytest.mark.parametrize("keys", [["01"], ["1", "01"], ["1_0"], [" 2"],
+                                  ["+1"], ["-0"], ["\u0661"]])
+def test_int_keys_read_only_as_written(keys):
+    # int() reads each of these, so "1" and "01" used to read as one key
+    with pytest.raises(RecordError,
+                       match=r"^malformed OverlapReport\.by_length: "):
+        OverlapReport.from_json_dict(
+            {"target_lang": "kor", "variant": "max", "best_source": None,
+             "overall_ratio": 1, "by_length": dict.fromkeys(keys, 0.5)})
+
+
 def test_input_type_keeps_the_parse_rule():
     ts = TokenSet.from_json_dict(dict(TOKEN_SET, input_type=" cIPHER "))
     assert ts.input_type is InputType.CIPHER
