@@ -8,7 +8,7 @@ makes the effects visible.
 """
 
 from .corpus import (Corpus, CorpusManifest, Document, EmptyCorpusError,
-                     count_words, oversampling_weights, repetition_counts,
+                     oversampling_weights, repetition_counts,
                      sample_to_budget, word_counts)
 from .input_types import InputType
 from .langselect import (FeatureVectors, Regime, SelectionSpec,
@@ -24,8 +24,7 @@ from .stats import (CorrelationResult, PairedSample, TTestResult,
                     paired_t_test, pearson, spearman, significance_mask,
                     t_cdf)
 from .tokenizer import (SubwordModel, TokenSet, decode, encode, encode_tokens,
-                        load_model, save_model, token_set, train,
-                        train_from_word_counts)
+                        load_model, token_set, train, train_from_word_counts)
 from .translit import (CipherKey, Passthrough, RewriteRule, RuleMode,
                        RuleTable, TableRegistry, UnmatchedCharacterError,
                        UnsupportedLanguageError, apply_rules,

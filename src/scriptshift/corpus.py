@@ -61,12 +61,6 @@ class CorpusManifest(Record):
             raise ValueError("manifest counts must be non-negative")
 
 
-def count_words(doc: Document | str) -> int:
-    """Whitespace-segmented word count; empty text counts zero."""
-    text = doc.text if isinstance(doc, Document) else doc
-    return len(text.split())
-
-
 def word_counts(lines: Iterable[str]) -> Counter:
     """Occurrences of each whitespace word over text lines, keyed in order
     of first occurrence; the one place a corpus is counted into words."""

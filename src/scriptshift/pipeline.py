@@ -597,9 +597,10 @@ def _metric_value(report: AnalysisReport, lang: str,
 def compare_input_types(reports: Sequence[AnalysisReport]) -> ComparisonTable:
     """Line up runs of the same language set under different input types.
 
-    All reports must share the language split, seed, and vocab size, and
-    each input type may appear once. Every language contributes one row per
-    comparison metric, so the table has len(langs) * 4 rows.
+    All reports must share the language split, seed, vocab size and
+    overlap variant, and each input type may appear once. Every language
+    contributes one row per comparison metric, so the table has
+    len(langs) * 4 rows.
     """
     if len(reports) < 2:
         raise ValueError("comparison needs at least two reports")
@@ -615,6 +616,11 @@ def compare_input_types(reports: Sequence[AnalysisReport]) -> ComparisonTable:
             raise ValueError("reports were run with different seeds")
         if report.vocab_size != first.vocab_size:
             raise ValueError("reports use different vocab sizes")
+    variants = sorted({entry.variant.value for report in reports
+                       for entry in report.overlap.values()})
+    if len(variants) > 1:
+        raise ValueError(f"reports measure overlap under different "
+                         f"variants: {', '.join(map(repr, variants))}")
 
     by_type = {r.input_type.value: r for r in reports}
     baseline = by_type.get(InputType.ORTHO.value)

@@ -6,11 +6,12 @@ symbols as ids and a pair as one int. A merge rewrites the words that hold
 its pair in place and moves pair counts only at its sites, dropping pairs
 whose count falls to 0; candidates wait in per-count buckets, and only the
 best count's bucket is ordered, in a small heap. No product is made twice, so
-ties go by concatenation alone. Encoding is defined as replaying the merge
-list in training order, each merge applied left to right over the word; the
-encoder reaches the same result by rank-driven merging, so a serialized
-model reproduces the same segmentation anywhere. Both merge in place, looking
-for a left operand only as often as the word holds it.
+ties go by concatenation alone. A model's merges are in that training
+order, which the model checks as it is built; encoding merges the lowest-rank
+adjacent pair until none is left, which equals replaying the merge list in
+order, so a serialized model reproduces the same segmentation anywhere. Both
+merge in place, looking for a left operand only as often as the word holds
+it.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table; it reads
@@ -66,10 +67,13 @@ class ModelFormatError(ValueError):
 class SubwordModel(Record):
     """A trained tokenizer: alphabet, ordered merges, and the id table.
 
-    Ids are assigned unknown first (0), boundary marker second (1), alphabet
-    characters by codepoint from 2, then merge products in merge order.
-    Merge order is application order: merge k applies after merges 0..k-1.
-    Every merge is a pair whose operands and product have ids.
+    The merges are in training order: each operand is the boundary marker,
+    an alphabet character or the product of an earlier merge, and each
+    product (the operands' concatenation) is a new symbol. The id table
+    follows from them: unknown first (0), boundary marker second (1),
+    alphabet characters by code point from 2, then each product the first
+    time it appears (one spelled UNK_TOKEN keeps id 0). A model breaking
+    either rule is refused when it is built.
     """
 
     alphabet: frozenset[str]
@@ -86,32 +90,46 @@ class SubwordModel(Record):
             raise ModelFormatError(
                 f"malformed SubwordModel.vocab_size_target: expected at "
                 f"least 1, got {self.vocab_size_target!r}")
-        vocab = self.vocab
-        if vocab.get(UNK_TOKEN) != UNK_ID:
-            raise ModelFormatError(f"{UNK_TOKEN!r} must have id {UNK_ID}")
-        if vocab.get(self.boundary_marker) != 1:
-            raise ModelFormatError("boundary marker must have id 1")
-        ids = sorted(vocab.values())
-        if ids != list(range(len(vocab))):
-            raise ModelFormatError("vocab ids must be contiguous from 0")
-        missing = [c for c in self.alphabet if c not in vocab]
-        if missing:
-            raise ModelFormatError(f"alphabet symbols missing from vocab: "
-                                   f"{sorted(missing)!r}")
-        if self.boundary_marker in self.alphabet:
-            raise ModelFormatError("boundary marker cannot be in alphabet")
+        marker, vocab = self.boundary_marker, self.vocab
+        if any(len(char) != 1 for char in self.alphabet):
+            raise ModelFormatError("alphabet symbols must be characters")
+        if marker in self.alphabet or marker == UNK_TOKEN:
+            raise ModelFormatError(
+                f"boundary marker cannot be {UNK_TOKEN!r} or in alphabet")
+        # The trainer's id table, rebuilt while checking training order.
+        table = {UNK_TOKEN: UNK_ID, marker: 1}
+        for char in sorted(self.alphabet):
+            table[char] = len(table)
+        for token, token_id in table.items():
+            if vocab.get(token) != token_id:
+                raise ModelFormatError(f"{token!r} must have id {token_id}, "
+                                       f"got {vocab.get(token)!r}")
+        symbols = {marker, *self.alphabet}
         for merge in self.merges:
             if len(merge) != 2:
                 raise ModelFormatError(f"malformed SubwordModel.merges: "
                                        f"expected pairs, got {merge!r:.60}")
             left, right = merge
-            if left not in vocab or right not in vocab:
+            product = left + right
+            if (left not in symbols or right not in symbols
+                    or product in symbols):
                 raise ModelFormatError(
-                    f"merge ({left!r}, {right!r}) references unknown tokens")
-            if left + right not in vocab:
+                    f"merge {merge!r} is out of training order: its "
+                    f"operands must be the marker, alphabet symbols or "
+                    f"earlier products, and its product {product!r} new")
+            symbols.add(product)
+            if product not in vocab:
+                raise ModelFormatError(f"merge {merge!r} product "
+                                       f"{product!r} missing from vocab")
+            token_id = table.setdefault(product, len(table))
+            if vocab[product] != token_id:
                 raise ModelFormatError(
-                    f"merge ({left!r}, {right!r}) product {left + right!r} "
-                    f"missing from vocab")
+                    f"merge {merge!r} product {product!r} must have id "
+                    f"{token_id}, got {vocab[product]!r}")
+        if len(vocab) != len(table):
+            extra = sorted(vocab.keys() - table.keys())
+            raise ModelFormatError(
+                f"vocab holds tokens that no merge makes: {extra!r:.60}")
 
     @property
     def vocab_size(self) -> int:
@@ -423,16 +441,11 @@ _CACHE_LIMIT = 1 << 16
 class Encoder:
     """Segments words with a model's merges, caching per-word segmentations.
 
-    The result is the one the model's merge list gives when replayed in
-    order over the word, each merge applied left to right. Rank-driven
-    merging reaches it without visiting every merge: each step takes the
-    adjacent pair with the smallest rank greater than the last rank applied
-    and merges every occurrence of it in place, left to right, rewriting
-    only the kept lowest ranks of the two pairs beside each site. Merges of
-    lower rank already had their turn in the replay, so a pair whose ranks
-    are all at or below the last one stays unmerged; this keeps models with
-    merges out of causal order, or with a pair listed twice, equal to the
-    replay.
+    Plain BPE: each step merges every occurrence, left to right, of the
+    adjacent pair of lowest rank, rewriting only the ranks of the two pairs
+    beside each site, until no adjacent pair has a rank. Since the merges
+    are in training order, this gives the segmentation the merge list gives
+    when replayed in order over the word, each merge applied left to right.
 
     Reuse one encoder across a whole corpus pass; the cache makes repeated
     words cost a dictionary lookup. It is cleared when it reaches
@@ -450,22 +463,8 @@ class Encoder:
         self.marker = model.boundary_marker
         self.vocab = model.vocab
         self._cache: dict[str, tuple] = {}
-        ranks: dict[tuple[str, str], list[int]] = {}
-        for rank, pair in enumerate(model.merges):
-            ranks.setdefault(pair, []).append(rank)
-        self._ranks = ranks
-        self._first_rank = {pair: found[0] for pair, found in ranks.items()}
-
-    def _next_rank(self, syms: list, last: int) -> int:
-        """Smallest rank above last among the adjacent pairs of syms, or
-        len(merges) when there is none."""
-        best = len(self.merges)
-        for pair in zip(syms, syms[1:]):
-            for rank in self._ranks.get(pair, ()):
-                if rank > last:
-                    best = min(best, rank)
-                    break
-        return best
+        self.pair_rank = {pair: rank
+                          for rank, pair in enumerate(model.merges)}
 
     def segment_word(self, word: str) -> tuple:
         """Emitted symbol sequence for one word: token strings and unknown
@@ -477,16 +476,12 @@ class Encoder:
             return cached
         merges = self.merges
         end = len(merges)
-        first_rank = self._first_rank.get
+        rank_of = self.pair_rank.get
         syms = _word_symbols(word, self.alphabet, self.marker)
-        # ranks[i] is the lowest rank of the pair (syms[i], syms[i + 1]).
-        ranks = list(map(first_rank, zip(syms, syms[1:]), repeat(end)))
-        last = -1
+        # ranks[i] is the rank of the pair (syms[i], syms[i + 1]), or end.
+        ranks = list(map(rank_of, zip(syms, syms[1:]), repeat(end)))
         while ranks:
-            # A lowest rank above the last one applied is the next to apply.
             rank = min(ranks)
-            if rank <= last:
-                rank = self._next_rank(syms, last)
             if rank == end:
                 break
             left, right = merges[rank]
@@ -502,11 +497,10 @@ class Encoder:
                     syms[j] = merged
                     del syms[j + 1], ranks[j]
                     if j:
-                        ranks[j - 1] = first_rank((syms[j - 1], merged), end)
+                        ranks[j - 1] = rank_of((syms[j - 1], merged), end)
                     if j < len(ranks):
-                        ranks[j] = first_rank((merged, syms[j + 1]), end)
+                        ranks[j] = rank_of((merged, syms[j + 1]), end)
                 j += 1
-            last = rank
         result = _emitted(syms, self.marker)
         if len(self._cache) >= _CACHE_LIMIT:
             self._cache.clear()
@@ -602,10 +596,6 @@ def token_set(model: SubwordModel, counts: Mapping[str, int], lang: str,
 def dumps_model(model: SubwordModel) -> str:
     """The model's canonical JSON text (`records.dumps`)."""
     return dumps(model.to_json_dict())
-
-
-def save_model(model: SubwordModel, path: str | Path) -> None:
-    Path(path).write_text(dumps_model(model), encoding="utf-8")
 
 
 def loads_model(text: str) -> SubwordModel:

@@ -18,15 +18,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
-
-ENV_TABLE_ROOT = "SCRIPTSHIFT_TABLES"
 
 LATIN_LOWER = "abcdefghijklmnopqrstuvwxyz"
 LATIN_UPPER = LATIN_LOWER.upper()
@@ -412,16 +409,13 @@ def packaged_table_root():
 
 class TableRegistry:
     """Looks up rule tables under one or more roots laid out as
-    <root>/<mode>/<lang>.tsv. Loaded tables are cached per (mode, lang)."""
+    <root>/<mode>/<lang>.tsv, by default only the packaged tables. Loaded
+    tables are cached per (mode, lang)."""
 
     def __init__(self, roots: Sequence | None = None,
                  passthrough: Passthrough = Passthrough.KEEP):
         if roots is None:
-            roots = []
-            env_root = os.environ.get(ENV_TABLE_ROOT)
-            if env_root:
-                roots.append(Path(env_root))
-            roots.append(packaged_table_root())
+            roots = [packaged_table_root()]
         self.roots = list(roots)
         self.passthrough = passthrough
         self._cache: dict[tuple[RuleMode, str], RuleTable] = {}

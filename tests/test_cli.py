@@ -265,6 +265,25 @@ class TestTokenizerCommands:
         assert code == EXIT_DATA
         assert "missing from vocab" in err
 
+    def test_encode_model_out_of_training_order(self, monkeypatch, capsys,
+                                                tmp_path):
+        # ("ab", "c") uses "ab" before the merge that makes it; the id
+        # table follows from the merges as listed
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "alphabet": ["a", "b", "c"], "merges": [["ab", "c"], ["a", "b"]],
+            "vocab": {"<unk>": 0, "\u2581": 1, "a": 2, "b": 3, "c": 4,
+                      "abc": 5, "ab": 6},
+            "vocab_size_target": 7}), encoding="utf-8")
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["encode", "--model", str(bad)],
+                                 stdin="abc\n")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+        assert "merge ('ab', 'c') is out of training order" in err
+        assert err.count("\n") == 1
+
     def test_token_set_output(self, monkeypatch, capsys, trained_model):
         code, out, _ = run_cli(
             monkeypatch, capsys,
@@ -1115,6 +1134,28 @@ class TestCompareCommand:
             ["compare", "--reports", str(report_files[0])])
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == "error: --reports needs at least two files\n"
+
+    def test_other_overlap_variant_exits_3(self, monkeypatch, capsys,
+                                           run_inputs, report_files,
+                                           tmp_path):
+        config, corpus_dir = run_inputs
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload.update(input_type="Rom", overlap_variant="all")
+        cfg_path = tmp_path / "config-Rom-all.json"
+        cfg_path.write_text(json.dumps(payload), encoding="utf-8")
+        report_path = tmp_path / "report-Rom-all.json"
+        code, _, err = run_cli(
+            monkeypatch, capsys,
+            ["run", "--config", str(cfg_path), "--corpus-dir",
+             str(corpus_dir), "--output", str(report_path)])
+        assert code == EXIT_OK, err
+        code, out, err = run_cli(
+            monkeypatch, capsys,
+            ["compare", "--reports", str(report_files[0]),
+             str(report_path)])
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == ("error: reports measure overlap under different "
+                       "variants: 'all', 'max'\n")
 
 
 class TestMalformedCsv:

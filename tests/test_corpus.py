@@ -41,8 +41,7 @@ class TestCountWords:
         (" leading and trailing ", 3),
     ])
     def test_whitespace_segmentation(self, text, expected):
-        assert cp.count_words(text) == expected
-        assert cp.count_words(cp.Document("d", "eng", text)) == expected
+        assert cp.word_counts([text]).total() == expected
 
 
 class TestWordCounts:
@@ -73,7 +72,7 @@ class TestWordCounts:
         counts = cp.word_counts(lines)
         assert counts == expected
         assert list(counts) == list(expected)
-        assert counts.total() == sum(cp.count_words(line) for line in lines)
+        assert counts.total() == sum(len(line.split()) for line in lines)
 
 
 class TestSampling:
@@ -147,7 +146,8 @@ class TestSampling:
         docs = [cp.Document(f"d{i:03d}", "eng", " ".join(words))
                 for i, words in enumerate(lists)]
         manifest, selected = cp.sample_to_budget(docs, budget, seed)
-        assert manifest.word_count == sum(cp.count_words(d) for d in selected)
+        assert manifest.word_count == sum(len(d.text.split())
+                                          for d in selected)
         assert manifest.doc_count == len(selected)
         selected_ids = [d.doc_id for d in selected]
         assert len(set(selected_ids)) == len(selected_ids)

@@ -1205,6 +1205,16 @@ class TestCompareInputTypes:
         with pytest.raises(ValueError, match="language"):
             compare_input_types([reports[0], other_langs])
 
+    def test_other_overlap_variant_rejected(self, corpora, reports):
+        # "all" divides by the union of every source, "max" by the best
+        # single source: their ratios are different metrics
+        other_variant = run_experiment(
+            make_config(InputType.ROM,
+                        overlap_variant=OverlapVariant.ALL_SOURCES), corpora)
+        with pytest.raises(ValueError,
+                           match="different variants: 'all', 'max'"):
+            compare_input_types([reports[0], other_variant])
+
 
 class TestStageError:
     def test_carries_context(self):

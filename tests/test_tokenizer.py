@@ -5,9 +5,11 @@ every step and replay merges naively, giving an independent check of the
 incremental trainer and the cached encoder.
 """
 
+import dataclasses
 import gc
 import operator
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -117,7 +119,8 @@ def random_corpus(rng, alphabet="abcd", lines=6, words_per_line=5):
 
 def hand_model(alphabet, merges):
     """A model with the given merges in the given order; the id table holds
-    the alphabet and then each merge product the first time it appears."""
+    the alphabet and then each merge product the first time it appears.
+    A merge list out of training order is refused."""
     vocab = {tok.UNK_TOKEN: 0, MARKER: 1}
     for char in sorted(alphabet):
         vocab[char] = len(vocab)
@@ -153,18 +156,17 @@ def repetitive_corpus(rng, alphabet, rare_rate=0.0, lines=6,
 
 @st.composite
 def merge_lists(draw):
-    """Merge lists over "ab" in any order, a pair sometimes listed twice:
-    each operand is a character or the product of another merge in the
-    list, so a pair's lowest rank is often at or below the last rank the
-    encoder applied."""
-    tokens = ["a", "b"]
+    """Merge lists over "ab" in training order: each operand is the marker,
+    a character or an earlier product, and each product is new."""
+    symbols = [MARKER, "a", "b"]
     merges = []
     for _ in range(draw(st.integers(1, 8))):
-        left = draw(st.sampled_from([MARKER, *tokens]))
-        pair = (left, draw(st.sampled_from(tokens)))
-        merges.append(pair)
-        tokens.append(pair[0] + pair[1])
-    return draw(st.permutations(merges))
+        pair = (draw(st.sampled_from(symbols)),
+                draw(st.sampled_from(symbols[1:])))
+        if pair[0] + pair[1] not in symbols:
+            merges.append(pair)
+            symbols.append(pair[0] + pair[1])
+    return merges
 
 
 # --- training -----------------------------------------------------------------
@@ -352,22 +354,12 @@ class TestEncoding:
             assert tok.encode(model, sample) == ref_encode(model, sample), \
                 f"seed {seed}"
 
-    def test_out_of_order_merges_follow_replay(self):
-        # Replay: ("ab", "c") finds no "ab" yet, then ("a", "b") merges.
-        # Lowest-rank-first merging would go on to merge ("ab", "c").
-        model = hand_model("abc", [("ab", "c"), ("a", "b")])
-        assert tok.Encoder(model).tokens("abc") == [MARKER, "ab", "c"]
-        assert tok.Encoder(model).encode("abc") == \
-            ref_encode_word(model, "abc")
-
     @pytest.mark.parametrize("merges,words", [
-        # out of causal order
-        ([("ab", "c"), ("a", "b")], ["abc", "abcabc", "cab"]),
-        # ("abc", "d") listed twice; only the second entry comes after the
-        # merge that makes "abc" out of ("a", "bc")
-        ([("x", "a"), ("b", "c"), ("abc", "d"), ("a", "bc"), ("abc", "d")],
+        # TestTrainingOrder's refused lists, put in training order
+        ([("a", "b"), ("ab", "c")], ["abc", "abcabc", "cab"]),
+        ([("x", "a"), ("b", "c"), ("a", "bc"), ("abc", "d")],
          ["abcd", "xabcd", "abcdabcd", "bcd"]),
-        ([("a", "b"), ("a", "b")], ["ab", "abab", "aab"]),
+        ([("a", "b")], ["ab", "abab", "aab"]),
         # long runs
         ([("a", "a"), ("aa", "aa"), (MARKER, "aaaa"), ("aa", "a")],
          ["a", "aa", "aaa", "aaaaaaa", "aaaaaaaaaaa"]),
@@ -396,10 +388,6 @@ class TestEncoding:
     # unknown runs right beside merge sites
     @example([("a", "a"), (MARKER, "aa"), ("aa", "b")],
              ["안aa안", "aa안aab", "b안안aa"])
-    # mid-word fallback: merging ("a", "b") writes the rank of ("ab", "b"),
-    # 0, beside it; that pair merges only at its second listing
-    @example([("ab", "b"), ("a", "b"), ("b", "a"), ("ab", "b")],
-             ["babbab", "babba", "abbab"])
     @settings(max_examples=150, deadline=None)
     def test_drawn_hand_built_models_match_replay(self, merges, words):
         model = hand_model("ab", merges)
@@ -430,6 +418,57 @@ class TestEncoding:
         cached = tok.encoder_for(abc_model).encode("abc abc 안")
         again = tok.encoder_for(abc_model).encode("abc abc 안")
         assert fresh == cached == again
+
+
+class TestTrainingOrder:
+    """A model's merges are in training order and its id table follows
+    from them; a hand-made model that breaks either is refused."""
+
+    @pytest.mark.parametrize("merges,named", [
+        # an operand that only a later merge makes
+        ([("ab", "c"), ("a", "b")], ("ab", "c")),
+        ([("x", "a"), ("b", "c"), ("abc", "d"), ("a", "bc"), ("abc", "d")],
+         ("abc", "d")),
+        ([("ab", "b"), ("a", "b"), ("b", "a"), ("ab", "b")], ("ab", "b")),
+        # a pair listed twice
+        ([("a", "b"), ("a", "b")], ("a", "b")),
+        # one product made by two pairs
+        ([("a", "b"), ("b", "c"), ("ab", "c"), ("a", "bc")], ("a", "bc")),
+    ])
+    def test_out_of_order_merges_rejected(self, merges, named):
+        with pytest.raises(tok.ModelFormatError,
+                           match=re.escape(f"merge {named!r} is out of "
+                                           f"training order")):
+            hand_model("abcdx", merges)
+
+    @pytest.mark.parametrize("change,message", [
+        # product ids swapped
+        ({"ab": 5, "ba": 4},
+         "merge ('a', 'b') product 'ab' must have id 4, got 5"),
+        # alphabet ids swapped
+        ({"a": 3, "b": 2}, "'a' must have id 2, got 3"),
+        # a token that no merge makes
+        ({"bb": 6}, "vocab holds tokens that no merge makes: ['bb']"),
+    ])
+    def test_id_table_must_follow_from_the_merges(self, change, message):
+        model = hand_model("ab", [("a", "b"), ("b", "a")])
+        with pytest.raises(tok.ModelFormatError, match=re.escape(message)):
+            dataclasses.replace(model, vocab={**model.vocab, **change})
+
+    @pytest.mark.parametrize("alphabet,marker", [
+        ({"a", "bc"}, MARKER),  # not a character
+        ({"a", MARKER}, MARKER),
+        ({"a"}, tok.UNK_TOKEN),
+    ])
+    def test_alphabet_and_marker_must_be_distinct_characters(self, alphabet,
+                                                             marker):
+        vocab = {tok.UNK_TOKEN: 0, marker: 1}
+        for char in sorted(alphabet):
+            vocab.setdefault(char, len(vocab))
+        with pytest.raises(tok.ModelFormatError):
+            tok.SubwordModel(alphabet=frozenset(alphabet), merges=(),
+                             vocab=vocab, vocab_size_target=5,
+                             boundary_marker=marker)
 
 
 class TestDecoding:
@@ -655,6 +694,26 @@ class TestMergeProducts:
         assert len(set(products)) == len(products)
         assert not set(products) & (model.alphabet | {MARKER})
 
+    @given(st.one_of(weighted_tables(), training_tables()),
+           st.integers(1, 3), st.integers(0, 60))
+    # training stopped by the vocab size
+    @example({"abcabc": 30, "bcab": 20, "cab": 20}, 1, 0)
+    # no pair occurs twice: training stops before a merge
+    @example({"ab": 1, "cd": 1, "e": 1}, 1, 10)
+    # unknown runs, and words made only of pruned characters
+    @example({"abab": 3, "a안b": 1, "안": 1, "xy": 1, "y안ab": 1}, 2, 60)
+    @example({"aba": 2, "x": 2, "xab": 2, "안y": 1}, 3, 30)
+    @settings(deadline=None)
+    def test_trained_models_pass_the_model_check(self, table, min_char_freq,
+                                                 extra):
+        # building the model ran the check; reading it back runs it again
+        model = train_with_room(table, min_char_freq, extra)
+        text = tok.dumps_model(model)
+        loaded = tok.loads_model(text)
+        assert (loaded.alphabet, loaded.merges, loaded.vocab) == \
+            (model.alphabet, model.merges, model.vocab)
+        assert tok.dumps_model(loaded) == text
+
 
 class TestPrimedEncoder:
     @given(training_tables(), st.integers(1, 3), st.integers(0, 30))
@@ -788,7 +847,7 @@ class TestTrainingMemory:
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path, abc_model):
         path = tmp_path / "model.json"
-        tok.save_model(abc_model, path)
+        path.write_text(tok.dumps_model(abc_model), encoding="utf-8")
         loaded = tok.load_model(path)
         assert tok.dumps_model(loaded) == tok.dumps_model(abc_model)
         assert loaded.merges == abc_model.merges
@@ -800,7 +859,7 @@ class TestSerialization:
 
     def test_loaded_model_encodes_identically(self, tmp_path, abc_model):
         path = tmp_path / "model.json"
-        tok.save_model(abc_model, path)
+        path.write_text(tok.dumps_model(abc_model), encoding="utf-8")
         loaded = tok.load_model(path)
         for text in ("abc", "ab ab", "안녕 abc"):
             assert tok.encode(loaded, text) == tok.encode(abc_model, text)

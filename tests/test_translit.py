@@ -421,13 +421,18 @@ class TestRegistry:
         # languages absent from the explicit root fall back to packaged
         assert registry.romanize("kor", "캐나다") == "kaenada"
 
-    def test_env_var_root(self, tmp_path, monkeypatch):
+    def test_default_registry_reads_only_packaged_tables(self, tmp_path,
+                                                         monkeypatch):
+        # no environment variable adds a root: a run's tables follow from
+        # its config alone
         (tmp_path / "g2p").mkdir()
         (tmp_path / "g2p" / "tst.tsv").write_text("a\tx\t\t\t1\n",
                                                   encoding="utf-8")
-        monkeypatch.setenv(tr.ENV_TABLE_ROOT, str(tmp_path))
+        monkeypatch.setenv("SCRIPTSHIFT_TABLES", str(tmp_path))
         registry = tr.default_registry()
-        assert registry.g2p("tst", "aaa") == "xxx"
+        assert registry.roots == [tr.packaged_table_root()]
+        with pytest.raises(tr.UnsupportedLanguageError):
+            registry.g2p("tst", "aaa")
 
     def test_table_caching_returns_same_object(self, registry):
         first = registry.table(tr.RuleMode.ROMANIZE, "kor")
