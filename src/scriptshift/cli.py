@@ -102,14 +102,6 @@ def _emit_report(args: argparse.Namespace, payload, rows) -> None:
                              args.format))
 
 
-def _registry(args: argparse.Namespace) -> translit.TableRegistry:
-    tables = getattr(args, "tables", None)
-    if tables:
-        return translit.TableRegistry([Path(tables),
-                                       translit.packaged_table_root()])
-    return translit.default_registry()
-
-
 # --- translit ----------------------------------------------------------------
 
 
@@ -139,8 +131,8 @@ def _build_transform(args: argparse.Namespace):
     else:
         if not args.lang:
             raise UsageError(f"{args.mode} mode needs --lang or --table")
-        registry = translit.TableRegistry(_registry(args).roots, passthrough)
-        table = registry.table(mode, args.lang)
+        table = translit.TableRegistry(passthrough=passthrough).table(
+            mode, args.lang)
     if mode is translit.RuleMode.ROMANIZE:
         return lambda text: translit.apply_rules(
             table, translit.decompose_syllables(text))
@@ -391,18 +383,8 @@ def _load_corpora(corpus_dir: str, langs) -> dict[str, corpus_mod.Corpus]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = pipeline.load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.vocab_size is not None:
-        overrides["vocab_size"] = args.vocab_size
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if overrides:
-        config = replace(config, **overrides)
     corpora = _load_corpora(args.corpus_dir, config.langs)
-    registry = _registry(args) if args.tables else None
-    report = pipeline.run_experiment(config, corpora, registry=registry,
+    report = pipeline.run_experiment(config, corpora,
                                      artifacts_dir=args.artifacts_dir)
     _emit_report(args, report.to_json_dict(),
                  [_METRIC_COLUMNS, *report.to_csv_rows()])
@@ -431,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["g2p", "rom", "cipher"])
     p.add_argument("--lang")
     p.add_argument("--table", help="explicit rule table file")
-    p.add_argument("--tables", help="rule table registry root")
     p.add_argument("--shift", type=int, help="cipher shift 0..25")
     p.add_argument("--keys", help="JSON file of per-language cipher shifts")
     p.add_argument("--decipher", action="store_true",
@@ -507,10 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--artifacts-dir")
-    p.add_argument("--tables")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--budget", type=int)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_run)

@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import pkgutil
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -42,11 +43,11 @@ from .corpus import (Corpus, CorpusManifest, Document, EmptyCorpusError,
 from .input_types import InputType
 from .metrics import (OverlapReport, OverlapVariant, TokenizerQualityReport,
                       overlap_report, quality_report, token_length_histogram)
-from .records import Record, dumps, load, open_text
+from .records import Record, dumps, load
 from .tokenizer import (SubwordModel, dumps_model, loads_model, token_set,
                         train_from_word_counts)
 from .translit import (CipherKey, RuleMode, TableRegistry,
-                       assign_shift_keys, caesar_encipher, default_registry)
+                       assign_shift_keys, caesar_encipher)
 
 DEFAULT_SEED = 101
 DEFAULT_VOCAB_SIZE = 30_000
@@ -68,10 +69,21 @@ class PipelineStageError(RuntimeError):
         self.cause = cause
 
 
+# A language code names files (`<lang>.txt`, `tokensets/<lang>-...`), so it
+# is a letter or digit followed by letters, digits, `_` or `-`.
+_LANG_CODE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
+
+
 @dataclass(frozen=True)
 class LanguageSpec:
     lang: str
     seen: bool
+
+    def __post_init__(self) -> None:
+        if not _LANG_CODE.fullmatch(self.lang):
+            raise ConfigError(f"language code {self.lang!r} is not a letter "
+                              f"or digit followed by letters, digits, "
+                              f"'_' or '-'")
 
 
 @dataclass(frozen=True)
@@ -130,27 +142,9 @@ class ExperimentConfig(Record):
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load a config from JSON, or TOML when a TOML parser is available.
-    Text that is not UTF-8 or does not parse or fit raises ConfigError
-    naming the file."""
-    path = Path(path)
-    if path.suffix != ".toml":
-        return load(ExperimentConfig, path)
-    try:
-        import tomllib as toml_parser  # Python >= 3.11
-    except ModuleNotFoundError:
-        try:
-            import tomli as toml_parser
-        except ModuleNotFoundError:
-            raise ConfigError(
-                "TOML configs need Python >= 3.11 or the tomli package; "
-                "use JSON instead") from None
-    try:
-        with open_text(path, error=ConfigError) as handle:
-            payload = toml_parser.loads(handle.read())
-    except toml_parser.TOMLDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return ExperimentConfig.from_json_dict(payload)
+    """Load a config from a JSON file. Text that is not UTF-8 or does not
+    parse or fit raises ConfigError naming the file."""
+    return load(ExperimentConfig, path)
 
 
 @dataclass(frozen=True)
@@ -357,17 +351,14 @@ def _converted(units: Mapping[str, int], convert: Callable[[str], str],
     order of first occurrence.
 
     Words (by_word) are converted in one call: joined by newlines, which
-    a by-word conversion keeps as they are, and split on them after. Only
-    a rule target can add a newline, so when the parts do not number the
-    words, each word is converted in a call of its own, as each line
-    always is."""
-    converted = None
+    a by-word conversion keeps as they are and no rule part can hold, and
+    split on them after. Each line is converted in a call of its own."""
     if by_word and units:
-        parts = convert("\n".join(units)).split("\n")
-        if len(parts) == len(units):
-            converted = parts
+        texts = convert("\n".join(units)).split("\n")
+    else:
+        texts = map(convert, units)
     table: Counter = Counter()
-    for text, count in zip(converted or map(convert, units), units.values()):
+    for text, count in zip(texts, units.values(), strict=True):
         for word in text.split():
             table[word] += count
     return table
@@ -415,6 +406,10 @@ def run_experiment(config: ExperimentConfig,
     """Run the full pipeline for one input type over one language set.
 
     The run is a deterministic function of config, corpora and rule tables.
+    The config names the tables: those under its table_root, or the
+    packaged ones when it has none, which is the registry built when
+    registry is None. A registry is passed so that runs can share loaded
+    tables, and it must read the tables the config names.
     Each stage's output is keyed by that stage's own inputs alone:
 
     - the report, by the digest of config, corpora and rule tables,
@@ -445,10 +440,8 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigError(f"no corpus provided for languages: {missing}")
 
     if registry is None:
-        if config.table_root is not None:
-            registry = TableRegistry([Path(config.table_root)])
-        else:
-            registry = default_registry()
+        root = config.table_root
+        registry = TableRegistry(None if root is None else Path(root))
 
     store = _StageStore(None if artifacts_dir is None else Path(artifacts_dir))
     corpora = {lang: Corpus.of(corpora[lang]) for lang in config.langs}

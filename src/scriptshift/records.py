@@ -5,10 +5,11 @@ name, an enum its value, a Fraction a float, mapping keys strings, a set a
 sorted list, and a tuple or list a list. `from_json` is the inverse, read
 from the record's type hints: every value must have its field's JSON type,
 mapping keys are parsed to the key type (an int key only as `str` writes
-it), and only a field with a default may be absent. A failed read raises
-the record's `json_error`, naming the record and the field; `decode` reads
-a value of a field type by the same rule. The reader of each field type
-is built once, from its hint, and kept. `dumps` is the one canonical JSON
+it), only a field with a default may be absent, and a key that names no
+field is refused. A failed read raises the record's `json_error`, naming
+the record and the field (or the unknown keys); `decode` reads a value of
+a field type by the same rule. The reader of each field type is built
+once, from its hint, and kept. `dumps` is the one canonical JSON
 text. `open_text` opens every UTF-8 input file the package reads, so bytes
 that are not UTF-8 raise an error naming the file.
 """
@@ -152,8 +153,13 @@ def _record(cls, value):
     name = None
     try:
         payload = _check(value, (dict,))
+        fields = dataclasses.fields(cls)
+        unknown = payload.keys() - {field.name for field in fields}
+        if unknown:
+            raise ValueError("unknown fields "
+                             + ", ".join(sorted(map(repr, unknown))))
         kwargs = {}
-        for field in dataclasses.fields(cls):
+        for field in fields:
             name = field.name
             if name in payload:
                 kwargs[name] = _decoder(_hints(cls)[name])(payload[name])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 LATIN_LOWER = "abcdefghijklmnopqrstuvwxyz"
 LATIN_UPPER = LATIN_LOWER.upper()
@@ -35,6 +35,10 @@ _MEMO_LIMIT = 1 << 16
 # The same whitespace test as str.isspace() and str.split(); the capturing
 # group keeps the whitespace runs as pieces of their own.
 _WHITESPACE_RUN = re.compile(r"(\s+)")
+
+# A tab or a character str.splitlines breaks a line at: no field of a rule
+# table row can hold one.
+_NOT_IN_A_FIELD = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 class RuleMode(str, Enum):
@@ -70,7 +74,9 @@ class RuleTableError(ValueError):
 @dataclass(frozen=True)
 class RewriteRule:
     """One rewrite: source string to target string, optionally guarded by
-    literal left/right contexts matched against the original input."""
+    literal left/right contexts matched against the original input. No
+    part holds a tab or a line break, as no field of a rule table row
+    can."""
 
     source: str
     target: str
@@ -81,6 +87,11 @@ class RewriteRule:
     def __post_init__(self) -> None:
         if not self.source:
             raise RuleTableError("rule source must be non-empty")
+        for name in ("source", "target", "left_context", "right_context"):
+            part = getattr(self, name)
+            if not _NOT_IN_A_FIELD.isdisjoint(part):
+                raise RuleTableError(
+                    f"rule {name} holds a tab or a line break: {part!r}")
 
     def matches(self, text: str, pos: int) -> bool:
         if not text.startswith(self.source, pos):
@@ -408,38 +419,31 @@ def packaged_table_root():
 
 
 class TableRegistry:
-    """Looks up rule tables under one or more roots laid out as
-    <root>/<mode>/<lang>.tsv, by default only the packaged tables. Loaded
+    """Looks up rule tables under one root laid out as
+    <root>/<mode>/<lang>.tsv, by default the packaged tables. A root
+    replaces the packaged tables: a table it lacks is not found. Loaded
     tables are cached per (mode, lang)."""
 
-    def __init__(self, roots: Sequence | None = None,
-                 passthrough: Passthrough = Passthrough.KEEP):
-        if roots is None:
-            roots = [packaged_table_root()]
-        self.roots = list(roots)
+    def __init__(self, root=None, passthrough: Passthrough = Passthrough.KEEP):
+        self.root = packaged_table_root() if root is None else root
         self.passthrough = passthrough
         self._cache: dict[tuple[RuleMode, str], RuleTable] = {}
 
-    def has_table(self, mode: RuleMode, lang: str) -> bool:
-        return self._locate(mode, lang) is not None
+    def _path(self, mode: RuleMode, lang: str):
+        return self.root / mode.value / f"{lang}.tsv"
 
-    def _locate(self, mode: RuleMode, lang: str):
-        for root in self.roots:
-            candidate = root / mode.value / f"{lang}.tsv"
-            if candidate.is_file():
-                return candidate
-        return None
+    def has_table(self, mode: RuleMode, lang: str) -> bool:
+        return self._path(mode, lang).is_file()
 
     def table(self, mode: RuleMode, lang: str) -> RuleTable:
         key = (mode, lang)
         if key not in self._cache:
-            located = self._locate(mode, lang)
-            if located is None:
+            if not self.has_table(mode, lang):
                 raise UnsupportedLanguageError(
                     f"no {mode.value} table for language {lang!r} under "
-                    f"{[str(r) for r in self.roots]}")
-            self._cache[key] = load_rule_table(located, lang, mode,
-                                               self.passthrough)
+                    f"{self.root}")
+            self._cache[key] = load_rule_table(self._path(mode, lang), lang,
+                                               mode, self.passthrough)
         return self._cache[key]
 
     def g2p(self, lang: str, text: str) -> str:

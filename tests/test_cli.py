@@ -15,7 +15,6 @@ import pytest
 import scriptshift
 from scriptshift.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_WRITE,
                              main)
-from scriptshift.translit import packaged_table_root
 
 from support import hangul_lines, latin_lines, stored
 
@@ -968,16 +967,6 @@ class TestRunCommand:
             "kor,Ortho,vocab_coverage,,0.0\n"
             "kor,Ortho,overlap_ratio,,0.0\n")
 
-    def test_seed_override_changes_digest(self, monkeypatch, capsys,
-                                          run_inputs):
-        config, corpus_dir = run_inputs
-        base = ["run", "--config", str(config), "--corpus-dir",
-                str(corpus_dir)]
-        _, first, _ = run_cli(monkeypatch, capsys, base)
-        _, second, _ = run_cli(monkeypatch, capsys, base + ["--seed", "8"])
-        assert json.loads(first)["config_digest"] != \
-            json.loads(second)["config_digest"]
-
     def test_artifacts_dir_populated(self, monkeypatch, capsys, run_inputs,
                                      tmp_path):
         config, corpus_dir = run_inputs
@@ -1030,42 +1019,64 @@ class TestRunCommand:
             ["run", "--config", str(bad), "--corpus-dir", str(corpus_dir)])
         assert code == EXIT_CONFIG
 
-    def test_tables_flag_overrides_config_table_root(self, monkeypatch,
-                                                     capsys, run_inputs,
-                                                     tmp_path):
-        # the config's root holds no kor table, so alone it fails; --tables
-        # replaces it with the given root over the packaged tables
+    def test_misspelled_key_exits_2(self, monkeypatch, capsys, run_inputs,
+                                    tmp_path):
+        # the key used to be read as absent, so the run took the default
         config, corpus_dir = run_inputs
         payload = json.loads(config.read_text(encoding="utf-8"))
-        payload["input_type"] = "Rom"
-        packaged_config = tmp_path / "packaged.json"
-        packaged_config.write_text(json.dumps(payload), encoding="utf-8")
-        eng_only = tmp_path / "eng-only"
-        (eng_only / "rom").mkdir(parents=True)
-        shutil.copy(packaged_table_root() / "rom" / "eng.tsv",
-                    eng_only / "rom" / "eng.tsv")
-        payload["table_root"] = str(eng_only)
-        rooted_config = tmp_path / "rooted.json"
-        rooted_config.write_text(json.dumps(payload), encoding="utf-8")
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        run = ["run", "--corpus-dir", str(corpus_dir)]
+        payload["vocab_sise"] = payload.pop("vocab_size")
+        misspelled = tmp_path / "config.json"
+        misspelled.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["run", "--config", str(misspelled),
+                                  "--corpus-dir", str(corpus_dir)])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: {misspelled}: malformed ExperimentConfig: "
+                       f"unknown fields 'vocab_sise'\n")
 
-        code, out, err = run_cli(monkeypatch, capsys,
-                                 run + ["--config", str(rooted_config)])
-        assert (code, out) == (EXIT_DATA, "")
-        assert err.startswith("error: stage 'transliterate', language "
-                              "'kor': no rom table for language 'kor'")
-        code, overridden, err = run_cli(
+    @pytest.mark.parametrize("lang", ["../esc", "../../../esc", "sub/x"])
+    def test_language_code_that_is_a_path_exits_2(self, monkeypatch, capsys,
+                                                  run_inputs, tmp_path, lang):
+        # such a code used to name a token set outside tokensets/, or
+        # outside the artifacts dir
+        config, corpus_dir = run_inputs
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        payload["languages"][1]["lang"] = lang
+        escaping = tmp_path / "config.json"
+        escaping.write_text(json.dumps(payload), encoding="utf-8")
+        corpora = tmp_path / "in" / "d" / "e" / "corpora"
+        (corpora / f"{lang}.txt").parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(corpus_dir / "eng.txt", corpora / "eng.txt")
+        shutil.copy(corpus_dir / "kor.txt", corpora / f"{lang}.txt")
+        code, out, err = run_cli(
             monkeypatch, capsys,
-            run + ["--config", str(rooted_config), "--tables", str(empty)])
-        assert (code, err) == (EXIT_OK, "")
-        _, packaged, _ = run_cli(monkeypatch, capsys,
-                                 run + ["--config", str(packaged_config)])
-        overridden, packaged = json.loads(overridden), json.loads(packaged)
-        assert overridden.pop("config_digest") != \
-            packaged.pop("config_digest")
-        assert overridden == packaged
+            ["run", "--config", str(escaping), "--corpus-dir", str(corpora),
+             "--artifacts-dir", str(tmp_path / "art" / "a" / "b")])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {escaping}: malformed ")
+        assert f"language code {lang!r}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "art").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--tables", "tables"], ["--seed", "8"], ["--vocab-size", "40"],
+        ["--budget", "50"]], ids=lambda argv: argv[0])
+    def test_config_is_the_only_way_to_set_a_run(self, monkeypatch, capsys,
+                                                 run_inputs, argv):
+        config, corpus_dir = run_inputs
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["run", "--config", str(config),
+                                  "--corpus-dir", str(corpus_dir), *argv])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
+
+
+def test_translit_has_no_tables_flag(monkeypatch, capsys, tmp_path):
+    code, out, err = run_cli(
+        monkeypatch, capsys, ["translit", "--mode", "rom", "--lang", "eng",
+                              "--tables", str(tmp_path)], stdin="ab\n")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "unrecognized arguments: --tables" in err
 
 
 @pytest.fixture()
@@ -1427,7 +1438,7 @@ def _non_utf8_command(reader, request, bad):
         (bad.parent / "bbb.txt").write_text("x y\n", encoding="utf-8")
         return argv + ["--features", str(features),
                        "--corpus-dir", str(bad.parent)], EXIT_DATA
-    if reader in ("documents", "record", "toml-config"):
+    if reader in ("documents", "record"):
         config, corpus_dir = fixture("run_inputs")
         if reader == "documents":
             return ["run", "--config", str(config),
@@ -1449,20 +1460,14 @@ def _non_utf8_command(reader, request, bad):
 
 
 @pytest.mark.parametrize("reader", [
-    "tidy-csv", "select-corpus-dir", "documents", "record", "toml-config",
-    "train-input", "quality-input", "input", "keys"])
+    "tidy-csv", "select-corpus-dir", "documents", "record", "train-input", "quality-input", "input", "keys"])
 def test_non_utf8_input_names_the_file(monkeypatch, capsys, request,
                                        tmp_path, reader):
     """A byte that is not UTF-8 in an input file exits with that file's
     usual code and an error line naming the file; it used to give only
     the codec's message."""
-    if reader == "toml-config":
-        try:
-            import tomllib  # noqa: F401
-        except ModuleNotFoundError:
-            pytest.importorskip("tomli")
-    name = {"select-corpus-dir": "aaa.txt", "documents": "eng.txt",
-            "toml-config": "config.toml"}.get(reader, "input.txt")
+    name = {"select-corpus-dir": "aaa.txt",
+            "documents": "eng.txt"}.get(reader, "input.txt")
     bad = tmp_path / "inputs" / name
     bad.parent.mkdir()
     bad.write_bytes(b"ab\n\xff\n")
@@ -1474,8 +1479,7 @@ def test_non_utf8_input_names_the_file(monkeypatch, capsys, request,
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["translit-table", "translit-tables",
-                                     "run-tables"])
+@pytest.mark.parametrize("command", ["translit-table", "run-table-root"])
 def test_non_utf8_rule_table_names_the_file(monkeypatch, capsys, request,
                                             tmp_path, command):
     """A rule table holding a byte that is not UTF-8 exits 3 with one error
@@ -1484,18 +1488,17 @@ def test_non_utf8_rule_table_names_the_file(monkeypatch, capsys, request,
     bad = tables / "rom" / "eng.tsv"
     bad.parent.mkdir(parents=True)
     bad.write_bytes(b"a\tb\t\t\t1\n\xff\n")
-    if command == "run-tables":
+    if command == "run-table-root":
         config, corpus_dir = request.getfixturevalue("run_inputs")
         payload = json.loads(config.read_text(encoding="utf-8"))
-        payload["input_type"] = "Rom"
+        payload.update(input_type="Rom", table_root=str(tables))
         rom_config = tmp_path / "config.json"
         rom_config.write_text(json.dumps(payload), encoding="utf-8")
         argv = ["run", "--config", str(rom_config),
-                "--corpus-dir", str(corpus_dir), "--tables", str(tables)]
+                "--corpus-dir", str(corpus_dir)]
     else:
-        argv = ["translit", "--mode", "rom", "--lang", "eng"] + (
-            ["--table", str(bad)] if command == "translit-table"
-            else ["--tables", str(tables)])
+        argv = ["translit", "--mode", "rom", "--lang", "eng",
+                "--table", str(bad)]
     code, out, err = run_cli(monkeypatch, capsys, argv, stdin="ab\n")
     assert code == EXIT_DATA
     assert out == ""

@@ -135,28 +135,36 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_load_toml_config(self, tmp_path):
-        try:
-            import tomllib  # noqa: F401
-        except ModuleNotFoundError:
-            pytest.importorskip("tomli")
-        path = tmp_path / "config.toml"
-        path.write_text(
-            'input_type = "Rom"\n'
-            "vocab_size = 60\n"
-            "budget = 120\n"
-            "seed = 7\n"
-            "[[languages]]\n"
-            'lang = "eng"\n'
-            "seen = true\n"
-            "[[languages]]\n"
-            'lang = "spa"\n'
-            "seen = true\n"
-            "[[languages]]\n"
-            'lang = "kor"\n'
-            "seen = false\n",
-            encoding="utf-8")
-        assert load_config(path) == make_config(InputType.ROM)
+    @pytest.mark.parametrize("edit, where", [
+        (lambda payload: payload.update(vocab_sise=500),
+         "ExperimentConfig: unknown fields 'vocab_sise'"),
+        (lambda payload: payload["languages"][0].update(sen=False),
+         "ExperimentConfig.languages: LanguageSpec: unknown fields 'sen'"),
+    ], ids=["config", "language"])
+    def test_unknown_key_rejected(self, edit, where):
+        # a misspelled key used to be read as absent, so its default ran
+        payload = make_config(InputType.ROM).to_json_dict()
+        edit(payload)
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentConfig.from_json_dict(payload)
+        assert str(excinfo.value) == f"malformed {where}"
+
+    @pytest.mark.parametrize("lang", ["../esc", "sub/x", "", ".", "-eng",
+                                      "_eng", "en g", "eng\n", "e\\x",
+                                      "\u00e9ng"])
+    def test_language_code_that_is_no_plain_name_rejected(self, lang):
+        # a code names files, so one like "../esc" used to write outside
+        # the artifacts dir
+        with pytest.raises(ConfigError, match="language code"):
+            LanguageSpec(lang, False)
+        payload = make_config(InputType.ORTHO).to_json_dict()
+        payload["languages"][2]["lang"] = lang
+        with pytest.raises(ConfigError, match="language code"):
+            ExperimentConfig.from_json_dict(payload)
+
+    @pytest.mark.parametrize("lang", ["eng", "x", "7", "zh-Hant", "eng_1"])
+    def test_language_code_accepted(self, lang):
+        assert LanguageSpec(lang, True).lang == lang
 
 
 class TestRunExperiment:
@@ -380,12 +388,12 @@ IDENTITY_RULES = "".join(f"{char}\t{char}\t\t\t{i}\n"
 
 
 def rom_registry(tmp_path, eng_rules, passthrough=Passthrough.KEEP):
-    """A registry whose rom table for eng holds eng_rules; the other
-    languages keep their packaged tables."""
+    """A registry over a copy of the packaged tables whose rom table for
+    eng holds eng_rules."""
     root = tmp_path / "tables"
-    (root / "rom").mkdir(parents=True)
+    shutil.copytree(packaged_table_root(), root)
     (root / "rom" / "eng.tsv").write_text(eng_rules, encoding="utf-8")
-    return TableRegistry([root, packaged_table_root()], passthrough)
+    return TableRegistry(root, passthrough)
 
 
 class TestLineUnitPath:
@@ -455,12 +463,11 @@ def converted_per_unit(units, convert):
 @st.composite
 def by_word_tables(draw):
     """Rule tables that rewrite word by word, over Latin letters and the
-    jamo of 가 and 각, whose targets may hold a newline or a space or be
-    empty."""
+    jamo of 가 and 각, whose targets may hold a space or be empty."""
     jamo = "ab\u1100\u1161\u11a8"
     specs = draw(st.lists(
         st.tuples(st.text(jamo, min_size=1, max_size=2),
-                  st.text("xy \n", max_size=3),
+                  st.text("xy ", max_size=3),
                   st.text(jamo, max_size=1), st.text(jamo, max_size=1)),
         max_size=6, unique_by=lambda spec: (spec[0], spec[2], spec[3])))
     rules = tuple(RewriteRule(source, target, left, right, priority)
@@ -483,7 +490,7 @@ class TestConvertedInOneCall:
     @given(by_word_tables(), word_tables)
     def test_romanized_table_equals_per_word(self, table, units):
         assert table.rewrites_by_word
-        registry = TableRegistry([])
+        registry = TableRegistry()
         registry._cache[RuleMode.ROMANIZE, "xx"] = table
         calls = []
 
@@ -492,13 +499,10 @@ class TestConvertedInOneCall:
             return registry.romanize("xx", text)
 
         expected = converted_per_unit(units, convert)
-        newline_made = any("\n" in out for out in map(convert, units))
         calls.clear()
         result = pl._converted(units, convert)
         assert list(result.items()) == list(expected.items())
-        # one call, and one more per word when a target made a newline
-        assert len(calls) == (1 + len(units) if newline_made
-                              else min(1, len(units)))
+        assert len(calls) == min(1, len(units))
 
     @given(st.integers(min_value=0, max_value=25), word_tables)
     def test_enciphered_table_equals_per_word(self, shift, units):
@@ -558,10 +562,10 @@ class TestArtifacts:
     def test_custom_tables_do_not_leak_into_packaged_run(self, corpora,
                                                          tmp_path):
         tables = tmp_path / "tables"
-        (tables / "rom").mkdir(parents=True)
+        shutil.copytree(packaged_table_root(), tables)
         (tables / "rom" / "eng.tsv").write_text("e\t3\t\t\t1\n",
                                                 encoding="utf-8")
-        custom_registry = TableRegistry([tables, packaged_table_root()])
+        custom_registry = TableRegistry(tables)
         config = make_config(InputType.ROM)
         artifacts = tmp_path / "artifacts"
         custom = run_experiment(config, corpora, registry=custom_registry,
@@ -902,7 +906,7 @@ class TestStoreLoads:
             return render(table)
 
         monkeypatch.setattr(translit, "format_rule_table", counted)
-        registry = TableRegistry([packaged_table_root()])
+        registry = TableRegistry()
         for itype in (InputType.ORTHO, InputType.ROM, InputType.CIPHER):
             run_experiment(make_config(itype), corpora, registry=registry)
         assert renders == Counter({"eng": 1, "spa": 1, "kor": 1})
@@ -1032,7 +1036,7 @@ class TestTableRoot:
             make_config(InputType.ROM, table_root=str(table_root)), corpora,
             artifacts_dir=artifacts)
         explicit = run_experiment(make_config(InputType.ROM), corpora,
-                                  registry=TableRegistry([table_root]))
+                                  registry=TableRegistry(table_root))
         packaged = run_experiment(make_config(InputType.ROM), corpora,
                                   artifacts_dir=artifacts)
         assert _without_config_digest(rooted) == \

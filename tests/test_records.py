@@ -155,6 +155,27 @@ def test_nested_errors_name_each_record(report_payload):
         AnalysisReport.from_json_dict(bad)
 
 
+@pytest.mark.parametrize("kind", ["report", "token-set", "nested"])
+def test_unknown_field_rejected(report_payload, kind):
+    # a misspelled key used to be read as if it were absent
+    cls, payload, error, where = {
+        "report": (AnalysisReport, report_payload, RecordError,
+                   "AnalysisReport"),
+        "token-set": (TokenSet, TOKEN_SET, RecordError, "TokenSet"),
+        "nested": (AnalysisReport, report_payload, RecordError,
+                   "AnalysisReport.quality: TokenizerQualityReport"),
+    }[kind]
+    payload = copy.deepcopy(payload)
+    if kind == "nested":
+        payload["quality"]["eng"]["fertilty"] = 1.0
+    else:
+        payload.update(zeta=1, alpha=None)
+    with pytest.raises(error) as caught:
+        cls.from_json_dict(payload)
+    unknown = "'fertilty'" if kind == "nested" else "'alpha', 'zeta'"
+    assert str(caught.value) == f"malformed {where}: unknown fields {unknown}"
+
+
 # --- Mutations -----------------------------------------------------------------
 
 JSON_VALUES = [None, True, 0, 2, 1.5, "", "x", [], [1], {}, {"k": 1}]

@@ -7,6 +7,7 @@ incremental trainer and the cached encoder.
 
 import dataclasses
 import gc
+import json
 import operator
 import random
 import re
@@ -873,6 +874,15 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(tok.ModelFormatError):
             tok.loads_model('{"alphabet": ["a"]}')
+
+    def test_unknown_field_rejected(self, abc_model):
+        # an extra key used to be read as if it were absent
+        payload = json.loads(tok.dumps_model(abc_model))
+        payload["merge"] = []
+        with pytest.raises(tok.ModelFormatError,
+                           match="^malformed SubwordModel: unknown fields "
+                                 "'merge'$"):
+            tok.loads_model(json.dumps(payload))
 
     def test_unk_must_have_id_zero(self):
         payload = {"alphabet": ["a"], "merges": [],

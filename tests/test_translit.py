@@ -1,6 +1,7 @@
 """Rewrite rules, Hangul syllable arithmetic, and the Caesar cipher."""
 
 import dataclasses
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -127,20 +128,22 @@ def ref_decompose_syllables(text):
 
 
 WHITESPACE = " \t\n\u3000"
+# the whitespace a rule part can hold: no tab or line break
+RULE_WHITESPACE = " \u3000"
 
 
 @st.composite
 def rule_tables(draw):
     """Tables over a small alphabet with multi-character sources and left
     and right contexts. Whether sources, left contexts and right contexts
-    may hold whitespace is drawn for each independently. About half the
-    tables have a plain rule for each of "abc", so that under
-    Passthrough.ERROR the first unmatched character is often far into
-    the text."""
+    may hold whitespace (a space or U+3000) is drawn for each
+    independently. About half the tables have a plain rule for each of
+    "abc", so that under Passthrough.ERROR the first unmatched character
+    is often far into the text."""
     with_space = draw(st.sets(st.sampled_from(["source", "left", "right"])))
 
     def part(name, **sizes):
-        alphabet = "abc" + (WHITESPACE if name in with_space else "")
+        alphabet = "abc" + (RULE_WHITESPACE if name in with_space else "")
         return st.text(alphabet, **sizes)
 
     specs = draw(st.lists(
@@ -251,6 +254,20 @@ class TestApplyRules:
         with pytest.raises(tr.RuleTableError):
             tr.RewriteRule("", "x", priority=1)
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x0b", "\x1e",
+                                      "\x85", "\u2028"])
+    @pytest.mark.parametrize("part", ["source", "target", "left_context",
+                                      "right_context"])
+    def test_tab_or_line_break_in_a_part_rejected(self, part, char):
+        # no field of a rule table row can hold one, so no rule may
+        parts = {"source": "a", "target": "x", "left_context": "b",
+                 "right_context": "c"}
+        parts[part] = f"a{char}b"
+        with pytest.raises(tr.RuleTableError) as excinfo:
+            tr.RewriteRule(**parts, priority=1)
+        assert str(excinfo.value) == (
+            f"rule {part} holds a tab or a line break: {parts[part]!r}")
+
     @given(rule_tables(), rule_texts, rule_texts)
     @settings(max_examples=400)
     def test_matches_whole_text_scan(self, table, first, second):
@@ -261,7 +278,8 @@ class TestApplyRules:
 
     @pytest.mark.parametrize("rule, text, expected", [
         (tr.RewriteRule("a", "X", right_context=" "), "ba a\tb", "bX a\tb"),
-        (tr.RewriteRule("b", "Y", left_context="a\t"), "b a\tb", "b a\tY"),
+        (tr.RewriteRule("b", "Y", left_context="a\u3000"), "b a\u3000b",
+         "b a\u3000Y"),
         (tr.RewriteRule("a\u3000b", "Z"), "a\u3000b ab", "Z ab"),
     ], ids=["right_context", "left_context", "source"])
     def test_whitespace_in_rule_fires_across_word_boundary(self, rule, text,
@@ -412,14 +430,21 @@ class TestRegistry:
         romanized = registry.romanize("kor", word)
         assert all("a" <= char <= "z" for char in romanized)
 
-    def test_explicit_root_shadows_packaged(self, tmp_path):
-        (tmp_path / "rom").mkdir()
-        (tmp_path / "rom" / "eng.tsv").write_text("e\t3\t\t\t1\n",
-                                                  encoding="utf-8")
-        registry = tr.TableRegistry([tmp_path, tr.packaged_table_root()])
+    def test_a_root_replaces_the_packaged_tables(self, tmp_path):
+        root = tmp_path / "tables"
+        shutil.copytree(tr.packaged_table_root(), root)
+        (root / "rom" / "eng.tsv").write_text("e\t3\t\t\t1\n",
+                                              encoding="utf-8")
+        (root / "rom" / "kor.tsv").unlink()
+        registry = tr.TableRegistry(root)
         assert registry.romanize("eng", "hello") == "h3llo"
-        # languages absent from the explicit root fall back to packaged
-        assert registry.romanize("kor", "캐나다") == "kaenada"
+        assert registry.g2p("spa", "chica") == "tʃika"
+        # a table the root lacks is not read from the packaged tables
+        assert not registry.has_table(tr.RuleMode.ROMANIZE, "kor")
+        with pytest.raises(tr.UnsupportedLanguageError) as excinfo:
+            registry.romanize("kor", "캐나다")
+        assert str(excinfo.value) == \
+            f"no rom table for language 'kor' under {root}"
 
     def test_default_registry_reads_only_packaged_tables(self, tmp_path,
                                                          monkeypatch):
@@ -430,7 +455,7 @@ class TestRegistry:
                                                   encoding="utf-8")
         monkeypatch.setenv("SCRIPTSHIFT_TABLES", str(tmp_path))
         registry = tr.default_registry()
-        assert registry.roots == [tr.packaged_table_root()]
+        assert registry.root == tr.packaged_table_root()
         with pytest.raises(tr.UnsupportedLanguageError):
             registry.g2p("tst", "aaa")
 
