@@ -141,14 +141,14 @@ def _build_transform(args: argparse.Namespace):
 
 def _cipher_key(path: str, lang: str) -> translit.CipherKey:
     """The key for lang in a --keys file: a JSON object mapping each
-    language to an integer shift. A file of another shape is a usage
-    error naming the file."""
+    language to an integer shift. A file of another shape, or one that
+    nests too deep to read, is a usage error naming the file."""
     try:
         shifts = records.decode(dict[str, int], json.loads(
             Path(path).read_text(encoding="utf-8")))
         if lang in shifts:
             return translit.CipherKey(lang, shifts[lang])
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}") from None
     raise UsageError(f"no cipher key for language {lang!r} in {path}")
 
@@ -184,10 +184,9 @@ def _cmd_train_tokenizer(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     model = tokenizer.load_model(args.model)
-    encoder = tokenizer.encoder_for(model)
     with _open_in(args.input) as src, _open_out(args.output) as dst:
         for line in src:
-            ids = encoder.encode(line.rstrip("\n"))
+            ids = tokenizer.encode(model, line.rstrip("\n"))
             dst.write(" ".join(str(i) for i in ids) + "\n")
     return EXIT_OK
 

@@ -262,21 +262,19 @@ class SimilarityMatrix:
 
 
 def set_objective(langs: Sequence[str], spec: SelectionSpec,
-                  sims: SimilarityMatrix,
-                  scripts: Mapping[str, str] | None = None) -> float:
+                  sims: SimilarityMatrix) -> float:
     """Mean pairwise similarity plus the signed script-diversity term."""
     if len(langs) < 2:
         raise ValueError("objective needs at least two languages")
     if len(set(langs)) != len(langs):
         raise ValueError(f"duplicate languages in set: {sorted(langs)}")
-    script_map = spec.script_map if scripts is None else scripts
     pair_sum = math.fsum(sims.get(x, y) for x, y
                          in itertools.combinations(sorted(langs), 2))
     mean = pair_sum / math.comb(len(langs), 2)
     sign = spec.regime.script_sign
     if sign == 0:
         return mean
-    distinct = {_script_for(script_map, lang) for lang in langs}
+    distinct = {_script_for(spec.script_map, lang) for lang in langs}
     return mean + sign * spec.alpha * len(distinct)
 
 
@@ -287,9 +285,7 @@ def _script_for(script_map: Mapping[str, str], lang: str) -> str:
 
 
 def select_subset(pool: Sequence[str], spec: SelectionSpec,
-                  sims: SimilarityMatrix,
-                  scripts: Mapping[str, str] | None = None,
-                  ) -> tuple[tuple[str, ...], float]:
+                  sims: SimilarityMatrix) -> tuple[tuple[str, ...], float]:
     """Pick the language set optimizing the regime objective.
 
     When the number of candidate sets is at most EXHAUSTIVE_SEARCH_LIMIT the
@@ -304,7 +300,7 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
     sets they passed through, so both return what scoring every candidate
     would return.
     """
-    script_map = spec.script_map if scripts is None else scripts
+    script_map = spec.script_map
     ordered = sorted(set(pool))
     if len(ordered) != len(pool):
         raise ValueError("pool contains duplicate languages")
@@ -331,7 +327,7 @@ def select_subset(pool: Sequence[str], spec: SelectionSpec,
     else:
         best = _greedy(weights, script_ids, spec.set_size, gain)
     chosen = tuple(ordered[i] for i in best)
-    objective = set_objective(chosen, spec, sims, script_map)
+    objective = set_objective(chosen, spec, sims)
     if not math.isfinite(objective):
         raise ValueError(f"objective of the {spec.regime.value} selection with "
                          f"alpha {spec.alpha!r} is not finite: {objective!r}")

@@ -279,7 +279,8 @@ class _StageStore:
 
     def load_text(self, name: str, decode: Callable[[str], object] = str):
         """decode(text) of the artifact under name, or None on a miss: a
-        missing or mismatched check, or a ValueError from decoding."""
+        missing or mismatched check, or a ValueError or RecursionError from
+        decoding."""
         if self.root is None:
             return None
         path = self.root / name
@@ -288,7 +289,7 @@ class _StageStore:
             data = path.read_bytes()
             if hashlib.sha256(data).hexdigest() == check:
                 return decode(data.decode("utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             pass
         return None
 

@@ -92,12 +92,13 @@ def open_text(path: str | Path, newline: str | None = None,
 
 def load(cls, path: str | Path):
     """Read a record of type cls from a JSON file. Text that is not UTF-8,
-    is not JSON or does not fit raises cls.json_error naming the path."""
+    is not JSON, nests too deep, holds an integer too long to read or does
+    not fit raises cls.json_error naming the path."""
     with open_text(path, error=cls.json_error) as handle:
         text = handle.read()
     try:
         return from_json(cls, json.loads(text))
-    except (json.JSONDecodeError, cls.json_error) as exc:
+    except (ValueError, RecursionError) as exc:
         raise cls.json_error(f"{path}: {exc}") from exc
 
 

@@ -15,13 +15,12 @@ it.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table; it reads
-the encoder's cache itself and segments only the words that miss it. Token
-sets and the quality metrics are projections of it. A model keeps its one
-encoder (`encoder_for`), which holds the model's parts but not the model,
-so the two are freed together as soon as the model is dropped. Training ends
-holding every training word's final segmentation, so a model trained in
-this process starts with an encoder whose cache already has its training
-words; a model read from disk starts cold.
+the model's segmentation cache itself and segments only the words that
+miss it. Token sets and the quality metrics are projections of it. A model
+segments its own words (`SubwordModel.segment_word`) and caches them.
+Training ends holding every training word's final segmentation, so a model
+trained in this process starts with its training words cached; a model
+read from disk starts cold.
 Models and token sets are read and written by the one JSON codec
 (`records`); a model checks its own structure as it is built.
 """
@@ -63,6 +62,10 @@ class ModelFormatError(ValueError):
     """Raised when a serialized model fails structural validation."""
 
 
+# Words a model's segmentation cache holds before it is cleared.
+_CACHE_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class SubwordModel(Record):
     """A trained tokenizer: alphabet, ordered merges, and the id table.
@@ -74,6 +77,17 @@ class SubwordModel(Record):
     alphabet characters by code point from 2, then each product the first
     time it appears (one spelled UNK_TOKEN keeps id 0). A model breaking
     either rule is refused when it is built.
+
+    `segment_word` is plain BPE: each step merges every occurrence, left to
+    right, of the adjacent pair of lowest rank, rewriting only the ranks of
+    the two pairs beside each site, until no adjacent pair has a rank.
+    Since the merges are in training order, this gives the segmentation the
+    merge list gives when replayed in order over the word, each merge
+    applied left to right. Segmentations are cached per word, so a repeated
+    word costs a dictionary lookup; the cache is cleared when it reaches
+    65,536 words, so its memory stays bounded on any corpus. The cache and
+    the pair ranks are kept outside the record's fields, so the record
+    codec does not see them and they are freed with the model.
     """
 
     alphabet: frozenset[str]
@@ -142,10 +156,54 @@ class SubwordModel(Record):
         return table
 
     @cached_property
-    def _encoder(self) -> Encoder:
-        """Kept on the model, outside its fields, so that the record codec
-        does not see it and the model and its cache are freed together."""
-        return Encoder(self)
+    def _segmentations(self) -> dict[str, tuple]:
+        return {}
+
+    @cached_property
+    def _pair_rank(self) -> dict[tuple[str, str], int]:
+        return {pair: rank for rank, pair in enumerate(self.merges)}
+
+    def segment_word(self, word: str) -> tuple:
+        """Emitted symbol sequence for one word: token strings and unknown
+        sentinels. A boundary marker left standalone directly before an
+        unknown run is dropped, so fully out-of-alphabet words produce
+        exactly one unknown token."""
+        cache = self._segmentations
+        cached = cache.get(word)
+        if cached is not None:
+            return cached
+        merges = self.merges
+        end = len(merges)
+        rank_of = self._pair_rank.get
+        syms = _word_symbols(word, self.alphabet, self.boundary_marker)
+        # ranks[i] is the rank of the pair (syms[i], syms[i + 1]), or end.
+        ranks = list(map(rank_of, zip(syms, syms[1:]), repeat(end)))
+        while ranks:
+            rank = min(ranks)
+            if rank == end:
+                break
+            left, right = merges[rank]
+            merged = left + right
+            todo = syms.count(left)
+            j = 0
+            while todo:
+                j = syms.index(left, j)
+                todo -= 1
+                if j + 1 < len(syms) and syms[j + 1] == right:
+                    if left == right:
+                        todo -= 1
+                    syms[j] = merged
+                    del syms[j + 1], ranks[j]
+                    if j:
+                        ranks[j - 1] = rank_of((syms[j - 1], merged), end)
+                    if j < len(ranks):
+                        ranks[j] = rank_of((merged, syms[j + 1]), end)
+                j += 1
+        result = _emitted(syms, self.boundary_marker)
+        if len(cache) >= _CACHE_LIMIT:
+            cache.clear()
+        cache[word] = result
+        return result
 
     def strip_marker(self, token: str) -> str:
         if token.startswith(self.boundary_marker):
@@ -255,8 +313,8 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     above it.
 
     Training ends with each word's final segmentation. Those fill the
-    cache of the model's encoder (`encoder_for`), up to its limit, so the
-    training words are not segmented a second time in this process.
+    model's segmentation cache, up to its limit, so the training words are
+    not segmented a second time in this process.
     """
     if min_char_freq < 1:
         raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
@@ -418,7 +476,7 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         vocab=vocab,
         vocab_size_target=vocab_size,
     )
-    cache = encoder_for(model)._cache
+    cache = model._segmentations
     symbol = names.__getitem__
     for word, syms in zip(islice(counts, _CACHE_LIMIT), word_syms):
         cache[word] = _emitted(list(map(symbol, syms)), BOUNDARY_MARKER)
@@ -434,106 +492,23 @@ def train(corpus: Iterable[str], vocab_size: int,
 
 # --- Encoding ---------------------------------------------------------------
 
-# Words an encoder's segmentation cache holds before it is cleared.
-_CACHE_LIMIT = 1 << 16
 
-
-class Encoder:
-    """Segments words with a model's merges, caching per-word segmentations.
-
-    Plain BPE: each step merges every occurrence, left to right, of the
-    adjacent pair of lowest rank, rewriting only the ranks of the two pairs
-    beside each site, until no adjacent pair has a rank. Since the merges
-    are in training order, this gives the segmentation the merge list gives
-    when replayed in order over the word, each merge applied left to right.
-
-    Reuse one encoder across a whole corpus pass; the cache makes repeated
-    words cost a dictionary lookup. It is cleared when it reaches
-    65,536 words, so its memory stays bounded on any corpus. The encoder
-    `encoder_for` gives for a model trained in this process starts with
-    the training words cached (up to that limit); a new encoder, or that
-    of a model loaded from disk, starts cold.
-    """
-
-    def __init__(self, model: SubwordModel):
-        # The model's parts, not the model: the model keeps its encoder, so
-        # a reference back would hold both until a cyclic collection.
-        self.merges = model.merges
-        self.alphabet = model.alphabet
-        self.marker = model.boundary_marker
-        self.vocab = model.vocab
-        self._cache: dict[str, tuple] = {}
-        self.pair_rank = {pair: rank
-                          for rank, pair in enumerate(model.merges)}
-
-    def segment_word(self, word: str) -> tuple:
-        """Emitted symbol sequence for one word: token strings and unknown
-        sentinels. A boundary marker left standalone directly before an
-        unknown run is dropped, so fully out-of-alphabet words produce
-        exactly one unknown token."""
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        merges = self.merges
-        end = len(merges)
-        rank_of = self.pair_rank.get
-        syms = _word_symbols(word, self.alphabet, self.marker)
-        # ranks[i] is the rank of the pair (syms[i], syms[i + 1]), or end.
-        ranks = list(map(rank_of, zip(syms, syms[1:]), repeat(end)))
-        while ranks:
-            rank = min(ranks)
-            if rank == end:
-                break
-            left, right = merges[rank]
-            merged = left + right
-            todo = syms.count(left)
-            j = 0
-            while todo:
-                j = syms.index(left, j)
-                todo -= 1
-                if j + 1 < len(syms) and syms[j + 1] == right:
-                    if left == right:
-                        todo -= 1
-                    syms[j] = merged
-                    del syms[j + 1], ranks[j]
-                    if j:
-                        ranks[j - 1] = rank_of((syms[j - 1], merged), end)
-                    if j < len(ranks):
-                        ranks[j] = rank_of((merged, syms[j + 1]), end)
-                j += 1
-        result = _emitted(syms, self.marker)
-        if len(self._cache) >= _CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[word] = result
-        return result
-
-    def iter_symbols(self, text: str) -> Iterator:
-        for word in text.split():
-            yield from self.segment_word(word)
-
-    def encode(self, text: str) -> list[int]:
-        vocab = self.vocab
-        return [UNK_ID if sym is UNK_SENTINEL else vocab[sym]
-                for sym in self.iter_symbols(text)]
-
-    def tokens(self, text: str) -> list[str]:
-        return [UNK_TOKEN if sym is UNK_SENTINEL else sym
-                for sym in self.iter_symbols(text)]
-
-
-def encoder_for(model: SubwordModel) -> Encoder:
-    """The model's one encoder, made on first use."""
-    return model._encoder
+def _symbols(model: SubwordModel, text: str) -> Iterator:
+    for word in text.split():
+        yield from model.segment_word(word)
 
 
 def encode(model: SubwordModel, text: str) -> list[int]:
     """Token ids for text; unknown runs map to the unknown id."""
-    return encoder_for(model).encode(text)
+    vocab = model.vocab
+    return [UNK_ID if sym is UNK_SENTINEL else vocab[sym]
+            for sym in _symbols(model, text)]
 
 
 def encode_tokens(model: SubwordModel, text: str) -> list[str]:
     """Token strings for text; unknown runs map to the unknown token."""
-    return encoder_for(model).tokens(text)
+    return [UNK_TOKEN if sym is UNK_SENTINEL else sym
+            for sym in _symbols(model, text)]
 
 
 def decode(model: SubwordModel, ids: Sequence[int]) -> str:
@@ -564,14 +539,13 @@ def tally(model: SubwordModel, counts: Mapping[str, int],
     non-unknown symbols (markers kept) over a word table, such as
     `corpus.word_counts` gives for a corpus of text lines. Each distinct
     word is segmented once; its counts are weighted by occurrence."""
-    encoder = encoder_for(model)
-    cache = encoder._cache
+    cache = model._segmentations
     words = tokens = unk = 0
     produced: set = set()
     for word, count in counts.items():
         symbols = cache.get(word)
         if symbols is None:
-            symbols = encoder.segment_word(word)
+            symbols = model.segment_word(word)
         words += count
         tokens += count * len(symbols)
         unk += count * symbols.count(UNK_SENTINEL)

@@ -76,7 +76,8 @@ class RewriteRule:
     """One rewrite: source string to target string, optionally guarded by
     literal left/right contexts matched against the original input. No
     part holds a tab or a line break, as no field of a rule table row
-    can."""
+    can, and the rule's row does not start with '#' once its leading
+    whitespace is removed, as such a row reads as a comment."""
 
     source: str
     target: str
@@ -92,6 +93,13 @@ class RewriteRule:
             if not _NOT_IN_A_FIELD.isdisjoint(part):
                 raise RuleTableError(
                     f"rule {name} holds a tab or a line break: {part!r}")
+        parts = self.source + self.target + self.left_context \
+            + self.right_context
+        if parts.lstrip().startswith("#"):
+            raise RuleTableError(
+                f"rule {self.source!r} -> {self.target!r} would be written as "
+                f"a row that starts with '#' once its leading whitespace is "
+                f"removed, which reads as a comment")
 
     def matches(self, text: str, pos: int) -> bool:
         if not text.startswith(self.source, pos):

@@ -17,7 +17,7 @@ from scriptshift.corpus import Document, EmptyCorpusError, sample_to_budget
 from scriptshift.records import open_text
 from scriptshift.input_types import InputType
 from scriptshift.tokenizer import (BOUNDARY_MARKER, UNK_SENTINEL, UNK_TOKEN,
-                                   SubwordModel, TokenSet, encoder_for)
+                                   SubwordModel, TokenSet)
 from scriptshift.translit import caesar_encipher, default_registry
 
 CONSONANTS = "bcdfghjklmnpqrstvwxyz"
@@ -175,7 +175,8 @@ def train_heap(word_counts, vocab_size: int, min_char_freq: int = 1,
     replaced: string symbols, tuple pairs, dead pairs kept at count 0, and
     every candidate in one heap keyed by (-count, concatenation, pair). A
     popped entry whose count has fallen is pushed back at its count if
-    that is still at least 2. It primes the model's encoder the same way."""
+    that is still at least 2. It primes the model's segmentation cache the
+    same way."""
     if min_char_freq < 1:
         raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
     counts = {word: int(freq) for word, freq in word_counts.items()
@@ -285,7 +286,7 @@ def train_heap(word_counts, vocab_size: int, min_char_freq: int = 1,
         vocab_size_target=vocab_size,
         boundary_marker=marker,
     )
-    cache = encoder_for(model)._cache
+    cache = model._segmentations
     for word, syms in zip(islice(counts, tokenizer._CACHE_LIMIT), word_syms):
         cache[word] = tokenizer._emitted(syms, marker)
     return model

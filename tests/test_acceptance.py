@@ -279,10 +279,10 @@ def test_criterion_6_statistics_correctness():
     verdict(6, "statistics correctness", problems)
 
 
-def exhaustive_select(pool, spec, sims, scripts):
+def exhaustive_select(pool, spec, sims):
     best, best_obj = None, None
     for combo in itertools.combinations(sorted(pool), spec.set_size):
-        obj = set_objective(combo, spec, sims, scripts)
+        obj = set_objective(combo, spec, sims)
         if best_obj is None or (obj > best_obj if spec.regime.maximize
                                 else obj < best_obj):
             best, best_obj = combo, obj
@@ -306,10 +306,11 @@ def test_criterion_7_selection_and_pipeline_equivalence(tmp_path):
         mixed_scripts = {lang: rng.choice(("Latn", "Cyrl", "Hang"))
                          for lang in langs}
         for regime in Regime:
-            spec = SelectionSpec(regime=regime, set_size=k, alpha=0.3)
             scripts = same_scripts if regime.single_script else mixed_scripts
-            got = select_subset(langs, spec, sims, scripts)
-            want = exhaustive_select(langs, spec, sims, scripts)
+            spec = SelectionSpec(regime=regime, set_size=k, alpha=0.3,
+                                 script_map=scripts)
+            got = select_subset(langs, spec, sims)
+            want = exhaustive_select(langs, spec, sims)
             if got != want:
                 problems.append(f"case {case} {regime.value}: {got} != "
                                 f"{want}")

@@ -114,6 +114,13 @@ class TestTranslitCommand:
         assert err.endswith("Expecting ',' delimiter: line 1 column 10 "
                             "(char 9)\n")
 
+    def test_cipher_keys_nested_too_deep_exits_2(self, monkeypatch, capsys,
+                                                 tmp_path):
+        # json.loads raises RecursionError here, which used to escape as a
+        # traceback with exit 1
+        err = self._keys_error(monkeypatch, capsys, tmp_path, "[" * 200000)
+        assert "recursion" in err
+
     def test_g2p_packaged_table(self, monkeypatch, capsys):
         code, out, _ = run_cli(
             monkeypatch, capsys,
@@ -1423,6 +1430,50 @@ def test_malformed_json_input_exits_2_or_3(monkeypatch, capsys, request,
     assert out == ""
     assert err.startswith(f"error: {bad}: malformed ")
     assert err.count("\n") == 1
+
+
+def _json_input_error(monkeypatch, capsys, argv, bad, code):
+    """The one error line a command gives for the JSON input `bad`."""
+    got, out, err = run_cli(monkeypatch, capsys, argv, stdin="ab\n")
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {bad}: ")
+    assert err.count("\n") == 1
+    return err
+
+
+def test_config_nested_too_deep_exits_2(monkeypatch, capsys, run_inputs,
+                                        tmp_path):
+    # json.loads raises RecursionError, which used to escape with exit 1
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000, encoding="utf-8")
+    err = _json_input_error(monkeypatch, capsys, [
+        "run", "--config", str(bad), "--corpus-dir", str(run_inputs[1])],
+        bad, EXIT_CONFIG)
+    assert "recursion" in err
+
+
+def test_model_nested_too_deep_exits_3(monkeypatch, capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000, encoding="utf-8")
+    err = _json_input_error(monkeypatch, capsys,
+                            ["encode", "--model", str(bad)], bad, EXIT_DATA)
+    assert "recursion" in err
+
+
+def test_config_seed_of_5000_digits_exits_2(monkeypatch, capsys, run_inputs,
+                                            tmp_path):
+    # json.loads refuses an integer this long with a plain ValueError,
+    # which used to exit 3 with a message naming no file
+    config, corpus_dir = run_inputs
+    text = config.read_text(encoding="utf-8")
+    bad = tmp_path / "config.json"
+    bad.write_text(text.replace('"seed": 7', '"seed": ' + "7" * 5000),
+                   encoding="utf-8")
+    assert len(bad.read_text(encoding="utf-8")) > len(text) + 4000
+    err = _json_input_error(monkeypatch, capsys, [
+        "run", "--config", str(bad), "--corpus-dir", str(corpus_dir)],
+        bad, EXIT_CONFIG)
+    assert "digits" in err
 
 
 def _non_utf8_command(reader, request, bad):

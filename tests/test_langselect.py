@@ -18,11 +18,11 @@ from scriptshift.langselect import (FeatureVectors, MissingFeatureError,
                                     set_objective, word_types)
 
 
-def brute_force_select(pool, spec, sims, scripts):
+def brute_force_select(pool, spec, sims):
     best = None
     best_obj = None
     for combo in itertools.combinations(sorted(pool), spec.set_size):
-        obj = set_objective(combo, spec, sims, scripts)
+        obj = set_objective(combo, spec, sims)
         if best_obj is None or (obj > best_obj if spec.regime.maximize
                                 else obj < best_obj):
             best, best_obj = combo, obj
@@ -33,7 +33,7 @@ def brute_force_select(pool, spec, sims, scripts):
 # scored by set_objective. Kept verbatim (module globals qualified) as the
 # oracle for select_subset.
 
-def ref_select_subset(pool, spec, sims, scripts=None):
+def ref_select_subset(pool, spec, sims):
     """Pick the language set optimizing the regime objective.
 
     When the number of candidate sets is at most EXHAUSTIVE_SEARCH_LIMIT the
@@ -41,7 +41,7 @@ def ref_select_subset(pool, spec, sims, scripts=None):
     build followed by best-improving single swaps. Objective ties always go
     to the lexicographically smallest set.
     """
-    script_map = spec.script_map if scripts is None else scripts
+    script_map = spec.script_map
     ordered = sorted(set(pool))
     if len(ordered) != len(pool):
         raise ValueError("pool contains duplicate languages")
@@ -61,7 +61,7 @@ def ref_select_subset(pool, spec, sims, scripts=None):
         return candidate < incumbent
 
     def objective(langs):
-        return set_objective(langs, spec, sims, script_map)
+        return set_objective(langs, spec, sims)
 
     if math.comb(len(ordered), spec.set_size) <= ls.EXHAUSTIVE_SEARCH_LIMIT:
         best_set = None
@@ -338,50 +338,52 @@ SCRIPTS = {"aaa": "Latn", "bbb": "Latn", "ccc": "Cyrl"}
 
 class TestSetObjective:
     def test_mean_pairwise_without_diversity(self):
-        spec = SelectionSpec(regime=Regime.SIM_SAME, set_size=3)
-        value = set_objective(("aaa", "bbb", "ccc"), spec, stub_matrix(),
-                              {"aaa": "Latn", "bbb": "Latn", "ccc": "Latn"})
+        spec = SelectionSpec(regime=Regime.SIM_SAME, set_size=3,
+                             script_map={"aaa": "Latn", "bbb": "Latn",
+                                         "ccc": "Latn"})
+        value = set_objective(("aaa", "bbb", "ccc"), spec, stub_matrix())
         assert value == pytest.approx(0.4, abs=1e-15)
 
     def test_sim_div_adds_script_bonus(self):
-        spec = SelectionSpec(regime=Regime.SIM_DIV, set_size=3, alpha=0.05)
-        value = set_objective(("aaa", "bbb", "ccc"), spec, stub_matrix(),
-                              SCRIPTS)
+        spec = SelectionSpec(regime=Regime.SIM_DIV, set_size=3, alpha=0.05,
+                             script_map=SCRIPTS)
+        value = set_objective(("aaa", "bbb", "ccc"), spec, stub_matrix())
         assert value == pytest.approx(0.4 + 0.05 * 2, abs=1e-15)
 
     def test_dissim_div_subtracts_script_bonus(self):
         spec = SelectionSpec(regime=Regime.DISSIM_DIV, set_size=3,
-                             alpha=0.05)
-        value = set_objective(("aaa", "bbb", "ccc"), spec, stub_matrix(),
-                              SCRIPTS)
+                             alpha=0.05, script_map=SCRIPTS)
+        value = set_objective(("aaa", "bbb", "ccc"), spec, stub_matrix())
         assert value == pytest.approx(0.4 - 0.05 * 2, abs=1e-15)
 
     def test_pair_objective(self):
-        spec = SelectionSpec(regime=Regime.SIM_SAME, set_size=2)
-        assert set_objective(("aaa", "bbb"), spec, stub_matrix(),
-                             {"aaa": "Latn", "bbb": "Latn"}) == 0.6
+        spec = SelectionSpec(regime=Regime.SIM_SAME, set_size=2,
+                             script_map={"aaa": "Latn", "bbb": "Latn"})
+        assert set_objective(("aaa", "bbb"), spec, stub_matrix()) == 0.6
 
     def test_alpha_zero_collapses_div_to_same(self):
         # spec invariant: with alpha 0 the diverse and same objectives agree
         # on any fixed single-script candidate set
-        div = SelectionSpec(regime=Regime.SIM_DIV, set_size=3, alpha=0.0)
-        same = SelectionSpec(regime=Regime.SIM_SAME, set_size=3)
         latin = {"aaa": "Latn", "bbb": "Latn", "ccc": "Latn"}
-        assert set_objective(("aaa", "bbb", "ccc"), div, stub_matrix(),
-                             latin) == \
-            set_objective(("aaa", "bbb", "ccc"), same, stub_matrix(), latin)
+        div = SelectionSpec(regime=Regime.SIM_DIV, set_size=3, alpha=0.0,
+                            script_map=latin)
+        same = SelectionSpec(regime=Regime.SIM_SAME, set_size=3,
+                             script_map=latin)
+        assert set_objective(("aaa", "bbb", "ccc"), div, stub_matrix()) == \
+            set_objective(("aaa", "bbb", "ccc"), same, stub_matrix())
 
     def test_validation(self):
-        spec = SelectionSpec(regime=Regime.SIM_SAME, set_size=2)
+        spec = SelectionSpec(regime=Regime.SIM_SAME, set_size=2,
+                             script_map=SCRIPTS)
         with pytest.raises(ValueError, match="two"):
-            set_objective(("aaa",), spec, stub_matrix(), SCRIPTS)
+            set_objective(("aaa",), spec, stub_matrix())
         with pytest.raises(ValueError, match="duplicate"):
-            set_objective(("aaa", "aaa"), spec, stub_matrix(), SCRIPTS)
+            set_objective(("aaa", "aaa"), spec, stub_matrix())
 
     def test_missing_script_in_div_regime(self):
         spec = SelectionSpec(regime=Regime.SIM_DIV, set_size=2, alpha=0.05)
         with pytest.raises(ValueError, match="script"):
-            set_objective(("aaa", "bbb"), spec, stub_matrix(), {})
+            set_objective(("aaa", "bbb"), spec, stub_matrix())
 
 
 class TestSpecAndRegime:
@@ -471,7 +473,7 @@ class TestSelectSubset:
                 spec = SelectionSpec(regime=regime, set_size=k,
                                      script_map=scripts)
                 assert select_subset(langs, spec, sims) == \
-                    brute_force_select(langs, spec, sims, scripts), \
+                    brute_force_select(langs, spec, sims), \
                     f"seed {seed} regime {regime.value}"
 
     def test_all_ties_give_lexicographically_first_set(self):
@@ -501,7 +503,7 @@ class TestSelectSubset:
                 spec = SelectionSpec(regime=regime, set_size=k,
                                      script_map=scripts)
                 assert select_subset(langs, spec, sims) == \
-                    brute_force_select(langs, spec, sims, scripts), \
+                    brute_force_select(langs, spec, sims), \
                     f"seed {seed} regime {regime.value}"
 
     def test_heuristic_deterministic_under_pool_order(self, monkeypatch):

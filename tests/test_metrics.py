@@ -18,15 +18,16 @@ from support import make_token_set, the_cat_model
 
 def ref_quality(model, corpus):
     """Oracle: the per-running-word loop, segmenting every occurrence of
-    every word with a new encoder, so a model's primed cache is not read.
-    Returns the report fields; ratios over zero are None."""
-    encoder = tok.Encoder(model)
+    every word with the model read back from its own text, so a model's
+    primed cache is not read. Returns the report fields; ratios over zero
+    are None."""
+    cold = tok.loads_model(tok.dumps_model(model))
     words = tokens = unk = 0
     produced = set()
     for line in corpus:
         for word in line.split():
             words += 1
-            for sym in encoder.segment_word(word):
+            for sym in cold.segment_word(word):
                 tokens += 1
                 if sym is tok.UNK_SENTINEL:
                     unk += 1
@@ -358,7 +359,7 @@ class TestQualityMetrics:
         monkeypatch.setattr(tok, "_CACHE_LIMIT", 2)
         fresh = tok.loads_model(tok.dumps_model(quality_model))
         assert measure(fresh) == unbounded
-        assert len(tok.encoder_for(fresh)._cache) <= 2
+        assert len(fresh._segmentations) <= 2
 
     @given(quality_corpora())
     @settings(max_examples=150)

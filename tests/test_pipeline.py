@@ -25,7 +25,7 @@ from scriptshift.input_types import InputType
 from scriptshift.metrics import (OverlapReport, OverlapVariant,
                                  overlap_report, quality_report,
                                  token_length_histogram)
-from scriptshift.tokenizer import (dumps_model, token_set,
+from scriptshift.tokenizer import (dumps_model, loads_model, token_set,
                                    train_from_word_counts)
 from scriptshift.pipeline import (AnalysisReport, ComparisonTable,
                                   ConfigError, ExperimentConfig,
@@ -896,6 +896,12 @@ class TestStoreLoads:
             raise ValueError("does not decode")
 
         assert store.load_text("a.json", reject) is None
+
+    def test_checked_text_nested_too_deep_is_a_miss(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on this text
+        store = pl._StageStore(tmp_path)
+        store.save_text("model/deep.json", "[" * 200000)
+        assert store.load_text("model/deep.json", loads_model) is None
 
     def test_grid_renders_each_rule_table_once(self, corpora, monkeypatch):
         renders = Counter()

@@ -2,7 +2,7 @@
 
 The reference implementations here recount pair frequencies from scratch on
 every step and replay merges naively, giving an independent check of the
-incremental trainer and the cached encoder.
+incremental trainer and the model's cached segmentation.
 """
 
 import dataclasses
@@ -375,9 +375,9 @@ class TestEncoding:
         alphabet = {c for pair in merges for part in pair for c in part
                     if c != MARKER} | set("ab")
         model = hand_model(alphabet, merges)
-        encoder = tok.Encoder(model)
         for word in words:
-            assert encoder.encode(word) == ref_encode_word(model, word), word
+            assert tok.encode(model, word) == ref_encode_word(model, word), \
+                word
 
     @given(merge_lists(), st.lists(st.text("ab안", min_size=1, max_size=12),
                                    min_size=1, max_size=6))
@@ -392,9 +392,9 @@ class TestEncoding:
     @settings(max_examples=150, deadline=None)
     def test_drawn_hand_built_models_match_replay(self, merges, words):
         model = hand_model("ab", merges)
-        encoder = tok.Encoder(model)
         for word in words:
-            assert encoder.encode(word) == ref_encode_word(model, word), word
+            assert tok.encode(model, word) == ref_encode_word(model, word), \
+                word
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -410,14 +410,14 @@ class TestEncoding:
         unseen = data.draw(st.lists(
             st.text(alphabet=alphabet + "g안", min_size=1, max_size=16),
             min_size=1, max_size=10), label="unseen")
-        encoder = tok.Encoder(model)
         for word in unseen:
-            assert encoder.encode(word) == ref_encode_word(model, word)
+            assert tok.encode(model, word) == ref_encode_word(model, word)
 
     def test_encoder_cache_consistent(self, abc_model):
-        fresh = tok.Encoder(abc_model).encode("abc abc 안")
-        cached = tok.encoder_for(abc_model).encode("abc abc 안")
-        again = tok.encoder_for(abc_model).encode("abc abc 안")
+        cold = tok.loads_model(tok.dumps_model(abc_model))
+        fresh = tok.encode(cold, "abc abc 안")
+        cached = tok.encode(abc_model, "abc abc 안")
+        again = tok.encode(abc_model, "abc abc 안")
         assert fresh == cached == again
 
 
@@ -521,10 +521,10 @@ class TestTokenSet:
                               vocab_size=10 + rng.randint(0, 10))
             lines = random_corpus(rng, alphabet="abcde안", lines=4)
             lines += lines[:2] + [""]
-            encoder = tok.Encoder(model)
+            cold = tok.loads_model(tok.dumps_model(model))
             expected = set()
             for line in lines:
-                for token in encoder.tokens(line):
+                for token in tok.encode_tokens(cold, line):
                     stripped = model.strip_marker(token)
                     if token != tok.UNK_TOKEN and stripped:
                         expected.add(stripped)
@@ -539,10 +539,10 @@ class TestTokenSet:
     @settings(max_examples=100)
     def test_table_keys_give_the_lines_token_set(self, lines):
         model = tok.train(["abcd abc ab dab bcd", "cab abcd"], vocab_size=14)
-        encoder = tok.Encoder(model)
+        cold = tok.loads_model(tok.dumps_model(model))
         expected = set()
         for line in lines:
-            for token in encoder.tokens(line):
+            for token in tok.encode_tokens(cold, line):
                 stripped = model.strip_marker(token)
                 if token != tok.UNK_TOKEN and stripped:
                     expected.add(stripped)
@@ -644,16 +644,16 @@ class TestTrainingMatchesReference:
         lines = [" ".join([word] * count) for word, count in table.items()]
         assert (model.alphabet, model.merges, model.vocab) == ref_train(
             lines, model.vocab_size_target, min_char_freq)
-        primed = tok.encoder_for(model)
-        fresh = tok.Encoder(model)
+        cold = tok.loads_model(tok.dumps_model(model))
         for word in table:
-            assert primed._cache[word] == fresh.segment_word(word), word
+            assert model._segmentations[word] == cold.segment_word(word), \
+                word
 
 
 class TestTrainingMatchesHeapTrainer:
     """The trainer against the heap trainer it replaced, kept as
     `support.train_heap`: the same model bytes and the same primed
-    encoder cache, on weighted tables, on unknown runs under a
+    segmentation cache, on weighted tables, on unknown runs under a
     min_char_freq of 2 or 3, and from stops after a few merges to tables
     whose pairs all run out."""
 
@@ -669,13 +669,13 @@ class TestTrainingMatchesHeapTrainer:
         model = train_with_room(table, min_char_freq, extra)
         heap = train_with_room(table, min_char_freq, extra, train_heap)
         assert tok.dumps_model(model) == tok.dumps_model(heap)
-        assert tok.encoder_for(model)._cache == tok.encoder_for(heap)._cache
+        assert model._segmentations == heap._segmentations
 
     def test_a_product_spelled_like_the_unknown_token(self):
         model = tok.train_from_word_counts({"<unk>": 5, "<unk>s": 3}, 30)
         assert "<unk>" in [left + right for left, right in model.merges]
         assert model.vocab[tok.UNK_TOKEN] == tok.UNK_ID
-        assert tok.encoder_for(model)._cache["<unk>"] == (MARKER + "<unk>",)
+        assert model._segmentations["<unk>"] == (MARKER + "<unk>",)
         assert tok.dumps_model(model) == tok.dumps_model(
             train_heap({"<unk>": 5, "<unk>s": 3}, 30))
 
@@ -735,12 +735,11 @@ class TestPrimedEncoder:
     def test_training_words_match_replay_and_a_cold_encoder(
             self, table, min_char_freq, extra):
         model = train_with_room(table, min_char_freq, extra)
-        primed = tok.encoder_for(model)
-        assert primed._cache.keys() == table.keys()
-        fresh = tok.Encoder(model)
+        assert model._segmentations.keys() == table.keys()
+        cold = tok.loads_model(tok.dumps_model(model))
         for word in table:
-            symbols = primed.segment_word(word)
-            assert symbols == fresh.segment_word(word), word
+            symbols = model.segment_word(word)
+            assert symbols == cold.segment_word(word), word
             ids = [tok.UNK_ID if sym is tok.UNK_SENTINEL
                    else model.vocab[sym] for sym in symbols]
             assert ids == ref_encode_word(model, word), word
@@ -752,7 +751,7 @@ class TestPrimedEncoder:
         limit = len(table) // 2
         monkeypatch.setattr(tok, "_CACHE_LIMIT", limit)
         model = tok.train_from_word_counts(table, vocab_size=16)
-        assert 0 < len(tok.encoder_for(model)._cache) <= limit
+        assert 0 < len(model._segmentations) <= limit
         measured = word_counts(corpus + random_corpus(rng, "abcde안", 4))
 
         def measure(model):
@@ -761,7 +760,7 @@ class TestPrimedEncoder:
                                            InputType.ORTHO))
 
         cold = tok.loads_model(tok.dumps_model(model))
-        assert not tok.encoder_for(cold)._cache
+        assert not cold._segmentations
         assert measure(model) == measure(cold)
 
     def test_tally_segments_only_cache_misses(self, monkeypatch):
@@ -769,13 +768,13 @@ class TestPrimedEncoder:
                                           lines=12))
         model = tok.train_from_word_counts(table, vocab_size=16)
         calls = Counter()
-        segment_word = tok.Encoder.segment_word
+        segment_word = tok.SubwordModel.segment_word
 
         def counted(self, word):
             calls[word] += 1
             return segment_word(self, word)
 
-        monkeypatch.setattr(tok.Encoder, "segment_word", counted)
+        monkeypatch.setattr(tok.SubwordModel, "segment_word", counted)
         trained = tok.tally(model, table)
         assert not calls
         loaded = tok.loads_model(tok.dumps_model(model))
@@ -786,19 +785,19 @@ class TestPrimedEncoder:
 class TestModelLifetime:
     def test_trained_model_is_freed(self):
         model = tok.train(["abc abc ab"], 8)
-        assert tok.encoder_for(model)._cache
+        assert model._segmentations
         ref = weakref.ref(model)
         del model
         gc.collect()
         assert ref() is None
 
     def test_trained_model_is_freed_without_a_collection(self):
-        # the encoder holds the model's parts, not the model, so no cycle
-        # keeps a dropped model and its cache alive
+        # the segmentation cache holds no reference to the model, so no
+        # cycle keeps a dropped model and its cache alive
         gc.disable()
         try:
             model = tok.train(["abc abc ab"], 8)
-            assert tok.encoder_for(model)._cache
+            assert model._segmentations
             ref = weakref.ref(model)
             del model
             assert ref() is None

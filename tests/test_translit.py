@@ -4,7 +4,7 @@ import dataclasses
 import shutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptshift import translit as tr
@@ -347,6 +347,41 @@ class TestTableParsing:
         reparsed = tr.parse_rule_table(tr.format_rule_table(table), "und",
                                        tr.RuleMode.G2P)
         assert reparsed.rules == table.rules
+
+    @pytest.mark.parametrize("source, target, left", [
+        ("#a", "b", ""), (" ", "#", ""), ("\u3000", " ", "#"),
+    ])
+    def test_rule_whose_row_reads_as_a_comment_rejected(self, source,
+                                                         target, left):
+        # the row would be skipped on reading, so the table would lose it
+        with pytest.raises(tr.RuleTableError, match="reads as a comment"):
+            tr.RewriteRule(source, target, left, priority=1)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_every_table_reads_back_from_its_rendering(self, data):
+        # '#' and whitespace where a row's text starts, and now and then
+        # any other character, a tab or a line break among them
+        part = st.text(st.one_of(st.sampled_from("a# \u3000"),
+                                 st.characters()), max_size=3)
+        specs = data.draw(st.lists(
+            st.tuples(part.filter(bool), part, part, part), max_size=5))
+        priorities = data.draw(st.lists(st.integers(-99, 99), unique=True,
+                                        min_size=len(specs),
+                                        max_size=len(specs)))
+        lang = data.draw(st.sampled_from(["und", "kor"]))
+        mode = data.draw(st.sampled_from(tr.RuleMode))
+        passthrough = data.draw(st.sampled_from(tr.Passthrough))
+        try:
+            table = tr.RuleTable(lang, mode, tuple(
+                tr.RewriteRule(*spec, priority)
+                for spec, priority in zip(specs, priorities)), passthrough)
+        except tr.RuleTableError:
+            assume(False)
+        reparsed = tr.parse_rule_table(tr.format_rule_table(table), lang,
+                                       mode, passthrough)
+        assert reparsed.rules == table.rules
+        assert reparsed.digest == table.digest
 
     def test_load_rule_table(self, tmp_path):
         path = tmp_path / "rules.tsv"
