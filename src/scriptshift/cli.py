@@ -263,10 +263,10 @@ def _cmd_select_langs(args: argparse.Namespace) -> int:
         paths = {lang: path for lang, path in paths.items() if path.is_file()}
         corpora = {}
         for lang, path in paths.items():
-            with records.open_text(path) as handle:
-                corpora[lang] = handle.read().splitlines()
-            # the lexical component compares the word types of two corpora
-            if len(paths) > 1 and not any(map(str.split, corpora[lang])):
+            corpora[lang] = corpus_mod.read_documents(path, lang).texts
+            # the lexical component compares the word types of two corpora;
+            # every line kept is one that is not all whitespace
+            if len(paths) > 1 and not corpora[lang]:
                 raise ValueError(f"{path}: the corpus of {lang!r} has no "
                                  f"words")
     spec = replace(spec, script_map=scripts)

@@ -1,17 +1,18 @@
 """Deterministic subword tokenizer built on greedy pair merging.
 
 Training learns highest-frequency symbol-pair merges over whitespace words,
-each word prefixed with a reserved boundary-marker symbol. Training holds
-symbols as ids and a pair as one int. A merge rewrites the words that hold
-its pair in place and moves pair counts only at its sites, dropping pairs
-whose count falls to 0; candidates wait in per-count buckets, and only the
-best count's bucket is ordered, in a small heap. No product is made twice, so
-ties go by concatenation alone. A model's merges are in that training
-order, which the model checks as it is built; encoding merges the lowest-rank
-adjacent pair until none is left, which equals replaying the merge list in
-order, so a serialized model reproduces the same segmentation anywhere. Both
-merge in place, looking for a left operand only as often as the word holds
-it.
+each word prefixed with a reserved boundary-marker symbol. Training reads
+its word table once, holds symbols as ids and a pair as one int, and keeps
+a pair's count and the words that hold it in one table entry. A merge
+rewrites the words that hold its pair in place and moves pair counts only at
+its sites, dropping pairs whose count falls to 0; candidates wait in
+per-count buckets, and only the best count's bucket is ordered, in a small
+heap. No product is made twice, so ties go by concatenation alone. A model's
+merges are in that training order, which the model checks as it is built;
+encoding merges the lowest-rank adjacent pair until none is left, which
+equals replaying the merge list in order, so a serialized model reproduces
+the same segmentation anywhere. Both merge in place, looking for a left
+operand only as often as the word holds it.
 Characters outside the alphabet are collapsed, one maximal run at a time,
 into a single unknown token.
 `tally` is the one segmentation walk over a corpus's word table; it reads
@@ -28,7 +29,7 @@ Models and token sets are read and written by the one JSON codec
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -290,18 +291,25 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     symbol with the next id. A new pair occurs only at the merge's sites, at
     most once at each, so none counts more than the merged pair did.
 
-    Pair counts stay exact without recounting a word. A pair lists its
-    words once per occurrence, so its first count is the sum of their
-    frequencies. A merge visits each listed word once, finds the left
-    operand only as often as the word holds it, and merges each site in
-    place, left to right. At a site the left neighbour pair (previous
-    symbol, left operand) becomes (previous symbol, merged); when the
-    previous site is adjacent, its output stands there and the pair given
-    up is still (right operand, left operand). The right neighbour pair
-    (right operand, next symbol) becomes (merged, next symbol), unless the
-    next symbol starts another site, whose left step then accounts for the
-    boundary. Unknowns never form a counted pair. A pair whose count falls
-    to 0 is dropped from the counts and from the word lists.
+    Pair counts stay exact without recounting a word. The input is read
+    once, into a list of words and a list of their frequencies, and one
+    table maps a pair to a list: its count, then the indices of its words.
+    A pair lists its words once per occurrence, so its first count is the
+    sum of their frequencies. A merge visits each listed word once, finds
+    the left operand only as often as the word holds it, and merges each
+    site in place, left to right. At a site the left neighbour pair
+    (previous symbol, left operand) becomes (previous symbol, merged); when
+    the previous site is adjacent, its output stands there and the pair
+    given up is still (right operand, left operand). The right neighbour
+    pair (right operand, next symbol) becomes (merged, next symbol), unless
+    the next symbol starts another site, whose left step then accounts for
+    the boundary. Unknowns never form a counted pair. A pair whose count
+    falls to 0 is dropped from the counts and from the word lists at once, as
+    they are one entry. The merged pair's entry outlives its own sites: a
+    site of (a, a) right after an adjacent one gives up (a, a) itself as its
+    left neighbour pair, so the entry must still be there to count down.
+    The merged sites keep that count above 0, and the entry is dropped once
+    the last of them is done.
 
     Candidates wait in buckets keyed by count. Every pair that occurs at
     least twice has an entry at or above its count: a merge files only
@@ -318,19 +326,23 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     """
     if min_char_freq < 1:
         raise ValueError(f"min_char_freq must be >= 1, got {min_char_freq}")
-    counts = {word: int(freq) for word, freq in word_counts.items()
-              if word and freq >= 1}
-    if not counts:
+    words: list[str] = []
+    freqs: list[int] = []
+    for word, freq in word_counts.items():
+        if word and freq >= 1:
+            words.append(word)
+            freqs.append(int(freq))
+    if not words:
         raise EmptyCorpusError("training corpus has no words")
-    if any(BOUNDARY_MARKER in word for word in counts):
+    if any(BOUNDARY_MARKER in word for word in words):
         raise ValueError(f"boundary marker {BOUNDARY_MARKER!r} occurs in "
                          f"the corpus; it is reserved")
 
     if min_char_freq == 1:  # every character is in the alphabet
-        alphabet = frozenset("".join(counts))
+        alphabet = frozenset("".join(words))
     else:
         char_freqs: Counter = Counter()
-        for word, freq in counts.items():
+        for word, freq in zip(words, freqs):
             for char in word:
                 char_freqs[char] += freq
         alphabet = frozenset(c for c, f in char_freqs.items()
@@ -347,27 +359,29 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     names: list = [UNK_SENTINEL, *islice(vocab, 1, None)]  # id -> symbol
     symbol_id = {name: index for index, name in enumerate(names)}.__getitem__
     if min_char_freq == 1:
-        word_syms = [[1, *map(symbol_id, word)] for word in counts]
+        word_syms = [[1, *map(symbol_id, word)] for word in words]
     else:
         word_syms = [list(map(symbol_id,
                               _word_symbols(word, alphabet,
                                             BOUNDARY_MARKER)))
-                     for word in counts]
+                     for word in words]
     # above every id: ids outnumber the vocab by at most one, as products
     # are distinct and only one spelled UNK_TOKEN has no vocab entry
     width = vocab_size + 1
 
-    freqs = list(counts.values())
-    pair_words: defaultdict = defaultdict(list)
+    pairs: dict[int, list[int]] = {}  # pair -> [count, *word indices]
     for index, syms in enumerate(word_syms):
+        freq = freqs[index]
         for left, right in zip(syms, islice(syms, 1, None)):
-            pair_words[left * width + right].append(index)
-    for pair in [pair for pair in pair_words
-                 if pair < width or not pair % width]:
-        del pair_words[pair]
-    pair_counts: defaultdict = defaultdict(int, {
-        pair: sum(map(freqs.__getitem__, found))
-        for pair, found in pair_words.items()})
+            pair = left * width + right
+            found = pairs.get(pair)
+            if found is None:
+                pairs[pair] = [freq, index]
+            else:
+                found[0] += freq
+                found.append(index)
+    for pair in [pair for pair in pairs if pair < width or not pair % width]:
+        del pairs[pair]
 
     buckets: dict[int, list[int]] = {}
     levels: list[int] = []  # the bucket counts, negated: a heap
@@ -383,9 +397,9 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     def candidate(pair: int) -> tuple[str, int]:
         return names[pair // width] + names[pair % width], pair
 
-    for pair, count in pair_counts.items():
-        if count >= 2:
-            wait(pair, count)
+    for pair, found in pairs.items():
+        if found[0] >= 2:
+            wait(pair, found[0])
     heap: list[tuple[str, int]] = []  # pairs counted top
     top = 0
     merges: list[tuple[str, str]] = []
@@ -395,7 +409,8 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                 break
             top = -heappop(levels)
             for pair in set(buckets.pop(top)):
-                count = pair_counts.get(pair, 0)
+                found = pairs.get(pair)
+                count = found[0] if found else 0
                 if count == top:
                     heap.append(candidate(pair))
                 elif count >= 2:
@@ -403,7 +418,8 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
             heapify(heap)
             continue
         product, pair = heappop(heap)
-        count = pair_counts.get(pair, 0)
+        found = pairs.get(pair)
+        count = found[0] if found else 0
         if count != top:
             if count >= 2:
                 wait(pair, count)
@@ -415,7 +431,7 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
         vocab.setdefault(product, len(vocab))
 
         grown = set()
-        for index in set(pair_words.pop(pair)):
+        for index in set(islice(found, 1, None)):
             syms = word_syms[index]
             freq = freqs[index]
             n = len(syms)
@@ -432,14 +448,18 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                         before = right if j - 1 == last else syms[j - 1]
                         if before:  # UNK_ID never pairs
                             lost = before * width + left
-                            count = pair_counts[lost] - freq
-                            if count:
-                                pair_counts[lost] = count
+                            counted = pairs[lost]
+                            if counted[0] == freq:
+                                del pairs[lost]
                             else:
-                                del pair_counts[lost], pair_words[lost]
+                                counted[0] -= freq
                             new = syms[j - 1] * width + merged
-                            pair_counts[new] += freq
-                            pair_words[new].append(index)
+                            counted = pairs.get(new)
+                            if counted is None:
+                                pairs[new] = [freq, index]
+                            else:
+                                counted[0] += freq
+                                counted.append(index)
                             grown.add(new)
                     if j + 2 < n:
                         after = syms[j + 2]
@@ -447,28 +467,32 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
                                 after == left and j + 3 < n
                                 and syms[j + 3] == right):
                             lost = right * width + after
-                            count = pair_counts[lost] - freq
-                            if count:
-                                pair_counts[lost] = count
+                            counted = pairs[lost]
+                            if counted[0] == freq:
+                                del pairs[lost]
                             else:
-                                del pair_counts[lost], pair_words[lost]
+                                counted[0] -= freq
                             new = merged * width + after
-                            pair_counts[new] += freq
-                            pair_words[new].append(index)
+                            counted = pairs.get(new)
+                            if counted is None:
+                                pairs[new] = [freq, index]
+                            else:
+                                counted[0] += freq
+                                counted.append(index)
                             grown.add(new)
                     syms[j] = merged
                     del syms[j + 1]
                     n -= 1
                     last = j
                 j += 1
-        del pair_counts[pair]  # every site of pair is merged
+        del pairs[pair]  # every site of pair is merged
         for new in grown:  # none counts above top, by the lemma
-            count = pair_counts[new]
+            count = pairs[new][0]
             if count == top:
                 heappush(heap, candidate(new))
             elif count >= 2:
                 wait(new, count)
-    del pair_words, pair_counts, buckets, heap  # before the cache fills
+    del pairs, buckets, heap  # before the cache fills
 
     model = SubwordModel(
         alphabet=alphabet,
@@ -478,7 +502,7 @@ def train_from_word_counts(word_counts: Mapping[str, int], vocab_size: int,
     )
     cache = model._segmentations
     symbol = names.__getitem__
-    for word, syms in zip(islice(counts, _CACHE_LIMIT), word_syms):
+    for word, syms in zip(islice(words, _CACHE_LIMIT), word_syms):
         cache[word] = _emitted(list(map(symbol, syms)), BOUNDARY_MARKER)
     return model
 

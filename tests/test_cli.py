@@ -547,6 +547,46 @@ class TestSelectLangsCommand:
         assert err == (f"error: {corpus_dir / 'aaa.txt'}: the corpus of "
                        f"'aaa' has no words\n")
 
+    def test_corpus_line_breaks_other_than_newline_separate_words(
+            self, monkeypatch, capsys, selection_files, tmp_path):
+        # each of these breaks a line for str.splitlines and is whitespace
+        # to str.split, so the corpus reader gives the same word types
+        features, scripts = selection_files
+        breaks = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        argv = ["select-langs", "--features", str(features),
+                "--scripts", str(scripts), "--regime", "sim-same",
+                "--set-size", "2", "--script", "Latn"]
+        outputs = []
+        for corpora in ({"aaa": "x y z\n", "bbb": "x y w\nv\n",
+                         "ccc": "u t\n", "ddd": "u s\n"},
+                        {"aaa": f"\n{breaks}\nx{breaks}y\v\vz\n\n",
+                         "bbb": "x\x85y w\n  \n\fv\x1c\n",
+                         "ccc": f" u t\x1e\n{breaks}\n",
+                         "ddd": "u s"}):
+            corpus_dir = tmp_path / f"corpora{len(outputs)}"
+            corpus_dir.mkdir()
+            for lang, text in corpora.items():
+                (corpus_dir / f"{lang}.txt").write_text(text,
+                                                        encoding="utf-8")
+            code, out, err = run_cli(monkeypatch, capsys,
+                                     argv + ["--corpus-dir", str(corpus_dir)])
+            assert (code, err) == (EXIT_OK, "")
+            outputs.append(out)
+        assert outputs[1] == outputs[0]
+        # the words count: without them the objective differs
+        code, out, _ = run_cli(monkeypatch, capsys, argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["objective"] != \
+            json.loads(outputs[0])["objective"]
+        # a corpus of those breaks and blank lines alone has no words
+        (corpus_dir / "ccc.txt").write_text(f"{breaks}\n\n \n",
+                                            encoding="utf-8")
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 argv + ["--corpus-dir", str(corpus_dir)])
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == (f"error: {corpus_dir / 'ccc.txt'}: the corpus of "
+                       f"'ccc' has no words\n")
+
     def test_pool_too_small(self, monkeypatch, capsys, selection_files):
         features, scripts = selection_files
         code, _, _ = run_cli(

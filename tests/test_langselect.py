@@ -578,8 +578,11 @@ def sums_fit(pool, size, sims):
 
 
 @st.composite
-def selection_cases(draw):
-    n = draw(st.integers(2, 10))
+def selection_cases(draw, regimes=tuple(Regime), min_pool=2,
+                    min_set_size=2):
+    """(pool, spec, sims, exhaustive) of up to 10 languages and sets of up
+    to 5. From min_pool 7 every set is smaller than the pool."""
+    n = draw(st.integers(min_pool, 10))
     langs = tuple(f"l{i:02d}" for i in range(n))
     kind = draw(st.sampled_from([*PAIR_VALUES, "equal"]))
     if kind == "equal":
@@ -588,7 +591,8 @@ def selection_cases(draw):
     else:
         values = {pair: draw(PAIR_VALUES[kind])
                   for pair in itertools.combinations(langs, 2)}
-    pool = draw(st.lists(st.sampled_from(langs), min_size=2, unique=True))
+    pool = draw(st.lists(st.sampled_from(langs), min_size=min_pool,
+                         unique=True))
     layout = draw(st.sampled_from(["single", "mixed", "missing"]))
     if layout == "single":
         scripts = {lang: "Latn" for lang in langs}
@@ -596,8 +600,9 @@ def selection_cases(draw):
         scripts = {lang: draw(st.sampled_from(LANG_SCRIPTS))
                    for lang in langs
                    if layout == "mixed" or draw(st.booleans())}
-    spec = SelectionSpec(regime=draw(st.sampled_from(list(Regime))),
-                         set_size=draw(st.integers(2, min(len(pool), 5))),
+    spec = SelectionSpec(regime=draw(st.sampled_from(regimes)),
+                         set_size=draw(st.integers(min_set_size,
+                                                   min(len(pool), 5))),
                          alpha=draw(ALPHAS), script_map=scripts)
     sims = SimilarityMatrix(langs, values)
     assume(sums_fit(pool, spec.set_size, sims))
@@ -612,6 +617,19 @@ class TestSearchMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_small_pools(self, case):
         pool, spec, sims, exhaustive = case
+        assert search_outcome(select_subset, pool, spec, sims, exhaustive) \
+            == search_outcome(ref_select_subset, pool, spec, sims,
+                              exhaustive)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_pools_below_which_sets_prune(self, regime, data):
+        # sets of 3 or more below a pool of 7 to 10: the shape where the
+        # exhaustive bound skips prefixes and greedy climbs meet the memo
+        pool, spec, sims, exhaustive = data.draw(selection_cases(
+            regimes=(regime,), min_pool=7, min_set_size=3))
+        assert 3 <= spec.set_size < len(pool)
         assert search_outcome(select_subset, pool, spec, sims, exhaustive) \
             == search_outcome(ref_select_subset, pool, spec, sims,
                               exhaustive)
